@@ -22,7 +22,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import shuffle_permutation
 
 _GRAD_ENABLED = True
 
@@ -48,6 +47,20 @@ def _as_value(x) -> np.ndarray:
     if v.ndim != 2:
         raise ShapeError(f"tensors are 2-D, got shape {v.shape}")
     return v
+
+
+def shuffle_permutation(cols: int, groups: int) -> np.ndarray:
+    """Column order produced by channel shuffling.
+
+    Viewing the columns as a (groups, cols // groups) grid, transpose it
+    and read the grid back out row-major. For 6 columns in 2 groups the
+    order is [0, 3, 1, 4, 2, 5].
+    """
+    if groups < 1 or cols % groups != 0:
+        raise ShapeError(
+            f"channel_shuffle: {cols} columns not divisible into {groups} groups"
+        )
+    return np.arange(cols).reshape(groups, cols // groups).T.reshape(-1)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -148,9 +148,7 @@ class ContextualEmbedding:
             raise DegenerateInputError(f"ContextualEmbedding: needs N >= 4, got {n}")
         raw = Tensor(np.concatenate([c.source, c.target], axis=1))
         feats = self.mix(self.norm(self.lift(raw)).relu())
-        # The reference (backend-independent) kernel keeps model outputs and
-        # training trajectories bit-identical with or without numba.
-        sc = kernels.consistency_matrix_reference(c.source, c.target, self.sc_sigma)
+        sc = kernels.consistency_matrix(c.source, c.target, self.sc_sigma)
         return feats + Tensor(sc).matmul(feats) * (1.0 / n)
 
     def tensors(self):
@@ -463,15 +461,6 @@ class GPINet:
             if loaded:
                 layer.load_buffers(loaded)
         return model
-
-
-def gpinet_forward(
-    c: CorrespondenceSet,
-    model: GPINet,
-    ablation: Ablation = Ablation(),
-) -> np.ndarray:
-    """Inlier probabilities in [0, 1], one per correspondence."""
-    return model.predict(c, ablation)
 
 
 def bce_loss(probs: Tensor, labels: np.ndarray) -> Tensor:

@@ -48,7 +48,15 @@ def load_correspondences(path: str | Path) -> CorrespondenceSet:
         cells = line.split(",")
         if len(cells) != width:
             raise ConfigurationError(f"{path}:{ln}: expected {width} cells, got {len(cells)}")
-        rows.append([float(v) for v in cells])
+        try:
+            row = [float(v) for v in cells]
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{ln}: non-numeric cell ({exc})") from exc
+        if labeled and row[6] not in (0.0, 1.0):
+            raise ConfigurationError(f"{path}:{ln}: label must be 0 or 1, got {cells[6]!r}")
+        rows.append(row)
+    if not rows:
+        raise ConfigurationError(f"{path}: header but no correspondence rows")
     data = np.asarray(rows, dtype=np.float64)
     labels = data[:, 6].astype(bool) if labeled else None
     return CorrespondenceSet(data[:, 0:3], data[:, 3:6], labels)
@@ -63,13 +71,20 @@ def save_transform(path: str | Path, transform: RigidTransform) -> None:
 
 
 def load_transform(path: str | Path) -> RigidTransform:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
     try:
         rotation = np.asarray(doc["rotation"], dtype=np.float64).reshape(3, 3)
         translation = np.asarray(doc["translation"], dtype=np.float64).reshape(3)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: not a transform document ({exc})") from exc
     return RigidTransform(rotation, translation)
+
+
+# Fewest whitespace-separated tokens each PLY header keyword needs.
+_PLY_HEADER_ARITY = {"format": 2, "element": 3, "property": 2}
 
 
 def load_ply_points(path: str | Path) -> np.ndarray:
@@ -90,10 +105,20 @@ def load_ply_points(path: str | Path) -> np.ndarray:
         i += 1
         if not parts or parts[0] == "comment":
             continue
+        if len(parts) < _PLY_HEADER_ARITY.get(parts[0], 1):
+            raise ConfigurationError(f"{path}:{i}: truncated header line {lines[i - 1].strip()!r}")
         if parts[0] == "format":
             fmt = parts[1]
         elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
+            try:
+                count = int(parts[2])
+            except ValueError:
+                count = -1
+            if count < 0:
+                raise ConfigurationError(
+                    f"{path}:{i}: element count must be an integer >= 0, got {parts[2]!r}"
+                )
+            elements.append((parts[1], count, []))
         elif parts[0] == "property":
             if not elements:
                 raise ConfigurationError(f"{path}: property before any element")
@@ -111,7 +136,7 @@ def load_ply_points(path: str | Path) -> np.ndarray:
     if fmt != "ascii":
         raise ConfigurationError(f"{path}: only ASCII PLY is supported, got format {fmt!r}")
 
-    data_lines = [ln for ln in lines[i:] if ln.strip()]
+    data_lines = [(n, ln) for n, ln in enumerate(lines[i:], start=i + 1) if ln.strip()]
     cursor = 0
     for name, count, props in elements:
         if name != "vertex":
@@ -124,9 +149,14 @@ def load_ply_points(path: str | Path) -> np.ndarray:
                 )
         cols = [props.index(w) for w in ("x", "y", "z")]
         rows = []
-        for ln in data_lines[cursor:cursor + count]:
+        for n, ln in data_lines[cursor:cursor + count]:
             cells = ln.split()
-            rows.append([float(cells[k]) for k in cols])
+            try:
+                rows.append([float(cells[k]) for k in cols])
+            except (IndexError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"{path}:{n}: vertex row {ln.strip()!r} lacks numeric x, y, z"
+                ) from exc
         if len(rows) != count:
             raise ConfigurationError(
                 f"{path}: vertex element declares {count} rows, found {len(rows)}"

@@ -20,7 +20,9 @@ from .errors import (
     ShapeError,
     UninitializedStatsError,
 )
-from .numerics import EPS_NORM
+
+# Added to the variance inside the square root of every normalization.
+EPS_NORM = 1e-5
 
 
 class Linear:

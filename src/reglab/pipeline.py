@@ -151,17 +151,13 @@ def select_seeds(
 def build_consensus(
     seed: int,
     c: CorrespondenceSet,
-    probs: np.ndarray | None = None,
     sigma_d: float = 0.10,
     tau: float = 0.5,
 ) -> np.ndarray:
     """Indices whose length consistency with the seed reaches tau.
 
     The seed itself is always a member (its self-consistency is 1).
-    ``probs`` is accepted for interface symmetry but the membership test
-    is purely geometric.
     """
-    del probs
     sc = kernels.consistency_row(c.source, c.target, seed, sigma_d)
     members = np.flatnonzero(sc >= tau)
     if seed not in members:  # pragma: no cover - tau <= 1 keeps the seed
@@ -262,7 +258,7 @@ def register(
     hypotheses: list[Hypothesis] = []
     diagnostics: list[dict] = []
     for seed in seeds.indices:
-        members = build_consensus(int(seed), c, probs, sigma_d, cfg.tau)
+        members = build_consensus(int(seed), c, sigma_d, cfg.tau)
         hyp = two_stage_estimate(int(seed), members, c, probs, delta, sigma_d)
         diagnostics.append(
             {

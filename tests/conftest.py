@@ -3,17 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from reglab import kernels
 from reglab.geometry import CorrespondenceSet, RigidTransform
 from reglab.synth import rotation_from_axis_angle
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Compile the jitted kernels once so tests time only their own work."""
-    kernels.warmup()
 
 
 def make_rng(seed: int) -> np.random.Generator:

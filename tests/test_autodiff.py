@@ -8,9 +8,11 @@ kept away from non-differentiable points (relu/clip kinks, log(0)).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_grad_matches, coord_sample, make_rng
-from reglab.autodiff import Tensor, concat_cols, no_grad
+from reglab.autodiff import Tensor, concat_cols, no_grad, shuffle_permutation
 from reglab.errors import ContractError, ShapeError
 
 SHAPES = [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 4), (2, 6), (6, 2), (3, 5), (5, 4)]
@@ -188,6 +190,18 @@ def test_channel_shuffle_gradient(seed):
         return s
 
     run_check(build, {"a": a}, seed)
+
+
+def test_shuffle_permutation_documented_example():
+    assert shuffle_permutation(6, 2).tolist() == [0, 3, 1, 4, 2, 5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8))
+def test_shuffle_permutation_is_permutation(groups, per_group):
+    cols = groups * per_group
+    perm = shuffle_permutation(cols, groups)
+    assert sorted(perm.tolist()) == list(range(cols))
 
 
 @pytest.mark.parametrize("seed", range(10))

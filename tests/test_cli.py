@@ -175,6 +175,46 @@ def test_unknown_flag_exits_2_via_argparse(capsys):
     capsys.readouterr()
 
 
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex {}\n"
+    "property float x\nproperty float y\nproperty float z\nend_header\n"
+)
+CSV_LABELED = "xs,ys,zs,xt,yt,zt,label\n"
+
+# name -> (file written, its content, how the file reaches `register`)
+MALFORMED_INPUTS = {
+    "csv_bad_header": ("bad.csv", "a,b,c\n1,2,3\n", "--input"),
+    "csv_short_row": ("short.csv", CSV_LABELED + "1,2,3,4,5,6\n", "--input"),
+    "csv_header_only": ("empty.csv", CSV_LABELED, "--input"),
+    "csv_non_numeric_cell": ("text.csv", CSV_LABELED + "1,2,3,4,5,spam,1\n", "--input"),
+    "csv_label_not_binary": ("label.csv", CSV_LABELED + "0,0,0,0,0,0,2\n", "--input"),
+    "transform_not_json": ("gt.json", '{"rotation": [1, 0, 0,', "--gt"),
+    "ply_count_not_integer": ("src.ply", PLY_HEADER.format("four") + "0 0 0\n", "--source-ply"),
+    "ply_vertex_not_numeric": ("src.ply", PLY_HEADER.format(1) + "0 zero 0\n", "--source-ply"),
+    "ply_header_line_truncated": ("src.ply", "ply\nformat\nend_header\n", "--source-ply"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_register_malformed_input_exits_2(case, tmp_path, capsys):
+    name, content, flag = MALFORMED_INPUTS[case]
+    bad = tmp_path / name
+    bad.write_text(content)
+    good_csv = tmp_path / "good.csv"
+    save_correspondences(good_csv, CorrespondenceSet(TETRA, TETRA, np.ones(4, dtype=bool)))
+    good_ply = tmp_path / "tgt.ply"
+    write_ply(good_ply, TETRA)
+    argv = ["register", "--method", "oracle", flag, str(bad)]
+    if flag == "--gt":
+        argv += ["--input", str(good_csv)]
+    elif flag == "--source-ply":
+        argv += ["--target-ply", str(good_ply)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(bad) in err
+
+
 # -- benchmark / ablate -------------------------------------------------------------
 
 

@@ -66,7 +66,7 @@ def test_load_correspondences_errors(tmp_path):
 
     non_numeric = tmp_path / "text.csv"
     non_numeric.write_text(CSV_HEADER_UNLABELED + "\n1,2,3,4,5,spam\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=r":2: non-numeric cell"):
         load_correspondences(non_numeric)
 
 

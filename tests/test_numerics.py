@@ -1,4 +1,4 @@
-"""Forward-only matrix primitives: oracles and invariants."""
+"""Numerical properties of the layer math the model runs: oracles and invariants."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_rng
-from reglab import numerics
+from reglab.autodiff import Tensor
 from reglab.errors import (
-    ContractError,
+    ConfigurationError,
     DegenerateInputError,
     ShapeError,
     UninitializedStatsError,
 )
+from reglab.nn import EPS_NORM, BatchNorm, InstanceNorm
 
 finite_matrices = arrays(
     np.float64,
@@ -22,58 +23,55 @@ finite_matrices = arrays(
 )
 
 
-def test_as_matrix_coerces_and_validates():
-    m = numerics.as_matrix([[1, 2], [3, 4]])
-    assert m.dtype == np.float64 and m.shape == (2, 2)
-    with pytest.raises(ShapeError):
-        numerics.as_matrix([1.0, 2.0])
-    with pytest.raises(ContractError):
-        numerics.as_matrix([[np.nan, 0.0]])
-    with pytest.raises(ContractError):
-        numerics.as_matrix([[np.inf, 0.0]])
+def batch_norm(width, scale, shift, **kwargs):
+    """BatchNorm layer with the given affine parameters."""
+    bn = BatchNorm(width, **kwargs)
+    bn.scale.value = np.asarray(scale, dtype=np.float64).reshape(1, width)
+    bn.shift.value = np.asarray(shift, dtype=np.float64).reshape(1, width)
+    return bn
 
 
 def test_matmul_matches_numpy_and_checks_shapes():
     rng = make_rng(0)
     a = rng.normal(size=(4, 5))
     b = rng.normal(size=(5, 3))
-    assert np.array_equal(numerics.matmul(a, b), a @ b)
+    assert np.array_equal(Tensor(a).matmul(Tensor(b)).value, a @ b)
     with pytest.raises(ShapeError):
-        numerics.matmul(a, a)
+        Tensor(a).matmul(Tensor(a))
 
 
 def test_relu_oracle():
     m = np.array([[-2.0, 0.0, 3.5]])
-    assert np.array_equal(numerics.relu(m), [[0.0, 0.0, 3.5]])
+    assert np.array_equal(Tensor(m).relu().value, [[0.0, 0.0, 3.5]])
 
 
 def test_sigmoid_matches_formula_and_saturates_safely():
     rng = make_rng(1)
     m = rng.normal(size=(3, 4))
     expected = 1.0 / (1.0 + np.exp(-m))
-    assert np.allclose(numerics.sigmoid(m), expected, rtol=0, atol=1e-15)
-    extreme = numerics.sigmoid(np.array([[-1000.0, 1000.0]]))
+    assert np.allclose(Tensor(m).sigmoid().value, expected, rtol=0, atol=1e-15)
+    extreme = Tensor(np.array([[-1000.0, 1000.0]])).sigmoid().value
     assert np.all(np.isfinite(extreme))
     assert extreme[0, 0] == 0.0 and extreme[0, 1] == 1.0
 
 
 def test_softmax_rows_oracle_small():
     m = np.array([[0.0, np.log(3.0)]])
-    out = numerics.softmax_rows(m)
+    out = Tensor(m).softmax_rows().value
     assert np.allclose(out, [[0.25, 0.75]], atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
 @given(finite_matrices)
 def test_softmax_rows_rows_sum_to_one(m):
-    out = numerics.softmax_rows(m)
+    out = Tensor(m).softmax_rows().value
     assert np.all(out >= 0.0)
     assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
 
 
 def test_softmax_rows_extreme_magnitudes():
     m = np.array([[1e3, -1e3, 0.0], [-1e3, -1e3, -1e3]])
-    out = numerics.softmax_rows(m)
+    out = Tensor(m).softmax_rows().value
     assert np.all(np.isfinite(out))
     assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
 
@@ -81,14 +79,14 @@ def test_softmax_rows_extreme_magnitudes():
 def test_instance_norm_standardizes_columns():
     rng = make_rng(2)
     m = rng.normal(3.0, 2.5, size=(64, 5))
-    out = numerics.instance_norm(m)
+    out = InstanceNorm()(Tensor(m)).value
     assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(out.var(axis=0) - 1.0) < 1e-3)
 
 
 def test_instance_norm_rejects_single_row():
     with pytest.raises(DegenerateInputError):
-        numerics.instance_norm(np.ones((1, 4)))
+        InstanceNorm()(Tensor(np.ones((1, 4))))
 
 
 def test_batch_norm_train_matches_direct_formula():
@@ -96,27 +94,29 @@ def test_batch_norm_train_matches_direct_formula():
     m = rng.normal(size=(16, 4))
     scale = rng.normal(size=4)
     shift = rng.normal(size=4)
-    out, new_mean, new_var = numerics.batch_norm(m, scale, shift, "train")
+    bn = batch_norm(4, scale, shift)
+    out = bn(Tensor(m), "train").value
     mu = m.mean(axis=0)
     var = m.var(axis=0)
-    expected = (m - mu) / np.sqrt(var + numerics.EPS_NORM) * scale + shift
+    expected = (m - mu) / np.sqrt(var + EPS_NORM) * scale + shift
     assert np.allclose(out, expected, atol=1e-12)
     # First train step adopts the batch statistics (variance unbiased).
-    assert np.allclose(new_mean.ravel(), mu, atol=1e-15)
-    assert np.allclose(new_var.ravel(), m.var(axis=0, ddof=1), atol=1e-15)
+    assert np.allclose(bn.running_mean.ravel(), mu, atol=1e-15)
+    assert np.allclose(bn.running_var.ravel(), m.var(axis=0, ddof=1), atol=1e-15)
 
 
 def test_batch_norm_running_stats_ema():
     rng = make_rng(4)
     m = rng.normal(size=(8, 3))
-    scale, shift = np.ones(3), np.zeros(3)
-    _, mean1, var1 = numerics.batch_norm(m, scale, shift, "train")
+    bn = BatchNorm(3, momentum=0.25)
+    bn(Tensor(m), "train")
+    mean1, var1 = bn.running_mean.copy(), bn.running_var.copy()
     m2 = rng.normal(2.0, 0.5, size=(8, 3))
-    _, mean2, var2 = numerics.batch_norm(
-        m2, scale, shift, "train", running_mean=mean1, running_var=var1
-    )
-    assert np.allclose(mean2, 0.9 * mean1 + 0.1 * m2.mean(axis=0, keepdims=True), atol=1e-15)
-    assert np.allclose(var2, 0.9 * var1 + 0.1 * m2.var(axis=0, ddof=1, keepdims=True), atol=1e-15)
+    bn(Tensor(m2), "train")
+    want_mean = 0.75 * mean1 + 0.25 * m2.mean(axis=0, keepdims=True)
+    want_var = 0.75 * var1 + 0.25 * m2.var(axis=0, ddof=1, keepdims=True)
+    assert np.allclose(bn.running_mean, want_mean, atol=1e-15)
+    assert np.allclose(bn.running_var, want_var, atol=1e-15)
 
 
 def test_batch_norm_eval_uses_running_stats():
@@ -126,52 +126,42 @@ def test_batch_norm_eval_uses_running_stats():
     shift = np.array([1.0, -1.0])
     running_mean = np.array([[0.5, -0.5]])
     running_var = np.array([[4.0, 0.25]])
-    out, _, _ = numerics.batch_norm(
-        m, scale, shift, "eval", running_mean=running_mean, running_var=running_var
-    )
-    expected = (m - running_mean) / np.sqrt(running_var + numerics.EPS_NORM) * scale + shift
+    bn = batch_norm(2, scale, shift)
+    bn.load_buffers({"running_mean": running_mean, "running_var": running_var})
+    out = bn(Tensor(m), "eval").value
+    expected = (m - running_mean) / np.sqrt(running_var + EPS_NORM) * scale + shift
     assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_batch_norm_eval_unpopulated_raises():
+    bn = BatchNorm(2)
+    bn(Tensor(np.ones((4, 2))), "frozen")  # frozen inference populates nothing
     with pytest.raises(UninitializedStatsError):
-        numerics.batch_norm(np.ones((4, 2)), np.ones(2), np.zeros(2), "eval")
+        bn(Tensor(np.ones((4, 2))), "eval")
 
 
 def test_batch_norm_rejects_unknown_mode_and_bad_shapes():
-    with pytest.raises(ContractError):
-        numerics.batch_norm(np.ones((4, 2)), np.ones(2), np.zeros(2), "warmup")
+    with pytest.raises(ConfigurationError):
+        BatchNorm(2)(Tensor(np.ones((4, 2))), "predict")
     with pytest.raises(ShapeError):
-        numerics.batch_norm(np.ones((4, 2)), np.ones(3), np.zeros(2), "train")
+        BatchNorm(3)(Tensor(np.ones((4, 2))), "train")
     with pytest.raises(DegenerateInputError):
-        numerics.batch_norm(np.ones((1, 2)), np.ones(2), np.zeros(2), "train")
-
-
-def test_shuffle_permutation_documented_example():
-    assert numerics.shuffle_permutation(6, 2).tolist() == [0, 3, 1, 4, 2, 5]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 8))
-def test_shuffle_permutation_is_permutation(groups, per_group):
-    cols = groups * per_group
-    perm = numerics.shuffle_permutation(cols, groups)
-    assert sorted(perm.tolist()) == list(range(cols))
+        BatchNorm(2)(Tensor(np.ones((1, 2))), "train")
 
 
 def test_channel_shuffle_preserves_row_multisets():
     rng = make_rng(6)
     m = rng.normal(size=(5, 8))
-    out = numerics.channel_shuffle(m, groups=2)
+    out = Tensor(m).channel_shuffle(groups=2).value
     for i in range(m.shape[0]):
         assert sorted(out[i].tolist()) == sorted(m[i].tolist())
     with pytest.raises(ShapeError):
-        numerics.channel_shuffle(m, groups=3)
+        Tensor(m).channel_shuffle(groups=3)
 
 
 def test_operations_are_deterministic():
     rng = make_rng(7)
     m = rng.normal(size=(9, 6))
-    assert numerics.softmax_rows(m).tobytes() == numerics.softmax_rows(m).tobytes()
-    assert numerics.instance_norm(m).tobytes() == numerics.instance_norm(m).tobytes()
-    assert numerics.channel_shuffle(m).tobytes() == numerics.channel_shuffle(m).tobytes()
+    assert Tensor(m).softmax_rows().value.tobytes() == Tensor(m).softmax_rows().value.tobytes()
+    assert InstanceNorm()(Tensor(m)).value.tobytes() == InstanceNorm()(Tensor(m)).value.tobytes()
+    assert Tensor(m).channel_shuffle().value.tobytes() == Tensor(m).channel_shuffle().value.tobytes()

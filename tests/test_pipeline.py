@@ -149,7 +149,7 @@ def test_build_consensus_matches_formula(seed_idx):
     tgt = rng.uniform(-2, 2, size=(20, 3))
     c = CorrespondenceSet(src, tgt)
     sigma_d, tau = 0.4, 0.5
-    members = build_consensus(seed_idx, c, None, sigma_d, tau)
+    members = build_consensus(seed_idx, c, sigma_d, tau)
 
     ds = np.linalg.norm(src - src[seed_idx], axis=1)
     dt = np.linalg.norm(tgt - tgt[seed_idx], axis=1)
@@ -163,7 +163,7 @@ def test_build_consensus_matches_formula(seed_idx):
 def test_build_consensus_tau_boundary_is_inclusive():
     src = make_rng(60).uniform(-1, 1, size=(8, 3))
     c = CorrespondenceSet(src, src)  # every pair has consistency exactly 1.0
-    members = build_consensus(2, c, None, 0.1, tau=1.0)
+    members = build_consensus(2, c, 0.1, tau=1.0)
     assert members.tolist() == list(range(8))
 
 
@@ -172,7 +172,7 @@ def test_build_consensus_excludes_inconsistent_pairs():
     tgt = src.copy()
     tgt[3] = [-5.0, 0.0, 0.0]  # destroys every length through pair 3
     c = CorrespondenceSet(src, tgt)
-    members = build_consensus(0, c, None, 0.1, 0.5)
+    members = build_consensus(0, c, 0.1, 0.5)
     assert members.tolist() == [0, 1, 2]
 
 
@@ -184,7 +184,7 @@ def test_two_stage_recovers_truth_and_counts_exactly():
     c, gt = generate(cfg)
     probs = c.labels.astype(np.float64)
     seed = int(np.flatnonzero(c.labels)[0])
-    members = build_consensus(seed, c, probs, 0.10, 0.5)
+    members = build_consensus(seed, c, 0.10, 0.5)
     hyp = two_stage_estimate(seed, members, c, probs, 0.10, 0.10)
     assert hyp is not None
     assert hyp.seed_index == seed
@@ -209,7 +209,7 @@ def test_two_stage_keeps_stage_one_when_refit_is_degenerate():
     c = CorrespondenceSet(src, tgt)
     probs = np.array([1.0, 1.0, 1.0, 0.001])
     sigma_d, delta = 100.0, 0.05
-    members = build_consensus(0, c, probs, sigma_d, 0.5)
+    members = build_consensus(0, c, sigma_d, 0.5)
     assert members.tolist() == [0, 1, 2, 3]
 
     sc = kernels.consistency_row(src, tgt, 0, sigma_d)[members]
