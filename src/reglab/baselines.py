@@ -96,7 +96,7 @@ def ransac(
         transform=transform,
         seed_index=None,
         consensus=members,
-        inlier_count=count_inliers(transform, c, delta),
+        inlier_count=int(members.size),
     )
 
 

@@ -40,6 +40,7 @@ from .formats import (
     load_correspondences,
     load_ply_points,
     load_transform,
+    read_text_file,
     save_correspondences,
     save_transform,
 )
@@ -319,7 +320,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = report_from_json(Path(args.input).read_text())
+    report = report_from_json(read_text_file(args.input))
     formats = _split(args.format, str, "--format") or FORMATS
     written = emit_reports(report, args.out, formats, include_timings=False)
     _print({"out": {name: str(path) for name, path in written.items()}})

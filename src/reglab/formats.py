@@ -18,6 +18,21 @@ CSV_HEADER_LABELED = "xs,ys,zs,xt,yt,zt,label"
 CSV_HEADER_UNLABELED = "xs,ys,zs,xt,yt,zt"
 
 
+def read_text_file(path: str | Path) -> str:
+    """Read a UTF-8 text file.
+
+    A missing file raises ``FileNotFoundError`` as usual; any other file
+    that cannot be read as UTF-8 text (a directory, no permission, bad
+    bytes) raises ``ConfigurationError`` naming it.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: cannot read ({exc})") from exc
+
+
 def save_correspondences(path: str | Path, c: CorrespondenceSet) -> None:
     lines = [CSV_HEADER_LABELED if c.labels is not None else CSV_HEADER_UNLABELED]
     for i in range(len(c)):
@@ -29,7 +44,7 @@ def save_correspondences(path: str | Path, c: CorrespondenceSet) -> None:
 
 
 def load_correspondences(path: str | Path) -> CorrespondenceSet:
-    text = Path(path).read_text().strip().splitlines()
+    text = read_text_file(path).strip().splitlines()
     if not text:
         raise ConfigurationError(f"{path}: empty correspondence file")
     header = text[0].strip()
@@ -72,7 +87,7 @@ def save_transform(path: str | Path, transform: RigidTransform) -> None:
 
 def load_transform(path: str | Path) -> RigidTransform:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(read_text_file(path))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
     try:
@@ -94,7 +109,7 @@ def load_ply_points(path: str | Path) -> np.ndarray:
     float (or double) x, y, z properties; additional scalar properties are
     ignored. Returns an (N, 3) float64 array.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = read_text_file(path).splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ConfigurationError(f"{path}: missing 'ply' magic line")
     elements: list[tuple[str, int, list[str]]] = []  # (name, count, property names)

@@ -53,25 +53,15 @@ def consistency_row(src: np.ndarray, tgt: np.ndarray, i: int, sigma: float) -> n
 # rigid transform to the triple and count strict inliers at ``delta``.
 # Returns (best_iteration, best_count); ties keep the earliest iteration,
 # geometrically degenerate triples are skipped with count -1. best_iteration
-# is -1 when every triple was degenerate.
+# is -1 when every triple was degenerate (or there were no samples).
+#
+# Samples are scored in blocks: each block's triples are fitted with one
+# stacked SVD, and all of its residuals come from one matmul
+# ``src @ [R_1^T ... R_m^T]``. A block holds about _SCAN_BLOCK_ENTRIES
+# residual entries (N x 3 per sample), so scratch memory stays at a few MB
+# whatever N or the sample count.
 
-
-def _fit_triple(a: np.ndarray, b: np.ndarray):
-    """Unit-weight rigid fit to three points. Returns (ok, R, t)."""
-    ca = np.array([a[:, 0].mean(), a[:, 1].mean(), a[:, 2].mean()])
-    cb = np.array([b[:, 0].mean(), b[:, 1].mean(), b[:, 2].mean()])
-    h = (a - ca).T @ (b - cb)
-    u, s, vt = np.linalg.svd(h)
-    if s[1] <= 1e-9 * s[0]:
-        return False, np.eye(3), np.zeros(3)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        return False, np.eye(3), np.zeros(3)
-    flip = np.ones(3)
-    flip[2] = d
-    r = (vt.T * flip) @ u.T
-    t = cb - r @ ca
-    return True, r, t
+_SCAN_BLOCK_ENTRIES = 1 << 16
 
 
 def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
@@ -80,17 +70,31 @@ def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
     src = np.ascontiguousarray(src, dtype=np.float64)
     tgt = np.ascontiguousarray(tgt, dtype=np.float64)
     samples = np.ascontiguousarray(samples, dtype=np.int64)
-    best_iter = -1
-    best_count = -1
+    n, total = src.shape[0], samples.shape[0]
+    if total == 0:
+        return -1, -1
+    step = max(1, _SCAN_BLOCK_ENTRIES // (3 * max(n, 1)))
     d2 = delta * delta
-    for m in range(samples.shape[0]):
-        idx = samples[m]
-        ok, r, t = _fit_triple(src[idx], tgt[idx])
-        if not ok:
-            continue
-        res = src @ r.T + t - tgt
-        count = int(((res * res).sum(axis=1) < d2).sum())
-        if count > best_count:
-            best_count = count
-            best_iter = m
-    return best_iter, best_count
+    counts = np.empty(total, dtype=np.int64)
+    for lo in range(0, total, step):
+        idx = samples[lo:lo + step]
+        a, b = src[idx], tgt[idx]                       # (m, 3, 3)
+        ca, cb = a.mean(axis=1), b.mean(axis=1)         # (m, 3)
+        h = (a - ca[:, None]).transpose(0, 2, 1) @ (b - cb[:, None])
+        u, s, vt = np.linalg.svd(h)
+        v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+        d = np.sign(np.linalg.det(v @ ut))
+        v[:, :, 2] *= d[:, None]                        # reflection guard
+        r = v @ ut
+        t = cb - (r @ ca[:, :, None])[:, :, 0]
+        res = (src @ r.transpose(2, 0, 1).reshape(3, -1)).reshape(n, -1, 3)
+        res += t
+        res -= tgt[:, None]
+        res *= res
+        block = (res.sum(axis=2) < d2).sum(axis=0)
+        block[(s[:, 1] <= 1e-9 * s[:, 0]) | (d == 0.0)] = -1
+        counts[lo:lo + step] = block
+    best = int(np.argmax(counts))
+    if counts[best] < 0:
+        return -1, -1
+    return best, int(counts[best])

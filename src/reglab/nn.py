@@ -20,6 +20,7 @@ from .errors import (
     ShapeError,
     UninitializedStatsError,
 )
+from .formats import read_text_file
 
 # Added to the variance inside the square root of every normalization.
 EPS_NORM = 1e-5
@@ -183,13 +184,21 @@ def save_parameters(
 
 def load_parameters(path: str | Path) -> tuple[dict | None, dict[str, np.ndarray]]:
     """Read a parameter JSON doc; returns (config or None, name -> array)."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or "parameters" not in doc:
+    try:
+        doc = json.loads(read_text_file(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("parameters"), dict):
         raise ConfigurationError(f"{path}: not a parameter document")
     arrays: dict[str, np.ndarray] = {}
     for name, entry in doc["parameters"].items():
-        shape = tuple(int(s) for s in entry["shape"])
-        values = np.asarray(entry["values"], dtype=np.float64)
+        try:
+            shape = tuple(int(s) for s in entry["shape"])
+            values = np.asarray(entry["values"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{path}: entry {name!r} is not a shape/values pair ({exc!r})"
+            ) from exc
         if values.size != int(np.prod(shape)):
             raise ConfigurationError(
                 f"{path}: entry {name!r} has {values.size} values for shape {shape}"

@@ -181,8 +181,11 @@ PLY_HEADER = (
 )
 CSV_LABELED = "xs,ys,zs,xt,yt,zt,label\n"
 
-# name -> (file written, its content, how the file reaches `register`)
+# name -> (file written, its content, how the file reaches `register`);
+# bytes content is written raw, None makes a directory of that name.
 MALFORMED_INPUTS = {
+    "csv_is_directory": ("corr.csv", None, "--input"),
+    "csv_not_utf8": ("latin1.csv", CSV_LABELED.encode() + b"\xff,0,0,0,0,0,1\n", "--input"),
     "csv_bad_header": ("bad.csv", "a,b,c\n1,2,3\n", "--input"),
     "csv_short_row": ("short.csv", CSV_LABELED + "1,2,3,4,5,6\n", "--input"),
     "csv_header_only": ("empty.csv", CSV_LABELED, "--input"),
@@ -192,20 +195,33 @@ MALFORMED_INPUTS = {
     "ply_count_not_integer": ("src.ply", PLY_HEADER.format("four") + "0 0 0\n", "--source-ply"),
     "ply_vertex_not_numeric": ("src.ply", PLY_HEADER.format(1) + "0 zero 0\n", "--source-ply"),
     "ply_header_line_truncated": ("src.ply", "ply\nformat\nend_header\n", "--source-ply"),
+    "params_not_json": ("params.json", "{bad", "--params"),
+    "params_entry_lacks_shape": ("params.json", '{"parameters": {"a": {}}}', "--params"),
 }
+
+
+def write_input(path, content):
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_register_malformed_input_exits_2(case, tmp_path, capsys):
     name, content, flag = MALFORMED_INPUTS[case]
     bad = tmp_path / name
-    bad.write_text(content)
+    write_input(bad, content)
     good_csv = tmp_path / "good.csv"
     save_correspondences(good_csv, CorrespondenceSet(TETRA, TETRA, np.ones(4, dtype=bool)))
     good_ply = tmp_path / "tgt.ply"
     write_ply(good_ply, TETRA)
     argv = ["register", "--method", "oracle", flag, str(bad)]
-    if flag == "--gt":
+    if flag == "--params":
+        argv = ["register", "--method", "gpinet", "--n", "20", flag, str(bad)]
+    elif flag == "--gt":
         argv += ["--input", str(good_csv)]
     elif flag == "--source-ply":
         argv += ["--target-ply", str(good_ply)]
@@ -344,3 +360,12 @@ def test_report_rejects_non_report_json(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["report", "--input", str(bad), "--out", str(tmp_path / "x")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [None, b"\xff{}"], ids=["directory", "not_utf8"])
+def test_report_unreadable_input_exits_2(content, tmp_path, capsys):
+    bad = tmp_path / "report.json"
+    write_input(bad, content)
+    assert main(["report", "--input", str(bad), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err

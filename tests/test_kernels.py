@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_transform
-from reglab.kernels import consistency_matrix, consistency_row, ransac_scan
+from reglab.kernels import (
+    _SCAN_BLOCK_ENTRIES,
+    consistency_matrix,
+    consistency_row,
+    ransac_scan,
+)
 
 
 def consistency_oracle(src, tgt, sigma, zero_diagonal=False):
@@ -165,3 +170,107 @@ def test_ransac_scan_all_degenerate_returns_minus_one():
     tgt = src.copy()
     samples = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4]], dtype=np.int64)
     assert ransac_scan(src, tgt, samples, 0.1) == (-1, -1)
+
+
+# -- scans that span several blocks ---------------------------------------------
+#
+# ransac_scan scores samples in blocks of max(1, _SCAN_BLOCK_ENTRIES // 3N);
+# these inputs put the winner, a tie and the degenerate triples on either
+# side of a block boundary.
+
+
+def block_step(n):
+    return max(1, _SCAN_BLOCK_ENTRIES // (3 * n))
+
+
+def outlier_scene(seed, n=200, inliers=120, noise=0.0):
+    """Rows [0, inliers) follow one rigid motion; the rest are uniform outliers."""
+    rng = make_rng(seed)
+    src = rng.uniform(-2, 2, size=(n, 3))
+    tgt = random_transform(rng).apply(src) + rng.normal(scale=noise, size=(n, 3))
+    tgt[inliers:] = rng.uniform(-4, 4, size=(n - inliers, 3))
+    return rng, src, tgt
+
+
+def draw_triples(rng, pool, count):
+    return np.stack(
+        [rng.choice(pool, size=3, replace=False) for _ in range(count)]
+    ).astype(np.int64)
+
+
+def case_n2000(count):
+    def build():
+        rng, src, tgt = outlier_scene(500 + count, n=2000, inliers=400, noise=0.03)
+        samples = draw_triples(rng, 2000, count)
+        assert count > 2 * block_step(2000)
+        return src, tgt, samples, None
+    return build
+
+
+def case_best_in_later_block():
+    rng, src, tgt = outlier_scene(601)
+    step = block_step(200)
+    samples = draw_triples(rng, np.arange(120, 200), 3 * step)
+    samples[2 * step + 5] = [3, 50, 90]
+    return src, tgt, samples, 2 * step + 5
+
+
+def case_best_is_last_sample():
+    rng, src, tgt = outlier_scene(606)
+    step = block_step(200)
+    samples = draw_triples(rng, np.arange(120, 200), 3 * step + 7)
+    samples[-1] = [7, 70, 107]
+    return src, tgt, samples, len(samples) - 1
+
+
+def case_tie_across_boundary():
+    rng, src, tgt = outlier_scene(602)
+    step = block_step(200)
+    samples = draw_triples(rng, np.arange(120, 200), 3 * step)
+    samples[2 * step - 1] = [0, 40, 80]
+    samples[2 * step] = [10, 60, 110]
+    return src, tgt, samples, 2 * step - 1
+
+
+def case_first_block_degenerate():
+    rng, src, tgt = outlier_scene(603)
+    step = block_step(200)
+    samples = draw_triples(rng, np.arange(120, 200), step + 40)
+    samples[:step] = draw_triples(rng, 200, step)
+    samples[:step, 1] = samples[:step, 0]  # two coincident points per triple
+    samples[:step:2, 2] = samples[:step:2, 0]  # and all three on every other
+    samples[step + 10] = [5, 55, 105]
+    return src, tgt, samples, step + 10
+
+
+def case_all_degenerate_blocks():
+    _, src, tgt = outlier_scene(604)
+    samples = np.repeat(np.arange(200, dtype=np.int64)[:, None], 3, axis=1)
+    samples = np.concatenate([samples, samples[:60]])
+    return src, tgt, samples, -1
+
+
+def case_no_samples():
+    _, src, tgt = outlier_scene(605)
+    return src, tgt, np.empty((0, 3), dtype=np.int64), -1
+
+
+BLOCK_CASES = {
+    "n2000_whole_blocks": case_n2000(1000),
+    "n2000_partial_last_block": case_n2000(1005),
+    "best_in_later_block": case_best_in_later_block,
+    "best_is_last_sample": case_best_is_last_sample,
+    "tie_across_boundary_keeps_earlier": case_tie_across_boundary,
+    "first_block_degenerate": case_first_block_degenerate,
+    "all_degenerate_blocks": case_all_degenerate_blocks,
+    "no_samples": case_no_samples,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_ransac_scan_across_blocks_matches_oracle(case):
+    src, tgt, samples, want_iter = BLOCK_CASES[case]()
+    got = ransac_scan(src, tgt, samples, 0.1)
+    assert got == scan_oracle(src, tgt, samples, 0.1)
+    if want_iter is not None:
+        assert got[0] == want_iter
