@@ -1,0 +1,93 @@
+"""Golden byte-identity: fixed runs reproduce checked-in outputs exactly.
+
+``tests/golden/`` holds the bytes of a small benchmark sweep's reports,
+the ``reglab register`` JSON of every method on one scene, the sha256 of
+the network's probabilities on an outlier-free scene of the same size
+and seed, and one RANSAC scan result.
+A refactor that changes any of them changes observable behaviour.
+
+Regenerate (only when an output is meant to change) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import numpy as np
+
+from reglab.baselines import minimal_samples
+from reglab.blocks import GPINet
+from reglab.cli import main
+from reglab.kernels import ransac_scan
+from reglab.synth import SceneConfig, generate
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+PARAMS = ROOT / "bench" / "model" / "params.json"
+PARAMS_SHA256 = "417b87e6f5c300b2beeee2fda24dc0f5d002b44a7e747ce90a7ea83ff7b84270"
+
+BENCHMARK_ARGS = ["--method", "oracle,ransac,sm,gpinet", "--n", "250", "--trials", "2",
+                  "--seed", "0"]
+REPORT_FILES = ("report.csv", "report.json", "rr_vs_n.svg")
+REGISTER_ARGS = ["--params", str(PARAMS), "--n", "500", "--seed", "3"]
+METHODS = ("oracle", "gpinet", "ransac", "sm")
+
+
+def _run(argv: list[str]) -> tuple[int, bytes]:
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue().encode()
+
+
+def _scan_doc() -> bytes:
+    """(best_iter, best_count) of a 1000-sample scan on an outdoor N=2000 scene."""
+    c, _ = generate(SceneConfig(n=2000, outlier_ratio=0.8, scene="outdoor", seed=11))
+    samples = minimal_samples(np.random.Generator(np.random.PCG64(5)), len(c), 1000)
+    best_iter, best_count = ransac_scan(c.source, c.target, samples, 0.6)
+    return (json.dumps({"best_iter": best_iter, "best_count": best_count}) + "\n").encode()
+
+
+def build_artifacts() -> dict[str, bytes]:
+    """Run every golden case; map golden file name to the bytes produced."""
+    artifacts: dict[str, bytes] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _ = _run(["benchmark", *BENCHMARK_ARGS, "--out", tmp])
+        assert code == 0
+        for name in REPORT_FILES:
+            artifacts[name] = (Path(tmp) / name).read_bytes()
+    for method in METHODS:
+        code, doc = _run(["register", "--method", method, *REGISTER_ARGS])
+        assert code == 0, method
+        artifacts[f"register_{method}.json"] = doc
+    c, _ = generate(SceneConfig(n=500, seed=3))  # outlier-free: every default but n, seed
+    probs = GPINet.load(PARAMS).predict(c)
+    artifacts["predict.sha256"] = (hashlib.sha256(probs.tobytes()).hexdigest() + "\n").encode()
+    artifacts["ransac_scan.json"] = _scan_doc()
+    return artifacts
+
+
+def test_params_file_is_the_bench_model():
+    assert hashlib.sha256(PARAMS.read_bytes()).hexdigest() == PARAMS_SHA256
+
+
+def test_outputs_match_goldens_byte_for_byte():
+    artifacts = build_artifacts()
+    assert sorted(artifacts) == sorted(p.name for p in GOLDEN.iterdir())
+    changed = [name for name, data in sorted(artifacts.items())
+               if (GOLDEN / name).read_bytes() != data]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, data in build_artifacts().items():
+        (GOLDEN / name).write_bytes(data)
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)
