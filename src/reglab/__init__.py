@@ -3,163 +3,31 @@
 A numpy package with the consistency-matrix and RANSAC-scan kernels, a
 minimal reverse-mode autodiff engine, an attention-based correspondence
 scorer, classical baselines, a synthetic benchmark generator, and an
-experiment CLI with deterministic CSV/JSON/SVG reports.
+experiment CLI with deterministic CSV/JSON/SVG reports. The names below
+are the entry points; everything else is imported from its submodule.
 """
 
-from .autodiff import Tensor, concat_cols, no_grad
-from .baselines import (
-    SpectralResult,
-    power_iteration,
-    ransac,
-    spectral_matching,
-    spectral_register,
-)
-from .blocks import (
-    Ablation,
-    ClassificationHead,
-    ContextualEmbedding,
-    GPINet,
-    GestaltAttention,
-    MixUnit,
-    ModelConfig,
-    MultiGranularityMixer,
-    OrthogonalIntegration,
-    bce_loss,
-    fused_width,
-    pyramid_widths,
-)
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    ConvergenceError,
-    DegenerateInputError,
-    NumericFault,
-    RegLabError,
-    RegistrationFailure,
-    ShapeError,
-    UninitializedStatsError,
-)
-from .evaluate import (
-    METHODS,
-    ClassificationMetrics,
-    ExperimentConfig,
-    MetricsReport,
-    TrainConfig,
-    TrainResult,
-    classification_metrics,
-    derive_seed,
-    run_experiment,
-    run_trial,
-    train_toy,
-)
-from .formats import (
-    load_correspondences,
-    load_ply_points,
-    load_transform,
-    save_correspondences,
-    save_transform,
-)
-from .geometry import (
-    CorrespondenceSet,
-    RigidTransform,
-    SelectionResult,
-    count_inliers,
-    inlier_mask,
-    registration_success,
-    residuals,
-    rotation_error,
-    select_best_transform,
-    translation_error,
-    weighted_kabsch,
-)
-from .kernels import consistency_matrix, consistency_row, ransac_scan
-from .pipeline import (
-    Hypothesis,
-    RegistrationConfig,
-    RegistrationResult,
-    SeedSet,
-    build_consensus,
-    register,
-    select_seeds,
-    two_stage_estimate,
-)
-from .reports import emit_reports, merge_reports, report_from_json, svg_line_chart
-from .synth import SceneConfig, generate, rotation_from_axis_angle
+from .blocks import GPINet, ModelConfig
+from .errors import RegLabError
+from .evaluate import METHODS, ExperimentConfig, run_experiment, solve
+from .geometry import CorrespondenceSet, RigidTransform
+from .pipeline import RegistrationConfig, register
+from .synth import SceneConfig, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ablation",
-    "ClassificationHead",
-    "ClassificationMetrics",
-    "ConfigurationError",
-    "ContextualEmbedding",
-    "ContractError",
-    "ConvergenceError",
     "CorrespondenceSet",
-    "DegenerateInputError",
     "ExperimentConfig",
     "GPINet",
-    "GestaltAttention",
-    "Hypothesis",
     "METHODS",
-    "MetricsReport",
-    "MixUnit",
     "ModelConfig",
-    "MultiGranularityMixer",
-    "NumericFault",
-    "OrthogonalIntegration",
     "RegLabError",
     "RegistrationConfig",
-    "RegistrationFailure",
-    "RegistrationResult",
     "RigidTransform",
     "SceneConfig",
-    "SeedSet",
-    "SelectionResult",
-    "ShapeError",
-    "SpectralResult",
-    "Tensor",
-    "TrainConfig",
-    "TrainResult",
-    "UninitializedStatsError",
-    "bce_loss",
-    "build_consensus",
-    "classification_metrics",
-    "concat_cols",
-    "consistency_matrix",
-    "consistency_row",
-    "count_inliers",
-    "derive_seed",
-    "emit_reports",
-    "fused_width",
     "generate",
-    "inlier_mask",
-    "load_correspondences",
-    "load_ply_points",
-    "load_transform",
-    "merge_reports",
-    "no_grad",
-    "power_iteration",
-    "pyramid_widths",
-    "ransac",
-    "ransac_scan",
     "register",
-    "registration_success",
-    "report_from_json",
-    "residuals",
-    "rotation_error",
     "run_experiment",
-    "run_trial",
-    "save_correspondences",
-    "save_transform",
-    "select_best_transform",
-    "select_seeds",
-    "spectral_matching",
-    "spectral_register",
-    "svg_line_chart",
-    "train_toy",
-    "translation_error",
-    "two_stage_estimate",
-    "weighted_kabsch",
+    "solve",
 ]

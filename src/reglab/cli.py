@@ -12,10 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .baselines import ransac, spectral_register
-from .blocks import Ablation, GPINet, ModelConfig
+from .blocks import Ablation
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -30,11 +27,11 @@ from .evaluate import (
     METHODS,
     ExperimentConfig,
     TrainConfig,
+    build_model,
     classification_metrics,
-    derive_seed,
     run_experiment,
+    solve,
     train_toy,
-    _MODEL_STREAM,
 )
 from .formats import (
     load_correspondences,
@@ -50,7 +47,7 @@ from .geometry import (
     rotation_error,
     translation_error,
 )
-from .pipeline import RegistrationConfig, register
+from .pipeline import RegistrationConfig
 from .reports import FORMATS, emit_reports, merge_reports, report_from_json
 from .synth import SceneConfig, generate
 
@@ -154,66 +151,28 @@ def cmd_register(args) -> int:
         delta=args.delta,
         ablation=Ablation.from_names(args.ablate or ()),
     )
-    delta = reg_cfg.resolved_delta
-    method = args.method
+    model = None
+    if args.method == "gpinet":
+        model = build_model(args.params, args.channels, args.granularities, args.seed)
+    sol = solve(args.method, c, reg_cfg, model, ransac_seed=args.seed,
+                ransac_iterations=args.ransac_iterations)
 
-    doc: dict = {"method": method, "n": len(c), "delta": delta, "scene": args.scene}
-    ok = True
-    transform = None
-    probs = None
-    try:
-        if method == "gpinet":
-            if args.params:
-                model = GPINet.load(args.params)
-            else:
-                model = GPINet(
-                    ModelConfig(channels=args.channels, granularities=args.granularities),
-                    seed=derive_seed(args.seed, _MODEL_STREAM),
-                )
-            result = register(c, reg_cfg, model=model)
-        elif method == "oracle":
-            if c.labels is None:
-                raise ConfigurationError("--method oracle needs labeled correspondences")
-            result = register(c, reg_cfg, probabilities=c.labels.astype(np.float64))
-        elif method == "ransac":
-            hyp = ransac(c, iterations=args.ransac_iterations, delta=delta, seed=args.seed)
-            result = None
-            transform, inliers = hyp.transform, hyp.inlier_count
-            probs = np.zeros(len(c)); probs[hyp.consensus] = 1.0
-            doc["inlier_count"] = inliers
-        else:  # sm
-            hyp, spectral = spectral_register(c, delta=delta)
-            result = None
-            transform, inliers = hyp.transform, hyp.inlier_count
-            probs = np.zeros(len(c)); probs[hyp.consensus] = 1.0
-            doc["inlier_count"] = inliers
-            doc["spectral_iterations"] = spectral.iterations
-        if result is not None:
-            ok = result.ok
-            doc["seed_count"] = result.seed_count
-            doc["hypothesis_count"] = result.hypothesis_count
-            probs = result.probabilities
-            if result.ok:
-                transform = result.hypothesis.transform
-                doc["inlier_count"] = result.hypothesis.inlier_count
-                doc["seed_index"] = result.hypothesis.seed_index
-            else:
-                doc["reason"] = result.reason
-    except RegistrationFailure as exc:
-        ok = False
-        doc["reason"] = str(exc)
-
-    doc["ok"] = ok
-    if ok and transform is not None:
-        doc["transform"] = _transform_doc(transform)
-    if gt is not None and ok and transform is not None:
-        re = rotation_error(gt, transform)
-        te = translation_error(gt, transform)
-        doc["re_deg"] = re
-        doc["te_cm"] = te
-        doc["success"] = registration_success(re, te, args.scene)
-    if c.labels is not None and probs is not None:
-        cm = classification_metrics(probs, c.labels)
+    doc: dict = {"method": args.method, "n": len(c), "delta": reg_cfg.resolved_delta,
+                 "scene": args.scene, "ok": sol.ok, **sol.details}
+    if sol.inlier_count is not None:
+        doc["inlier_count"] = sol.inlier_count
+    if sol.reason is not None:
+        doc["reason"] = sol.reason
+    if sol.ok:
+        doc["transform"] = _transform_doc(sol.transform)
+        if gt is not None:
+            re = rotation_error(gt, sol.transform)
+            te = translation_error(gt, sol.transform)
+            doc["re_deg"] = re
+            doc["te_cm"] = te
+            doc["success"] = registration_success(re, te, args.scene)
+    if c.labels is not None and sol.probabilities is not None:
+        cm = classification_metrics(sol.probabilities, c.labels)
         doc["precision"] = cm.precision
         doc["recall"] = cm.recall
         doc["f1"] = cm.f1
@@ -222,7 +181,7 @@ def cmd_register(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "result.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return 0 if ok else 3
+    return 0 if sol.ok else 3
 
 
 def _experiment_config(args, methods: tuple[str, ...], ablation: Ablation, label: str) -> ExperimentConfig:
@@ -320,7 +279,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = report_from_json(read_text_file(args.input))
+    report = report_from_json(read_text_file(args.input), args.input)
     formats = _split(args.format, str, "--format") or FORMATS
     written = emit_reports(report, args.out, formats, include_timings=False)
     _print({"out": {name: str(path) for name, path in written.items()}})

@@ -18,12 +18,7 @@ import numpy as np
 from .autodiff import no_grad
 from .baselines import ransac, spectral_register
 from .blocks import Ablation, GPINet, ModelConfig, bce_loss
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    NumericFault,
-    RegistrationFailure,
-)
+from .errors import ConfigurationError, ContractError, NumericFault, RegistrationFailure
 from .geometry import (
     CorrespondenceSet,
     RigidTransform,
@@ -149,6 +144,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"parameter file does not exist: {self.params_path}"
             )
+        _registration_config(self)  # rejects a bad delta before any scene is drawn
 
     def to_dict(self) -> dict:
         return {
@@ -215,13 +211,77 @@ def _registration_config(cfg: ExperimentConfig) -> RegistrationConfig:
     return RegistrationConfig(scene=cfg.scene, delta=cfg.delta, ablation=cfg.ablation)
 
 
-def _resolve_model(cfg: ExperimentConfig) -> GPINet | None:
-    if not any(m == "gpinet" for m in cfg.methods):
-        return None
-    if cfg.params_path is not None:
-        return GPINet.load(cfg.params_path)
-    config = ModelConfig(channels=cfg.model_channels, granularities=cfg.model_granularities)
-    return GPINet(config, seed=derive_seed(cfg.master_seed, _MODEL_STREAM))
+def build_model(params_path: str | None, channels: int, granularities: int,
+                seed: int) -> GPINet:
+    """The network stored at ``params_path``, or a fresh one seeded from ``seed``."""
+    if params_path is not None:
+        return GPINet.load(params_path)
+    config = ModelConfig(channels=channels, granularities=granularities)
+    return GPINet(config, seed=derive_seed(seed, _MODEL_STREAM))
+
+
+@dataclass(frozen=True)
+class Solution:
+    """One method's outcome on one correspondence set.
+
+    ``probabilities`` is None when the method raised ``RegistrationFailure``
+    (``reason`` then holds its message). ``details`` carries the
+    method-specific counters: ``seed_count``, ``hypothesis_count`` and
+    ``seed_index`` for the pipeline methods, ``spectral_iterations`` for sm.
+    """
+
+    ok: bool
+    transform: RigidTransform | None
+    probabilities: np.ndarray | None
+    inlier_count: int | None
+    reason: str | None = None
+    details: dict = field(default_factory=dict)
+
+
+def solve(
+    method: str,
+    c: CorrespondenceSet,
+    reg_cfg: RegistrationConfig,
+    model: GPINet | None = None,
+    ransac_seed: int = 0,
+    ransac_iterations: int = 1000,
+) -> Solution:
+    """Register ``c`` with one of ``METHODS``.
+
+    oracle scores with the labels and gpinet with ``model``, both through
+    the seed/consensus pipeline; ransac and sm are the classical baselines,
+    whose probabilities are 1 on their consensus set and 0 elsewhere.
+    """
+    if method in ("oracle", "gpinet"):
+        if method == "gpinet":
+            result = register(c, reg_cfg, model=model)
+        elif c.labels is None:
+            raise ConfigurationError("oracle method needs labeled correspondences")
+        else:
+            result = register(c, reg_cfg, probabilities=c.labels.astype(np.float64))
+        details = {"seed_count": result.seed_count, "hypothesis_count": result.hypothesis_count}
+        hyp = result.hypothesis
+        if hyp is None:
+            return Solution(False, None, result.probabilities, None, result.reason, details)
+        details["seed_index"] = hyp.seed_index
+        return Solution(True, hyp.transform, result.probabilities, hyp.inlier_count,
+                        details=details)
+
+    delta = reg_cfg.resolved_delta
+    details = {}
+    try:
+        if method == "ransac":
+            hyp = ransac(c, iterations=ransac_iterations, delta=delta, seed=ransac_seed)
+        elif method == "sm":
+            hyp, spectral = spectral_register(c, delta=delta)
+            details = {"spectral_iterations": spectral.iterations}
+        else:
+            raise ConfigurationError(f"unknown method {method!r}, expected one of {METHODS}")
+    except RegistrationFailure as exc:
+        return Solution(False, None, None, None, str(exc))
+    probs = np.zeros(len(c))
+    probs[hyp.consensus] = 1.0
+    return Solution(True, hyp.transform, probs, hyp.inlier_count, details=details)
 
 
 def run_trial(
@@ -234,63 +294,25 @@ def run_trial(
     model: GPINet | None,
 ) -> TrialRecord:
     """Run one method on one scene and grade the outcome."""
-    reg_cfg = _registration_config(cfg)
-    delta = reg_cfg.resolved_delta
-    labels = c.labels
     n, rkey, trial = trial_tag
-
     start = time.perf_counter()
-    ok = True
-    transform = None
-    inliers: int | None = None
-    probs = np.zeros(len(c))
-    try:
-        if method == "oracle":
-            if labels is None:
-                raise ContractError("oracle method needs labeled correspondences")
-            probs = labels.astype(np.float64)
-            result = register(c, reg_cfg, probabilities=probs)
-            ok = result.ok
-            if result.ok:
-                transform = result.hypothesis.transform
-                inliers = result.hypothesis.inlier_count
-        elif method == "gpinet":
-            result = register(c, reg_cfg, model=model)
-            probs = result.probabilities
-            ok = result.ok
-            if result.ok:
-                transform = result.hypothesis.transform
-                inliers = result.hypothesis.inlier_count
-        elif method == "ransac":
-            hyp = ransac(
-                c,
-                iterations=cfg.ransac_iterations,
-                delta=delta,
-                seed=derive_seed(cfg.master_seed, n, rkey, trial, _RANSAC_STREAM),
-            )
-            probs = np.zeros(len(c))
-            probs[hyp.consensus] = 1.0
-            transform, inliers = hyp.transform, hyp.inlier_count
-        elif method == "sm":
-            hyp, _ = spectral_register(c, delta=delta)
-            probs = np.zeros(len(c))
-            probs[hyp.consensus] = 1.0
-            transform, inliers = hyp.transform, hyp.inlier_count
-        else:  # pragma: no cover - guarded by ExperimentConfig
-            raise ConfigurationError(f"unknown method {method!r}")
-    except RegistrationFailure:
-        ok = False
+    sol = solve(
+        method, c, _registration_config(cfg), model,
+        ransac_seed=derive_seed(cfg.master_seed, n, rkey, trial, _RANSAC_STREAM),
+        ransac_iterations=cfg.ransac_iterations,
+    )
     wall = time.perf_counter() - start
 
-    if ok and transform is not None:
-        re = rotation_error(gt, transform)
-        te = translation_error(gt, transform)
+    if sol.ok:
+        re = rotation_error(gt, sol.transform)
+        te = translation_error(gt, sol.transform)
         success = registration_success(re, te, cfg.scene)
     else:
         re = te = None
         success = False
-    if labels is not None:
-        cm = classification_metrics(probs, labels, cfg.threshold)
+    probs = sol.probabilities if sol.probabilities is not None else np.zeros(len(c))
+    if c.labels is not None:
+        cm = classification_metrics(probs, c.labels, cfg.threshold)
     else:  # pragma: no cover - synthetic scenes always carry labels
         cm = ClassificationMetrics(0.0, 0.0, 0.0, ("precision", "recall", "f1"))
     label = cfg.gpinet_label if method == "gpinet" else method
@@ -300,14 +322,14 @@ def run_trial(
         outlier_ratio=rkey / 1_000_000,
         trial=trial,
         scene_seed=scene_seed,
-        ok=ok,
+        ok=sol.ok,
         success=success,
         re_deg=re,
         te_cm=te,
         precision=cm.precision,
         recall=cm.recall,
         f1=cm.f1,
-        inlier_count=inliers,
+        inlier_count=sol.inlier_count,
         wall_time_s=wall,
     )
 
@@ -339,27 +361,35 @@ def _aggregate(records: list[TrialRecord]) -> list[CellAggregate]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
-    """Sweep methods x n x outlier_ratio x trials over fresh scenes."""
-    model = _resolve_model(cfg)
-    records: list[TrialRecord] = []
-    for method in cfg.methods:
-        for n in cfg.n_values:
-            for ratio in cfg.outlier_ratios:
-                rkey = ratio_key(ratio)
-                for trial in range(cfg.trials):
-                    scene_seed = derive_seed(cfg.master_seed, n, rkey, trial)
-                    c, gt = generate(
-                        SceneConfig(
-                            n=n,
-                            outlier_ratio=ratio,
-                            noise_sigma=cfg.noise_sigma,
-                            scene=cfg.scene,
-                            seed=scene_seed,
-                        )
+    """Sweep methods x n x outlier_ratio x trials over fresh scenes.
+
+    Each (n, outlier_ratio, trial) scene is drawn once and handed to every
+    method; records are listed method by method.
+    """
+    model = None
+    if "gpinet" in cfg.methods:
+        model = build_model(cfg.params_path, cfg.model_channels,
+                            cfg.model_granularities, cfg.master_seed)
+    per_method: list[list[TrialRecord]] = [[] for _ in cfg.methods]
+    for n in cfg.n_values:
+        for ratio in cfg.outlier_ratios:
+            rkey = ratio_key(ratio)
+            for trial in range(cfg.trials):
+                scene_seed = derive_seed(cfg.master_seed, n, rkey, trial)
+                c, gt = generate(
+                    SceneConfig(
+                        n=n,
+                        outlier_ratio=ratio,
+                        noise_sigma=cfg.noise_sigma,
+                        scene=cfg.scene,
+                        seed=scene_seed,
                     )
-                    records.append(
+                )
+                for method, recs in zip(cfg.methods, per_method):
+                    recs.append(
                         run_trial(method, c, gt, cfg, scene_seed, (n, rkey, trial), model)
                     )
+    records = [rec for recs in per_method for rec in recs]
     return MetricsReport(
         config=cfg.to_dict(),
         records=tuple(records),
@@ -395,9 +425,10 @@ class TrainConfig:
             raise ConfigurationError(
                 f"TrainConfig: iterations must be >= 0, got {self.iterations}"
             )
-        if self.learning_rate <= 0.0:
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ConfigurationError(
-                f"TrainConfig: learning_rate must be positive, got {self.learning_rate}"
+                f"TrainConfig: learning_rate must be positive and finite, "
+                f"got {self.learning_rate}"
             )
 
 

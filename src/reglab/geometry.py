@@ -135,23 +135,26 @@ def apply_transform(transform: RigidTransform, points: Points) -> Points:
     return points @ transform.rotation.T + transform.translation
 
 
+def _squared_residuals(transform: RigidTransform, c: CorrespondenceSet) -> NDArray[F64]:
+    diff = apply_transform(transform, c.source) - c.target
+    return (diff * diff).sum(axis=1)
+
+
 def residuals(transform: RigidTransform, c: CorrespondenceSet) -> NDArray[F64]:
     """Euclidean residual per correspondence under the transform."""
-    diff = apply_transform(transform, c.source) - c.target
-    return np.sqrt((diff * diff).sum(axis=1))
+    return np.sqrt(_squared_residuals(transform, c))
 
 
 def count_inliers(transform: RigidTransform, c: CorrespondenceSet, delta: float) -> int:
     """Number of pairs with ||R p_s + t - p_t|| strictly below delta."""
     if delta <= 0.0:
         raise ContractError(f"count_inliers: delta must be positive, got {delta}")
-    diff = apply_transform(transform, c.source) - c.target
-    return int(((diff * diff).sum(axis=1) < delta * delta).sum())
+    return int((_squared_residuals(transform, c) < delta * delta).sum())
 
 
 def inlier_mask(transform: RigidTransform, c: CorrespondenceSet, delta: float) -> NDArray[np.bool_]:
-    diff = apply_transform(transform, c.source) - c.target
-    return (diff * diff).sum(axis=1) < delta * delta
+    """Strict inliers: ||R p_s + t - p_t||^2 < delta^2 (the one inlier predicate)."""
+    return _squared_residuals(transform, c) < delta * delta
 
 
 def weighted_kabsch(c: CorrespondenceSet, weights) -> RigidTransform:
@@ -220,10 +223,10 @@ def select_best_transform(
         raise DegenerateInputError("select_best_transform: empty candidate list")
     best: tuple[int, float, int] | None = None  # (-count, mean_res, index) minimized
     for i, cand in enumerate(candidates):
-        res = residuals(cand, c)
-        hits = res < delta
+        sq = _squared_residuals(cand, c)
+        hits = sq < delta * delta
         count = int(hits.sum())
-        mean_res = float(res[hits].mean()) if count > 0 else np.inf
+        mean_res = float(np.sqrt(sq[hits]).mean()) if count > 0 else np.inf
         key = (-count, mean_res, i)
         if best is None or key < best:
             best = key

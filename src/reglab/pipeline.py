@@ -55,16 +55,17 @@ class RegistrationConfig:
 
     def __post_init__(self):
         check_scene(self.scene)
-        if self.delta is not None and self.delta <= 0.0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        for name in ("delta", "sigma_d"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+        r = self.nms_radius
+        if r is not None and not (np.isfinite(r) and r >= 0.0):
+            raise ConfigurationError(f"nms_radius must be >= 0 and finite, got {r}")
         if self.seed_count is not None and self.seed_count < 1:
             raise ConfigurationError(f"seed_count must be >= 1, got {self.seed_count}")
-        if self.nms_radius is not None and self.nms_radius < 0.0:
-            raise ConfigurationError(f"nms_radius must be >= 0, got {self.nms_radius}")
         if not (0.0 < self.tau <= 1.0):
             raise ConfigurationError(f"tau must lie in (0, 1], got {self.tau}")
-        if self.sigma_d is not None and self.sigma_d <= 0.0:
-            raise ConfigurationError(f"sigma_d must be positive, got {self.sigma_d}")
 
     @property
     def resolved_delta(self) -> float:

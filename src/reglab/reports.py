@@ -74,8 +74,12 @@ def report_to_json(report: MetricsReport) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def report_from_json(text: str) -> MetricsReport:
-    doc = json.loads(text)
+def report_from_json(text: str, source: str = "report") -> MetricsReport:
+    """Rebuild a report from ``report.json`` text; ``source`` names it in errors."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{source}: not JSON ({exc})") from exc
     try:
         records = tuple(
             TrialRecord(wall_time_s=0.0, **rec) for rec in doc["records"]
@@ -85,7 +89,7 @@ def report_from_json(text: str) -> MetricsReport:
         )
         return MetricsReport(config=doc["config"], records=records, cells=cells)
     except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"not a metrics report document: {exc}") from exc
+        raise ConfigurationError(f"{source}: not a metrics report document: {exc}") from exc
 
 
 # -- SVG -----------------------------------------------------------------------

@@ -47,9 +47,9 @@ class SceneConfig:
             raise ConfigurationError(
                 f"SceneConfig: noise_sigma must be >= 0, got {self.noise_sigma}"
             )
-        if self.extent is not None and self.extent <= 0.0:
+        if self.extent is not None and not (np.isfinite(self.extent) and self.extent > 0.0):
             raise ConfigurationError(
-                f"SceneConfig: extent must be positive, got {self.extent}"
+                f"SceneConfig: extent must be positive and finite, got {self.extent}"
             )
 
     @property

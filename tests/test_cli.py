@@ -362,10 +362,38 @@ def test_report_rejects_non_report_json(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("content", [None, b"\xff{}"], ids=["directory", "not_utf8"])
+@pytest.mark.parametrize(
+    "content", [None, b"\xff{}", b"{bad"], ids=["directory", "not_utf8", "not_json"]
+)
 def test_report_unreadable_input_exits_2(content, tmp_path, capsys):
     bad = tmp_path / "report.json"
     write_input(bad, content)
     assert main(["report", "--input", str(bad), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
+
+
+# -- non-finite float flags ------------------------------------------------------------
+
+
+NON_FINITE_FLAGS = {
+    "register_delta_nan": (["register", "--n", "50", "--delta", "nan"], "delta"),
+    "register_sm_delta_inf": (
+        ["register", "--method", "sm", "--n", "50", "--delta", "inf"], "delta"),
+    "benchmark_delta_nan": (
+        ["benchmark", "--method", "oracle", "--n", "20", "--trials", "1", "--delta", "nan"],
+        "delta"),
+    "train_learning_rate_nan": (TRAIN_ARGS + ["--learning-rate", "nan"], "learning_rate"),
+    "generate_extent_nan": (["generate", "--n", "20", "--extent", "nan"], "extent"),
+    "generate_extent_inf": (["generate", "--n", "20", "--extent", "inf"], "extent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FLAGS))
+def test_non_finite_float_flag_exits_2(case, tmp_path, capsys):
+    argv, field = NON_FINITE_FLAGS[case]
+    if argv[0] != "register":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err

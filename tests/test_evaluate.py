@@ -16,9 +16,13 @@ from reglab.evaluate import (
     derive_seed,
     ratio_key,
     run_experiment,
+    build_model,
     run_trial,
+    solve,
     train_toy,
 )
+from reglab.geometry import CorrespondenceSet, RigidTransform, count_inliers
+from reglab.pipeline import RegistrationConfig
 from reglab.synth import SceneConfig, generate
 
 
@@ -183,17 +187,67 @@ def test_run_trial_gpinet_label_mapping():
     assert rec.ok  # clean scene: geometry carries an untrained scorer
 
 
+# a 100x shrunk tetrahedron: no pair keeps its length, so sm selects nothing
+SHRUNK_SRC = np.array([[0.0, 0, 0], [10.0, 0, 0], [0, 10.0, 0], [0, 0, 10.0]])
+SHRUNK_TGT = np.array([[0.0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]])
+
+
 def test_run_trial_registration_failure_is_not_ok():
     cfg = ExperimentConfig(methods=("sm",), n_values=(4,), outlier_ratios=(0.0,), trials=1)
-    src = np.array([[0.0, 0, 0], [10.0, 0, 0], [0, 10.0, 0], [0, 0, 10.0]])
-    tgt = np.array([[0.0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]])
-    from reglab.geometry import CorrespondenceSet, RigidTransform
-
-    c = CorrespondenceSet(src, tgt, labels=np.zeros(4, dtype=bool))
+    c = CorrespondenceSet(SHRUNK_SRC, SHRUNK_TGT, labels=np.zeros(4, dtype=bool))
     rec = run_trial("sm", c, RigidTransform.identity(), cfg, 0, (4, 0, 0), None)
     assert not rec.ok and not rec.success
     assert rec.re_deg is None and rec.te_cm is None
     assert rec.inlier_count is None
+
+
+def test_solve_records_per_method():
+    c, gt = generate(SceneConfig(n=120, outlier_ratio=0.4, seed=9))
+    reg_cfg = RegistrationConfig()
+    model = GPINet(ModelConfig(channels=8, granularities=1), seed=1)
+    keys = {
+        "oracle": {"seed_count", "hypothesis_count", "seed_index"},
+        "gpinet": {"seed_count", "hypothesis_count", "seed_index"},
+        "ransac": set(),
+        "sm": {"spectral_iterations"},
+    }
+    for method in METHODS:
+        sol = solve(method, c, reg_cfg, model, ransac_seed=4, ransac_iterations=200)
+        assert sol.ok and sol.reason is None, method
+        assert set(sol.details) == keys[method], method
+        assert sol.probabilities.shape == (len(c),)
+        assert sol.inlier_count == count_inliers(sol.transform, c, reg_cfg.resolved_delta)
+    oracle = solve("oracle", c, reg_cfg)
+    assert oracle.probabilities.tolist() == c.labels.astype(float).tolist()
+
+
+def test_solve_turns_registration_failure_into_not_ok():
+    c = CorrespondenceSet(SHRUNK_SRC, SHRUNK_TGT)
+    sol = solve("sm", c, RegistrationConfig())
+    assert not sol.ok and sol.transform is None and sol.inlier_count is None
+    assert sol.probabilities is None and "spectral" in sol.reason
+
+
+def test_solve_rejects_unlabeled_oracle_and_unknown_methods():
+    c = CorrespondenceSet(SHRUNK_SRC, SHRUNK_SRC)
+    with pytest.raises(ConfigurationError, match="labeled"):
+        solve("oracle", c, RegistrationConfig())
+    cfg = ExperimentConfig(n_values=(4,), trials=1)
+    with pytest.raises(ConfigurationError, match="labeled"):
+        run_trial("oracle", c, RigidTransform.identity(), cfg, 0, (4, 0, 0), None)
+    with pytest.raises(ConfigurationError):
+        solve("icp", c, RegistrationConfig())
+
+
+def test_build_model_loads_or_seeds(tmp_path):
+    a = build_model(None, 8, 1, seed=5)
+    b = build_model(None, 8, 1, seed=5)
+    c, _ = generate(SceneConfig(n=30, seed=2))
+    assert np.array_equal(a.predict(c), b.predict(c))
+    assert not np.array_equal(a.predict(c), build_model(None, 8, 1, seed=6).predict(c))
+    a.save(tmp_path / "params.json")
+    loaded = build_model(str(tmp_path / "params.json"), 32, 3, seed=0)
+    assert np.array_equal(loaded.predict(c), a.predict(c))
 
 
 # -- sweeps ---------------------------------------------------------------------------
@@ -225,6 +279,25 @@ def test_run_experiment_structure_and_aggregates():
         key = (rec.n, rec.outlier_ratio, rec.trial)
         seeds.setdefault(key, set()).add(rec.scene_seed)
     assert all(len(s) == 1 for s in seeds.values())
+
+
+def test_run_experiment_draws_each_scene_once(monkeypatch):
+    calls = []
+
+    def counting_generate(scene_cfg):
+        calls.append(scene_cfg.seed)
+        return generate(scene_cfg)
+
+    monkeypatch.setattr(evaluate, "generate", counting_generate)
+    cfg = ExperimentConfig(
+        methods=("oracle", "sm", "ransac"), n_values=(40,), outlier_ratios=(0.0, 0.3),
+        trials=2, ransac_iterations=50,
+    )
+    report = run_experiment(cfg)
+    assert len(calls) == 1 * 2 * 2  # one per (n, ratio, trial) cell, not per method
+    assert len(set(calls)) == len(calls)
+    # records stay method-major
+    assert [r.method for r in report.records] == ["oracle"] * 4 + ["sm"] * 4 + ["ransac"] * 4
 
 
 def test_run_experiment_is_reproducible_modulo_wall_time():

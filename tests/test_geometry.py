@@ -292,6 +292,14 @@ def test_selection_tie_breaks():
     assert got.index == 0 and got.inlier_count == 0
 
 
+def test_selection_counts_inliers_with_the_count_inliers_predicate():
+    # 0.028^2 + 0.096^2 rounds below 0.1^2 while its square root rounds to 0.1
+    c = CorrespondenceSet(np.zeros((4, 3)), np.array([[0.028, 0.096, 0.0]] + [[0.0] * 3] * 3))
+    ident = RigidTransform.identity()
+    assert count_inliers(ident, c, 0.1) == 4
+    assert select_best_transform([ident], c, 0.1).inlier_count == 4
+
+
 def test_selection_empty_candidates_raise():
     c = CorrespondenceSet(np.zeros((4, 3)), np.zeros((4, 3)))
     with pytest.raises(DegenerateInputError):
