@@ -148,8 +148,14 @@ class ContextualEmbedding:
             raise DegenerateInputError(f"ContextualEmbedding: needs N >= 4, got {n}")
         raw = Tensor(np.concatenate([c.source, c.target], axis=1))
         feats = self.mix(self.norm(self.lift(raw)).relu())
-        sc = kernels.consistency_matrix(c.source, c.target, self.sc_sigma)
-        return feats + Tensor(sc).matmul(feats) * (1.0 / n)
+        if feats.requires_grad:
+            sc = kernels.consistency_matrix(c.source, c.target, self.sc_sigma)
+            return feats + Tensor(sc).matmul(feats) * (1.0 / n)
+        mixed = np.empty(feats.shape)
+        for lo, hi in kernels.row_blocks(n, n * feats.shape[1]):
+            sc = kernels.consistency_rows(c.source, c.target, self.sc_sigma, lo, hi)
+            mixed[lo:hi] = sc @ feats.value
+        return feats + Tensor(mixed) * (1.0 / n)
 
     def tensors(self):
         return {"lift": self.lift.tensors(), "mix": self.mix.tensors()}
@@ -215,6 +221,32 @@ class OrthogonalIntegration:
         }
 
 
+def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
+    """softmax_rows(q k^T [* scale]) v, with an (N, N) map.
+
+    When nothing tracks gradients the map is never stored: each block of
+    query rows is scored, softmaxed in place and applied to v on its own.
+    Softmax is per row, so the blocks see the same float operations as
+    the graph path and the result is bit-identical.
+    """
+    if q.requires_grad or k.requires_grad or v.requires_grad:
+        scores = q.matmul(k.T)
+        if scale is not None:
+            scores = scores * scale
+        return scores.softmax_rows().matmul(v)
+    kt = np.ascontiguousarray(k.value.T)
+    out = np.empty((q.shape[0], v.shape[1]))
+    for lo, hi in kernels.row_blocks(q.shape[0], k.shape[0] * min(q.shape[1], v.shape[1])):
+        s = q.value[lo:hi] @ kt
+        if scale is not None:
+            s *= scale
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=1, keepdims=True)
+        out[lo:hi] = s @ v.value
+    return Tensor(out)
+
+
 class GestaltAttention:
     """Row-level and channel-level self attention plus cross exchange.
 
@@ -240,17 +272,15 @@ class GestaltAttention:
         k = self.to_key(feats)
         v = self.to_value(feats)
 
-        row_map = q.matmul(k.T).softmax_rows()               # (N, N)
-        at_rows = self.pw_rows(row_map.matmul(v)) + feats
+        at_rows = self.pw_rows(_attend(q, k, v)) + feats
 
         chan_map = q.T.matmul(k).softmax_rows()              # (d, d)
         at_channels = self.pw_channels(chan_map.matmul(v.T).T) + feats
 
         scale = 1.0 / np.sqrt(self.d)
-        cross_rows = (at_rows.matmul(at_channels.T) * scale).softmax_rows()
-        out_rows = self.pw_cross_rows(cross_rows.matmul(at_channels)) + at_rows
-        cross_channels = (at_channels.matmul(at_rows.T) * scale).softmax_rows()
-        out_channels = self.pw_cross_channels(cross_channels.matmul(at_rows)) + at_channels
+        out_rows = self.pw_cross_rows(_attend(at_rows, at_channels, at_channels, scale)) + at_rows
+        out_channels = (self.pw_cross_channels(_attend(at_channels, at_rows, at_rows, scale))
+                        + at_channels)
         return out_rows, out_channels
 
     def tensors(self):

@@ -388,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
+        return 2
     except RegistrationFailure as exc:
         print(f"registration failed: {exc}", file=sys.stderr)
         return 3

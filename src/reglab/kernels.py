@@ -9,31 +9,98 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 
 # -- pairwise length-consistency matrix ------------------------------------
 #
 # sc(i, j) = max(0, 1 - (||ps_i - ps_j|| - ||pt_i - pt_j||)^2 / sigma^2)
 #
 # Values lie in [0, 1]; 1 means the pair preserves length exactly.
+#
+# Rows are computed in blocks of about _ROW_BLOCK (see row_blocks): each
+# block needs three (rows, N) scratch arrays, whatever N. Every element
+# goes through the same float operations in the same order whichever
+# block it lands in, so a block, a single row and the full matrix agree
+# bit for bit. The full matrix is the only N x N allocation in the
+# package; it is refused before allocation when its 8 N^2 bytes exceed
+# _MATRIX_BYTES_LIMIT.
+
+_ROW_BLOCK = 240                # rows per block, a multiple of _ROW_TILE
+_ROW_TILE = 24
+_MIN_BLOCK_PRODUCT = 1 << 21    # multiply-adds
+_MATRIX_BYTES_LIMIT = 2 << 30   # 2 GiB, i.e. N <= 16384
+
+
+def row_blocks(n: int, row_cost: int = 0):
+    """(lo, hi) bounds of consecutive row blocks covering n rows.
+
+    ``row_cost`` is what one block row adds to a matrix product taken per
+    block, in multiply-adds (inner dimension times output width). For the
+    block product to round each element as the whole product does, BLAS
+    must run it through the same kernel over the same row tiles. numpy
+    sends a one-row product to gemv. OpenBLAS on AVX-512 CPUs sends
+    products of at most 10^6 multiply-adds to small-matrix kernels, and
+    rounds the output columns past the last multiple of 8 differently in a
+    short row tile; OpenBLAS 0.3.31 on an AVX-512 Xeon tiles rows by 12,
+    and _ROW_TILE is a multiple of that.
+
+    So blocks start at multiples of _ROW_TILE rows and keep at least half
+    a step of rows and _MIN_BLOCK_PRODUCT multiply-adds: the step grows
+    past _ROW_BLOCK when rows are cheap, and a trailing block shorter than
+    half a step joins the block before it.
+    """
+    step = _ROW_BLOCK
+    if row_cost > 0:
+        tiles = -(-2 * _MIN_BLOCK_PRODUCT // (_ROW_TILE * row_cost))
+        step = max(step, _ROW_TILE * tiles)
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and 2 * (n - starts[-1]) < step:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
+def _distance_rows(pts: np.ndarray, lo: int, hi: int, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """||p_i - p_j|| for i in [lo, hi) and every j, written into ``out``."""
+    np.subtract.outer(pts[lo:hi, 0], pts[:, 0], out=out)
+    out *= out
+    for axis in (1, 2):
+        np.subtract.outer(pts[lo:hi, axis], pts[:, axis], out=scratch)
+        scratch *= scratch
+        out += scratch
+    return np.sqrt(out, out=out)
+
+
+def consistency_rows(src: np.ndarray, tgt: np.ndarray, sigma: float,
+                     lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows [lo, hi) of the consistency matrix, as a (hi - lo, N) block."""
+    if sigma <= 0.0:
+        raise ValueError(f"consistency_rows: sigma must be positive, got {sigma}")
+    src = np.ascontiguousarray(src, dtype=np.float64)
+    tgt = np.ascontiguousarray(tgt, dtype=np.float64)
+    shape = (hi - lo, src.shape[0])
+    dt, scratch = np.empty((2,) + shape)
+    gap = _distance_rows(src, lo, hi, np.empty(shape) if out is None else out, scratch)
+    gap -= _distance_rows(tgt, lo, hi, dt, scratch)
+    gap *= gap
+    gap /= sigma * sigma
+    np.subtract(1.0, gap, out=gap)
+    return np.maximum(0.0, gap, out=gap)
 
 
 def consistency_matrix(src: np.ndarray, tgt: np.ndarray, sigma: float,
                        zero_diagonal: bool = False) -> np.ndarray:
     """Full N x N length-consistency matrix for a correspondence set."""
-    src = np.ascontiguousarray(src, dtype=np.float64)
-    tgt = np.ascontiguousarray(tgt, dtype=np.float64)
-    if sigma <= 0.0:
-        raise ValueError(f"consistency_matrix: sigma must be positive, got {sigma}")
-    dxs = src[:, 0][:, None] - src[:, 0][None, :]
-    dys = src[:, 1][:, None] - src[:, 1][None, :]
-    dzs = src[:, 2][:, None] - src[:, 2][None, :]
-    ds = np.sqrt(dxs * dxs + dys * dys + dzs * dzs)
-    dxt = tgt[:, 0][:, None] - tgt[:, 0][None, :]
-    dyt = tgt[:, 1][:, None] - tgt[:, 1][None, :]
-    dzt = tgt[:, 2][:, None] - tgt[:, 2][None, :]
-    dt = np.sqrt(dxt * dxt + dyt * dyt + dzt * dzt)
-    gap = ds - dt
-    m = np.maximum(0.0, 1.0 - (gap * gap) / (sigma * sigma))
+    n = len(src)
+    if 8 * n * n > _MATRIX_BYTES_LIMIT:
+        raise ConfigurationError(
+            f"consistency_matrix: N = {n} needs {8 * n * n / 2**30:.1f} GiB, over the "
+            f"{_MATRIX_BYTES_LIMIT / 2**30:g} GiB limit of one N x N matrix"
+        )
+    m = np.empty((n, n))
+    for lo, hi in row_blocks(n):
+        consistency_rows(src, tgt, sigma, lo, hi, out=m[lo:hi])
     if zero_diagonal:
         np.fill_diagonal(m, 0.0)
     return m
@@ -41,10 +108,7 @@ def consistency_matrix(src: np.ndarray, tgt: np.ndarray, sigma: float,
 
 def consistency_row(src: np.ndarray, tgt: np.ndarray, i: int, sigma: float) -> np.ndarray:
     """Single row of the consistency matrix."""
-    ds = np.sqrt(((src - src[i]) ** 2).sum(axis=1))
-    dt = np.sqrt(((tgt - tgt[i]) ** 2).sum(axis=1))
-    gap = ds - dt
-    return np.maximum(0.0, 1.0 - (gap * gap) / (sigma * sigma))
+    return consistency_rows(src, tgt, sigma, i, i + 1)[0]
 
 
 # -- RANSAC sample scan ------------------------------------------------------

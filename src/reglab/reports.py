@@ -9,7 +9,7 @@ a separate ``timings.csv``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -82,14 +82,39 @@ def report_from_json(text: str, source: str = "report") -> MetricsReport:
         raise ConfigurationError(f"{source}: not JSON ({exc})") from exc
     try:
         records = tuple(
-            TrialRecord(wall_time_s=0.0, **rec) for rec in doc["records"]
+            _entry(TrialRecord, rec, f"{source}: records[{i}]", wall_time_s=0.0)
+            for i, rec in enumerate(doc["records"])
         )
         cells = tuple(
-            CellAggregate(mean_wall_time_s=0.0, **cell) for cell in doc["cells"]
+            _entry(CellAggregate, cell, f"{source}: cells[{i}]", mean_wall_time_s=0.0)
+            for i, cell in enumerate(doc["cells"])
         )
         return MetricsReport(config=doc["config"], records=records, cells=cells)
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"{source}: not a metrics report document: {exc}") from exc
+
+
+# JSON value types accepted for each field annotation of TrialRecord and
+# CellAggregate; bool is an int subclass, so it is refused for numbers.
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _entry(cls, doc, where: str, **zeroed):
+    """``cls(**zeroed, **doc)`` once every field in ``doc`` has its declared type.
+
+    Missing or unknown fields and a ``doc`` that is not an object are left
+    to the constructor, which raises TypeError.
+    """
+    if isinstance(doc, dict):
+        for f in fields(cls):
+            value = doc.get(f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if f.name not in doc or (value is None and optional):
+                continue
+            if not isinstance(value, _FIELD_TYPES[kind]) or (
+                    isinstance(value, bool) and kind != "bool"):
+                raise ConfigurationError(f"{where}.{f.name} must be {f.type}, got {value!r}")
+    return cls(**zeroed, **doc)
 
 
 # -- SVG -----------------------------------------------------------------------

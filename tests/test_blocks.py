@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_correspondences
-from reglab.autodiff import Tensor
+from reglab.autodiff import Tensor, no_grad
 from reglab.blocks import (
     Ablation,
     ClassificationHead,
@@ -27,6 +27,7 @@ from reglab.errors import (
 )
 from reglab.geometry import CorrespondenceSet
 from reglab.nn import BatchNorm, InstanceNorm, Linear, flatten_tensors, sgd_step
+from reglab.synth import SceneConfig, generate
 
 EPS = 1e-5  # normalization epsilon shared by every layer
 
@@ -533,3 +534,80 @@ def test_predict_bytes_identical_across_processes():
     c, _ = random_correspondences(make_rng(99), 12)
     model = GPINet(ModelConfig(channels=8, granularities=1), seed=4)
     assert out.stdout.strip() == model.predict(c).tobytes().hex()
+
+
+# -- row-blocked inference ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 560, 600])
+def test_blocked_inference_matches_graph_path_bit_for_bit(n):
+    """predict scores the N x N maps in row blocks; forward with grad stores them.
+
+    At 560 and 600 the maps span two and three blocks.
+    """
+    model = GPINet(seed=5)
+    c, _ = generate(SceneConfig(n=n, outlier_ratio=0.8, scene="outdoor", seed=n))
+    feats = model.embedding(c)
+    rows, channels = model.gfa(feats)
+    probs, _ = model.forward(c)
+    assert feats.requires_grad and rows.requires_grad and probs.requires_grad
+    with no_grad():
+        blocked_feats = model.embedding(c)
+        blocked_rows, blocked_channels = model.gfa(blocked_feats)
+    np.testing.assert_array_equal(blocked_feats.value, feats.value)
+    np.testing.assert_array_equal(blocked_rows.value, rows.value)
+    np.testing.assert_array_equal(blocked_channels.value, channels.value)
+    np.testing.assert_array_equal(model.predict(c), probs.value.ravel())
+
+
+def test_blocked_attention_matches_graph_path_with_one_blas_thread():
+    """Row counts that are not a multiple of 8 put edge columns in every block.
+
+    With several BLAS threads the whole product splits its rows among the
+    threads, so only a single-threaded BLAS pins every row count.
+    """
+    import os
+    import subprocess
+    import sys
+
+    import reglab
+
+    code = (
+        "import numpy as np\n"
+        "from reglab.autodiff import Tensor\n"
+        "from reglab.blocks import _attend\n"
+        "rng = np.random.default_rng(0)\n"
+        "for n in (517, 745, 1001, 2003):\n"
+        "    q, k, v = (rng.normal(size=(n, 32)) * 3 for _ in range(3))\n"
+        "    for scale in (None, 0.17):\n"
+        "        graph = _attend(Tensor(q, True), Tensor(k, True), Tensor(v, True), scale)\n"
+        "        blocked = _attend(Tensor(q), Tensor(k), Tensor(v), scale)\n"
+        "        print(n, scale, np.array_equal(graph.value, blocked.value))\n"
+    )
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
+        check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.split("\n")[:-1]
+    assert len(lines) == 8 and all(line.endswith(" True") for line in lines), out.stdout
+
+
+def test_predict_memory_stays_far_below_n_squared():
+    """At N=3000 one N x N float64 map is 72 MB; predict used to peak near 800 MB."""
+    import tracemalloc
+
+    model = GPINet(seed=5)
+    c, _ = generate(SceneConfig(n=3000, outlier_ratio=0.8, scene="outdoor", seed=1))
+    tracemalloc.start()
+    try:
+        model.predict(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6

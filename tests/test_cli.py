@@ -362,8 +362,29 @@ def test_report_rejects_non_report_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+REPORT_CELL = {
+    "method": "oracle", "n": 20, "outlier_ratio": 0.6, "trials": 1, "successes": 1,
+    "rr_percent": 100.0, "mean_re_deg": 0.07, "mean_te_cm": 0.55, "mean_precision": 1.0,
+    "mean_recall": 1.0, "mean_f1": 1.0,
+}
+
+
+def one_cell_report(**fields) -> str:
+    """report.json text with one cell, whose ``fields`` replace the valid values."""
+    return json.dumps({"config": {}, "records": [], "cells": [{**REPORT_CELL, **fields}]})
+
+
+def test_one_cell_report_is_valid(tmp_path, capsys):
+    good = tmp_path / "report.json"
+    good.write_text(one_cell_report())
+    assert main(["report", "--input", str(good), "--out", str(tmp_path / "x")]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
-    "content", [None, b"\xff{}", b"{bad"], ids=["directory", "not_utf8", "not_json"]
+    "content",
+    [None, b"\xff{}", b"{bad", one_cell_report(rr_percent="abc"), one_cell_report(n="x")],
+    ids=["directory", "not_utf8", "not_json", "cell_rr_percent_is_str", "cell_n_is_str"],
 )
 def test_report_unreadable_input_exits_2(content, tmp_path, capsys):
     bad = tmp_path / "report.json"
@@ -371,6 +392,39 @@ def test_report_unreadable_input_exits_2(content, tmp_path, capsys):
     assert main(["report", "--input", str(bad), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
+
+
+def test_register_refuses_an_n_squared_matrix_before_allocating(monkeypatch, capsys):
+    """sm at N = 30000 needs a 7.2 GB consistency matrix: exit 2, nothing near N^2 allocated."""
+    import tracemalloc
+
+    import reglab.kernels
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a row block was computed")
+
+    monkeypatch.setattr(reglab.kernels, "consistency_rows", no_block)
+    tracemalloc.start()
+    try:
+        code = main(["register", "--method", "sm", "--n", "30000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: consistency_matrix: N = 30000") and "limit" in err
+    assert peak < 50e6
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    import reglab.kernels
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.2 GiB")
+
+    monkeypatch.setattr(reglab.kernels, "consistency_matrix", exhausted)
+    assert main(["register", "--method", "sm", "--n", "50"]) == 2
+    assert capsys.readouterr().err == "error: out of memory (Unable to allocate 7.2 GiB)\n"
 
 
 # -- non-finite float flags ------------------------------------------------------------

@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
+import reglab.kernels
 from conftest import make_rng, random_transform
+from reglab.errors import ConfigurationError
 from reglab.kernels import (
+    _MATRIX_BYTES_LIMIT,
+    _MIN_BLOCK_PRODUCT,
+    _ROW_BLOCK,
+    _ROW_TILE,
     _SCAN_BLOCK_ENTRIES,
     consistency_matrix,
     consistency_row,
+    consistency_rows,
     ransac_scan,
+    row_blocks,
 )
 
 
@@ -99,6 +107,67 @@ def test_consistency_matrix_rejects_nonpositive_sigma(sigma):
         consistency_matrix(pts, pts, sigma)
 
 
+def consistency_full_reference(src, tgt, sigma, zero_diagonal=False):
+    """The one-shot N x N formula: every pairwise difference at once."""
+    dxs = src[:, 0][:, None] - src[:, 0][None, :]
+    dys = src[:, 1][:, None] - src[:, 1][None, :]
+    dzs = src[:, 2][:, None] - src[:, 2][None, :]
+    ds = np.sqrt(dxs * dxs + dys * dys + dzs * dzs)
+    dxt = tgt[:, 0][:, None] - tgt[:, 0][None, :]
+    dyt = tgt[:, 1][:, None] - tgt[:, 1][None, :]
+    dzt = tgt[:, 2][:, None] - tgt[:, 2][None, :]
+    dt = np.sqrt(dxt * dxt + dyt * dyt + dzt * dzt)
+    gap = ds - dt
+    m = np.maximum(0.0, 1.0 - (gap * gap) / (sigma * sigma))
+    if zero_diagonal:
+        np.fill_diagonal(m, 0.0)
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 239, 240, 241, 255, 256, 257, 359, 360, 517])
+def test_consistency_matrix_across_row_blocks_matches_full_reference(n):
+    assert len(list(row_blocks(517))) == 2 and len(list(row_blocks(360))) == 2
+    rng = make_rng(n)
+    src = rng.uniform(-20, 20, size=(n, 3))
+    tgt = rng.uniform(-20, 20, size=(n, 3))
+    for zd in (False, True):
+        want = consistency_full_reference(src, tgt, 0.4, zero_diagonal=zd)
+        np.testing.assert_array_equal(consistency_matrix(src, tgt, 0.4, zero_diagonal=zd), want)
+    want = consistency_full_reference(src, tgt, 0.4)
+    for lo, hi in [(0, n), (n - 1, n), (n // 2, n), (0, min(n, 300))]:
+        np.testing.assert_array_equal(consistency_rows(src, tgt, 0.4, lo, hi), want[lo:hi])
+        np.testing.assert_array_equal(consistency_row(src, tgt, lo, 0.4), want[lo])
+
+
+@pytest.mark.parametrize("n", [1, 2, 119, 240, 359, 360, 1000, 2003, 5000])
+@pytest.mark.parametrize("row_cost", [0, 8, 32 * 300, 32 * 2000])
+def test_row_blocks_cover_rows_on_tile_boundaries(n, row_cost):
+    bounds = list(row_blocks(n, row_cost))
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+    if len(bounds) > 1:
+        step = bounds[0][1]
+        assert step >= _ROW_BLOCK and step % _ROW_TILE == 0
+        assert all(lo % step == 0 for lo, _ in bounds)
+        assert all(2 * (hi - lo) >= step for lo, hi in bounds)
+        if row_cost:
+            assert all((hi - lo) * row_cost >= _MIN_BLOCK_PRODUCT for lo, hi in bounds)
+
+
+def test_consistency_matrix_refuses_n_over_the_limit_before_allocating(monkeypatch):
+    """A fake (N, 3) view of N = 17000 rows: 8 N^2 is 2.15 GiB, over the limit."""
+    n = 17000
+    assert 8 * n * n > _MATRIX_BYTES_LIMIT
+    pts = np.broadcast_to(np.zeros(3), (n, 3))
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a row block was computed")
+
+    monkeypatch.setattr(reglab.kernels, "consistency_rows", no_block)
+    with pytest.raises(ConfigurationError, match="17000"):
+        consistency_matrix(pts, pts, 0.1)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_consistency_row_matches_matrix_row(seed):
     rng = make_rng(seed + 40)
@@ -108,7 +177,7 @@ def test_consistency_row_matches_matrix_row(seed):
     sigma = float(rng.uniform(0.05, 1.0))
     m = consistency_matrix(src, tgt, sigma)
     for i in (0, n // 2, n - 1):
-        np.testing.assert_allclose(consistency_row(src, tgt, i, sigma), m[i], atol=1e-12)
+        np.testing.assert_array_equal(consistency_row(src, tgt, i, sigma), m[i])
 
 
 @pytest.mark.parametrize("seed", range(10))

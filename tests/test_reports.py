@@ -129,6 +129,41 @@ def test_json_rejects_non_report_documents():
         report_from_json('{"config": {}, "records": [{"method": "x"}], "cells": []}')
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("cells", "rr_percent", "abc"),
+        ("cells", "n", "x"),
+        ("cells", "n", 100.0),
+        ("cells", "trials", True),
+        ("cells", "method", 3),
+        ("cells", "mean_re_deg", "0.1"),
+        ("records", "ok", 1),
+        ("records", "n", False),
+        ("records", "inlier_count", 5.5),
+        ("records", "re_deg", [1.0]),
+    ],
+)
+def test_json_rejects_wrong_typed_fields(section, field, value):
+    import json
+
+    doc = json.loads(report_to_json(make_report([make_cell()], [make_record()])))
+    doc[section][0][field] = value
+    with pytest.raises(ConfigurationError, match=rf"^r\.json: {section}\[0\]\.{field} must be"):
+        report_from_json(json.dumps(doc), "r.json")
+
+
+def test_json_accepts_null_optionals_and_integral_floats():
+    import json
+
+    doc = json.loads(report_to_json(make_report([make_cell(re=None, te=None)], [make_record()])))
+    doc["cells"][0]["rr_percent"] = 100
+    doc["records"][0]["re_deg"] = None
+    back = report_from_json(json.dumps(doc))
+    assert back.cells[0].mean_re_deg is None and back.cells[0].rr_percent == 100
+    assert back.records[0].re_deg is None
+
+
 # -- SVG -------------------------------------------------------------------------
 
 
