@@ -177,8 +177,7 @@ def spectral_matching(
             break
         selected.append(i)
         scores[i] = 0.0
-        row = kernels.consistency_row(c.source, c.target, i, sigma_d)
-        scores[row < tau] = 0.0
+        scores[m[i] < tau] = 0.0  # m[i] is row i of the consistency matrix, 0 at i
     return SpectralResult(
         confidences=confidences,
         selected=np.asarray(selected, dtype=np.int64),

@@ -206,6 +206,7 @@ class SelectionResult:
     index: int
     transform: RigidTransform
     inlier_count: int
+    counts: tuple[int, ...]  # strict inlier count of every candidate, in order
 
 
 def select_best_transform(
@@ -217,21 +218,25 @@ def select_best_transform(
 
     Ties break to the lowest mean inlier residual, then to the lowest
     candidate index; a candidate with zero inliers has mean residual
-    +inf for tie-breaking purposes.
+    +inf for tie-breaking purposes. Equal candidates have equal keys, so
+    dropping every repeat after the first changes neither the choice nor
+    its count.
     """
     if len(candidates) == 0:
         raise DegenerateInputError("select_best_transform: empty candidate list")
     best: tuple[int, float, int] | None = None  # (-count, mean_res, index) minimized
+    counts = []
     for i, cand in enumerate(candidates):
         sq = _squared_residuals(cand, c)
         hits = sq < delta * delta
         count = int(hits.sum())
+        counts.append(count)
         mean_res = float(np.sqrt(sq[hits]).mean()) if count > 0 else np.inf
         key = (-count, mean_res, i)
         if best is None or key < best:
             best = key
     idx = best[2]
-    return SelectionResult(idx, candidates[idx], -best[0])
+    return SelectionResult(idx, candidates[idx], counts[idx], tuple(counts))
 
 
 def rotation_error(r_gt: RigidTransform | NDArray[F64], r_est: RigidTransform | NDArray[F64]) -> float:

@@ -1,8 +1,9 @@
 """Hot numeric kernels in numpy.
 
-The two expensive inner loops of the package live here: building the
-N x N pairwise length-consistency matrix, and scanning RANSAC minimal
-samples.
+The expensive inner loops of the package live here: building the
+N x N pairwise length-consistency matrix (or any rows of it), testing
+many rigid transforms for strict inliers at once, and scanning RANSAC
+minimal samples.
 """
 
 from __future__ import annotations
@@ -60,29 +61,34 @@ def row_blocks(n: int, row_cost: int = 0):
     return zip(starts, starts[1:] + [n])
 
 
-def _distance_rows(pts: np.ndarray, lo: int, hi: int, out: np.ndarray,
+def _distance_rows(pts: np.ndarray, rows, out: np.ndarray,
                    scratch: np.ndarray) -> np.ndarray:
-    """||p_i - p_j|| for i in [lo, hi) and every j, written into ``out``."""
-    np.subtract.outer(pts[lo:hi, 0], pts[:, 0], out=out)
+    """||p_i - p_j|| for i in ``rows`` and every j, written into ``out``."""
+    np.subtract.outer(pts[rows, 0], pts[:, 0], out=out)
     out *= out
     for axis in (1, 2):
-        np.subtract.outer(pts[lo:hi, axis], pts[:, axis], out=scratch)
+        np.subtract.outer(pts[rows, axis], pts[:, axis], out=scratch)
         scratch *= scratch
         out += scratch
     return np.sqrt(out, out=out)
 
 
 def consistency_rows(src: np.ndarray, tgt: np.ndarray, sigma: float,
-                     lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows [lo, hi) of the consistency matrix, as a (hi - lo, N) block."""
+                     lo, hi: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows [lo, hi) of the consistency matrix, as a (hi - lo, N) block.
+
+    With ``hi`` None, ``lo`` is an array of row indices instead, and the
+    block holds those rows in that order.
+    """
     if sigma <= 0.0:
         raise ValueError(f"consistency_rows: sigma must be positive, got {sigma}")
     src = np.ascontiguousarray(src, dtype=np.float64)
     tgt = np.ascontiguousarray(tgt, dtype=np.float64)
-    shape = (hi - lo, src.shape[0])
+    rows = np.asarray(lo, dtype=np.int64) if hi is None else np.arange(lo, hi)
+    shape = (rows.size, src.shape[0])
     dt, scratch = np.empty((2,) + shape)
-    gap = _distance_rows(src, lo, hi, np.empty(shape) if out is None else out, scratch)
-    gap -= _distance_rows(tgt, lo, hi, dt, scratch)
+    gap = _distance_rows(src, rows, np.empty(shape) if out is None else out, scratch)
+    gap -= _distance_rows(tgt, rows, dt, scratch)
     gap *= gap
     gap /= sigma * sigma
     np.subtract(1.0, gap, out=gap)
@@ -111,21 +117,43 @@ def consistency_row(src: np.ndarray, tgt: np.ndarray, i: int, sigma: float) -> n
     return consistency_rows(src, tgt, sigma, i, i + 1)[0]
 
 
-# -- RANSAC sample scan ------------------------------------------------------
+# -- stacked inlier tests and the RANSAC sample scan ------------------------
 #
-# For each row of ``samples`` (three distinct correspondence indices) fit a
-# rigid transform to the triple and count strict inliers at ``delta``.
-# Returns (best_iteration, best_count); ties keep the earliest iteration,
-# geometrically degenerate triples are skipped with count -1. best_iteration
-# is -1 when every triple was degenerate (or there were no samples).
+# strict_inliers scores m rigid transforms at once: all of their residuals
+# come from one matmul ``src @ [R_1^T ... R_m^T]``. Callers take m from
+# transforms_per_block, so a block holds about _SCAN_BLOCK_ENTRIES residual
+# entries (N x 3 per transform) and scratch memory stays at a few MB
+# whatever N or the transform count.
 #
-# Samples are scored in blocks: each block's triples are fitted with one
-# stacked SVD, and all of its residuals come from one matmul
-# ``src @ [R_1^T ... R_m^T]``. A block holds about _SCAN_BLOCK_ENTRIES
-# residual entries (N x 3 per sample), so scratch memory stays at a few MB
-# whatever N or the sample count.
+# ransac_scan fits a rigid transform to each row of ``samples`` (three
+# distinct correspondence indices) and counts its strict inliers at
+# ``delta``. It returns (best_iteration, best_count); ties keep the earliest
+# iteration, geometrically degenerate triples are skipped with count -1.
+# best_iteration is -1 when every triple was degenerate (or there were no
+# samples). Each block's triples are fitted with one stacked SVD.
 
 _SCAN_BLOCK_ENTRIES = 1 << 16
+
+
+def transforms_per_block(n: int) -> int:
+    """How many transforms strict_inliers should score at once for N pairs."""
+    return max(1, _SCAN_BLOCK_ENTRIES // (3 * max(n, 1)))
+
+
+def strict_inliers(src: np.ndarray, tgt: np.ndarray, rotations: np.ndarray,
+                   translations: np.ndarray, delta: float) -> np.ndarray:
+    """(N, m) mask: ||R_j src_i + t_j - tgt_i||^2 < delta^2 for m stacked transforms.
+
+    ``rotations`` is (m, 3, 3) and ``translations`` (m, 3). Column j goes
+    through the float operations of ``geometry.inlier_mask`` of transform
+    j in the same order, and equals it bit for bit (tests/test_kernels.py).
+    """
+    n = src.shape[0]
+    res = (src @ rotations.transpose(2, 0, 1).reshape(3, -1)).reshape(n, -1, 3)
+    res += translations
+    res -= tgt[:, None]
+    res *= res
+    return res.sum(axis=2) < delta * delta
 
 
 def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
@@ -134,11 +162,10 @@ def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
     src = np.ascontiguousarray(src, dtype=np.float64)
     tgt = np.ascontiguousarray(tgt, dtype=np.float64)
     samples = np.ascontiguousarray(samples, dtype=np.int64)
-    n, total = src.shape[0], samples.shape[0]
+    total = samples.shape[0]
     if total == 0:
         return -1, -1
-    step = max(1, _SCAN_BLOCK_ENTRIES // (3 * max(n, 1)))
-    d2 = delta * delta
+    step = transforms_per_block(src.shape[0])
     counts = np.empty(total, dtype=np.int64)
     for lo in range(0, total, step):
         idx = samples[lo:lo + step]
@@ -151,11 +178,7 @@ def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
         v[:, :, 2] *= d[:, None]                        # reflection guard
         r = v @ ut
         t = cb - (r @ ca[:, :, None])[:, :, 0]
-        res = (src @ r.transpose(2, 0, 1).reshape(3, -1)).reshape(n, -1, 3)
-        res += t
-        res -= tgt[:, None]
-        res *= res
-        block = (res.sum(axis=2) < d2).sum(axis=0)
+        block = strict_inliers(src, tgt, r, t, delta).sum(axis=0)
         block[(s[:, 1] <= 1e-9 * s[:, 0]) | (d == 0.0)] = -1
         counts[lo:lo + step] = block
     best = int(np.argmax(counts))

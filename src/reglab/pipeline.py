@@ -28,7 +28,6 @@ from .geometry import (
     RigidTransform,
     check_scene,
     count_inliers,
-    inlier_mask,
     select_best_transform,
     weighted_kabsch,
 )
@@ -137,16 +136,128 @@ def select_seeds(
     kept: list[int] = []
     r2 = nms_radius * nms_radius
     src = c.source
+    cols = np.ascontiguousarray(src.T)
+    diff = np.empty_like(cols)
+    suppressed = np.zeros(n, dtype=bool)  # within the radius of a kept seed
     for idx in order:
         if len(kept) == k:
             break
-        if nms_radius > 0.0 and kept:
-            diff = src[kept] - src[idx]
-            if ((diff * diff).sum(axis=1) < r2).any():
-                continue
+        if suppressed[idx]:
+            continue
         kept.append(int(idx))
+        if nms_radius > 0.0:
+            # squared distances summed x, y, z in turn, as (d * d).sum(axis=1)
+            np.subtract(cols, src[idx, :, None], out=diff)
+            diff *= diff
+            dist2 = diff[0] + diff[1]
+            dist2 += diff[2]
+            suppressed |= dist2 < r2
     indices = np.asarray(kept, dtype=np.int64)
     return SeedSet(indices, probs[indices].copy())
+
+
+# -- hypotheses ----------------------------------------------------------------
+#
+# register runs the seeds in blocks of kernels.transforms_per_block(N): one
+# consistency_rows call gives a block's seed rows, which yield both the
+# consensus sets and the stage-1 weights, and one kernels.strict_inliers
+# call gives the strict inliers of all of the block's stage-1 transforms.
+# Stage 2 depends only on that inlier set (and the probabilities), so it
+# runs once per distinct set, and selection scores each distinct final
+# transform once. Working memory is O(block * N) whatever the seed count.
+# build_consensus and two_stage_estimate are the one-seed case.
+
+
+def _seed_consensus(
+    seeds: np.ndarray,
+    c: CorrespondenceSet,
+    sigma_d: float,
+    tau: float,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The seeds' consistency rows, and the indices where each row reaches tau.
+
+    The seed itself is always a member (its self-consistency is 1).
+    """
+    rows = kernels.consistency_rows(c.source, c.target, sigma_d, seeds)
+    sets = []
+    for seed, row in zip(seeds, rows):
+        members = np.flatnonzero(row >= tau)
+        if not row[seed] >= tau:  # pragma: no cover - tau <= 1 keeps the seed
+            members = np.sort(np.append(members, seed))
+        sets.append(members.astype(np.int64))
+    return rows, sets
+
+
+def _refit(
+    mask: np.ndarray,
+    c: CorrespondenceSet,
+    probs: np.ndarray,
+    fits: list[tuple[RigidTransform, np.ndarray]],
+) -> int | None:
+    """Stage 2: probability-weighted fit on a strict-inlier mask, added to fits.
+
+    Returns its index in ``fits``, or None when the set is thin (< 3
+    pairs) or degenerate.
+    """
+    idx = np.flatnonzero(mask)
+    if idx.size < 3:
+        return None
+    try:
+        transform = weighted_kabsch(CorrespondenceSet(c.source[idx], c.target[idx]), probs[idx])
+    except (DegenerateInputError, ContractError):
+        return None
+    fits.append((transform, idx.astype(np.int64)))
+    return len(fits) - 1
+
+
+def _two_stage_block(
+    rows: np.ndarray,
+    consensus: list[np.ndarray],
+    c: CorrespondenceSet,
+    probs: np.ndarray,
+    delta: float,
+    fits: list[tuple[RigidTransform, np.ndarray]],
+    refits: dict[bytes, int | None],
+) -> list[int | None]:
+    """Two-stage fits of a block of seeds, given their rows and consensus sets.
+
+    Appends each new final (transform, members) to ``fits``, in seed
+    order, and returns each seed's index into it; None marks a degenerate
+    stage-1 consensus. ``refits`` maps every strict-inlier set met so far
+    to its stage-2 entry, or to None when that refit is impossible: such a
+    seed keeps its stage-1 transform and consensus as an entry of its own.
+    """
+    stage1 = []
+    for row, members in zip(rows, consensus):
+        sub = CorrespondenceSet(c.source[members], c.target[members])
+        try:
+            stage1.append(weighted_kabsch(sub, probs[members] * row[members]))
+        except (DegenerateInputError, ContractError):
+            stage1.append(None)
+    fitted = [t for t in stage1 if t is not None]
+    if not fitted:
+        return [None] * len(stage1)
+    masks = iter(np.ascontiguousarray(kernels.strict_inliers(
+        c.source, c.target,
+        np.stack([t.rotation for t in fitted]),
+        np.stack([t.translation for t in fitted]),
+        delta,
+    ).T))
+    picks: list[int | None] = []
+    for transform, members in zip(stage1, consensus):
+        if transform is None:
+            picks.append(None)
+            continue
+        mask = next(masks)
+        key = mask.tobytes()
+        if key not in refits:
+            refits[key] = _refit(mask, c, probs, fits)
+        if refits[key] is None:
+            fits.append((transform, members))
+            picks.append(len(fits) - 1)
+        else:
+            picks.append(refits[key])
+    return picks
 
 
 def build_consensus(
@@ -159,11 +270,7 @@ def build_consensus(
 
     The seed itself is always a member (its self-consistency is 1).
     """
-    sc = kernels.consistency_row(c.source, c.target, seed, sigma_d)
-    members = np.flatnonzero(sc >= tau)
-    if seed not in members:  # pragma: no cover - tau <= 1 keeps the seed
-        members = np.sort(np.append(members, seed))
-    return members.astype(np.int64)
+    return _seed_consensus(np.array([seed]), c, sigma_d, tau)[1][0]
 
 
 def two_stage_estimate(
@@ -184,30 +291,13 @@ def two_stage_estimate(
     stage-1 transform is kept.
     """
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-    sub = CorrespondenceSet(c.source[consensus], c.target[consensus])
-    sc = kernels.consistency_row(c.source, c.target, seed, sigma_d)[consensus]
-    try:
-        stage1 = weighted_kabsch(sub, probs[consensus] * sc)
-    except (DegenerateInputError, ContractError):
+    rows = kernels.consistency_rows(c.source, c.target, sigma_d, np.array([seed]))
+    fits: list[tuple[RigidTransform, np.ndarray]] = []
+    (pick,) = _two_stage_block(rows, [consensus], c, probs, delta, fits, {})
+    if pick is None:
         return None
-
-    transform = stage1
-    members = consensus
-    mask = inlier_mask(stage1, c, delta)
-    refit_idx = np.flatnonzero(mask)
-    if refit_idx.size >= 3:
-        refit_set = CorrespondenceSet(c.source[refit_idx], c.target[refit_idx])
-        try:
-            transform = weighted_kabsch(refit_set, probs[refit_idx])
-            members = refit_idx.astype(np.int64)
-        except (DegenerateInputError, ContractError):
-            pass  # keep the stage-1 transform
-    return Hypothesis(
-        transform=transform,
-        seed_index=int(seed),
-        consensus=members,
-        inlier_count=count_inliers(transform, c, delta),
-    )
+    transform, members = fits[pick]
+    return Hypothesis(transform, int(seed), members, count_inliers(transform, c, delta))
 
 
 @dataclass(frozen=True)
@@ -256,24 +346,29 @@ def register(
     sigma_d = cfg.resolved_sigma_d
     seeds = select_seeds(probs, c, cfg.resolved_seed_count(n), cfg.resolved_nms_radius)
 
-    hypotheses: list[Hypothesis] = []
-    diagnostics: list[dict] = []
-    for seed in seeds.indices:
-        members = build_consensus(int(seed), c, sigma_d, cfg.tau)
-        hyp = two_stage_estimate(int(seed), members, c, probs, delta, sigma_d)
-        diagnostics.append(
-            {
-                "seed": int(seed),
-                "consensus_size": int(members.size),
-                "degenerate": hyp is None,
-                "inlier_count": None if hyp is None else hyp.inlier_count,
-            }
-        )
-        if hyp is not None:
-            hypotheses.append(hyp)
+    fits: list[tuple[RigidTransform, np.ndarray]] = []  # distinct final fits
+    refits: dict[bytes, int | None] = {}
+    picks: list[int | None] = []  # per seed, its entry in fits
+    sizes: list[int] = []
+    step = kernels.transforms_per_block(n)
+    for lo in range(0, len(seeds), step):
+        rows, consensus = _seed_consensus(seeds.indices[lo:lo + step], c, sigma_d, cfg.tau)
+        picks += _two_stage_block(rows, consensus, c, probs, delta, fits, refits)
+        sizes += [members.size for members in consensus]
     t2 = time.perf_counter()
 
-    if not hypotheses:
+    choice = select_best_transform([t for t, _ in fits], c, delta) if fits else None
+    counts = choice.counts if choice else ()
+    diagnostics = tuple(
+        {
+            "seed": int(seed),
+            "consensus_size": int(size),
+            "degenerate": pick is None,
+            "inlier_count": None if pick is None else counts[pick],
+        }
+        for seed, size, pick in zip(seeds.indices, sizes, picks)
+    )
+    if choice is None:
         return RegistrationResult(
             ok=False,
             hypothesis=None,
@@ -281,19 +376,22 @@ def register(
             seed_count=len(seeds),
             hypothesis_count=0,
             reason="every seed produced a degenerate consensus",
-            seed_diagnostics=tuple(diagnostics),
+            seed_diagnostics=diagnostics,
             timings={"score_s": t1 - t0, "hypotheses_s": t2 - t1, "select_s": 0.0},
         )
 
-    choice = select_best_transform([h.transform for h in hypotheses], c, delta)
-    best = hypotheses[choice.index]
+    # fits are in first-seed order, so the first pick of the chosen fit is
+    # the lowest seed with the best key, as a per-seed selection would find
+    transform, members = fits[choice.index]
+    seed = int(seeds.indices[picks.index(choice.index)])
+    best = Hypothesis(transform, seed, members, choice.inlier_count)
     t3 = time.perf_counter()
     return RegistrationResult(
         ok=True,
         hypothesis=best,
         probabilities=probs,
         seed_count=len(seeds),
-        hypothesis_count=len(hypotheses),
-        seed_diagnostics=tuple(diagnostics),
+        hypothesis_count=sum(pick is not None for pick in picks),
+        seed_diagnostics=diagnostics,
         timings={"score_s": t1 - t0, "hypotheses_s": t2 - t1, "select_s": t3 - t2},
     )

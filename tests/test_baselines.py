@@ -238,6 +238,40 @@ def test_spectral_greedy_selection_is_mutually_consistent():
     assert np.all(np.diff(result.confidences[sel]) <= 1e-15)
 
 
+def _reference_greedy_sweep(c, confidences, sigma_d, tau):
+    """The greedy sweep recomputing each selected pair's consistency row."""
+    scores = confidences.copy()
+    selected = []
+    while True:
+        i = int(np.argmax(scores))
+        if scores[i] <= 0.0:
+            break
+        selected.append(i)
+        scores[i] = 0.0
+        row = consistency_row(c.source, c.target, i, sigma_d)
+        scores[row < tau] = 0.0
+    return np.asarray(selected, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "scene, n, ratio, seed, tau",
+    [
+        ("indoor", 300, 0.5, 80, 0.5),
+        ("indoor", 300, 0.2, 81, 0.9),
+        ("indoor", 500, 0.8, 82, 1.0),
+        ("outdoor", 2000, 0.8, 83, 0.5),
+        ("outdoor", 2000, 0.8, 84, 0.5),
+    ],
+)
+def test_spectral_sweep_matches_row_recomputing_reference(scene, n, ratio, seed, tau):
+    c, _ = generate(SceneConfig(n=n, outlier_ratio=ratio, scene=scene, seed=seed))
+    sigma_d = 0.10 if scene == "indoor" else 0.60
+    result = spectral_matching(c, sigma_d=sigma_d, tau=tau)
+    want = _reference_greedy_sweep(c, result.confidences, sigma_d, tau)
+    assert want.size >= (1 if tau == 1.0 else 3)  # at tau 1 only exact lengths survive
+    assert np.array_equal(result.selected, want)
+
+
 def test_spectral_four_pair_worked_example_matches_eigh():
     src = np.array([[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0.3, 0.4, 0.5]])
     tgt = src + np.array([0.5, -0.2, 0.1])  # pure translation: fully consistent

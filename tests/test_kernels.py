@@ -17,7 +17,10 @@ from reglab.kernels import (
     consistency_rows,
     ransac_scan,
     row_blocks,
+    strict_inliers,
+    transforms_per_block,
 )
+from reglab.geometry import CorrespondenceSet, inlier_mask
 
 
 def consistency_oracle(src, tgt, sigma, zero_diagonal=False):
@@ -137,6 +140,8 @@ def test_consistency_matrix_across_row_blocks_matches_full_reference(n):
     for lo, hi in [(0, n), (n - 1, n), (n // 2, n), (0, min(n, 300))]:
         np.testing.assert_array_equal(consistency_rows(src, tgt, 0.4, lo, hi), want[lo:hi])
         np.testing.assert_array_equal(consistency_row(src, tgt, lo, 0.4), want[lo])
+    rows = np.r_[rng.permutation(n)[:37], n - 1, 0, n - 1]  # any order, repeats allowed
+    np.testing.assert_array_equal(consistency_rows(src, tgt, 0.4, rows), want[rows])
 
 
 @pytest.mark.parametrize("n", [1, 2, 119, 240, 359, 360, 1000, 2003, 5000])
@@ -343,3 +348,23 @@ def test_ransac_scan_across_blocks_matches_oracle(case):
     assert got == scan_oracle(src, tgt, samples, 0.1)
     if want_iter is not None:
         assert got[0] == want_iter
+
+
+@pytest.mark.parametrize("n", [1, 7, 250, 2003])
+@pytest.mark.parametrize("m", [1, 5, 31])
+def test_strict_inliers_columns_equal_inlier_mask(n, m):
+    """Each column is inlier_mask of its transform, bit for bit, at any stack width."""
+    rng = make_rng(700 + n + m)
+    src = rng.uniform(-2, 2, size=(n, 3))
+    gt = random_transform(rng)
+    tgt = gt.apply(src) + rng.normal(scale=0.06, size=(n, 3))  # many residuals near delta
+    tgt[n // 2:] = rng.uniform(-4, 4, size=(n - n // 2, 3))
+    c = CorrespondenceSet(src, tgt)
+    transforms = [gt if j % 2 else random_transform(rng) for j in range(m)]
+    rotations = np.stack([t.rotation for t in transforms])
+    translations = np.stack([t.translation for t in transforms])
+    got = strict_inliers(c.source, c.target, rotations, translations, 0.1)
+    assert got.shape == (n, m)
+    for j, t in enumerate(transforms):
+        assert np.array_equal(got[:, j], inlier_mask(t, c, 0.1))
+    assert transforms_per_block(2000) == 10 and transforms_per_block(10**6) == 1
