@@ -240,10 +240,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tens
         s = q.value[lo:hi] @ kt
         if scale is not None:
             s *= scale
-        s -= s.max(axis=1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=1, keepdims=True)
-        out[lo:hi] = s @ v.value
+        out[lo:hi] = kernels.softmax_rows(s) @ v.value
     return Tensor(out)
 
 

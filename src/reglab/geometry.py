@@ -170,6 +170,11 @@ def weighted_kabsch(c: CorrespondenceSet, weights) -> RigidTransform:
     n = len(c)
     if weights.shape[0] != n:
         raise ShapeError(f"weighted_kabsch: {weights.shape[0]} weights for {n} pairs")
+    return _kabsch(c.source, c.target, weights)
+
+
+def _kabsch(src: Points, tgt: Points, weights: NDArray[F64]) -> RigidTransform:
+    """weighted_kabsch on finite (N, 3) arrays and N float64 weights, unwrapped."""
     if np.any(weights < 0.0):
         raise ContractError("weighted_kabsch: negative weights")
     total = weights.sum()
@@ -180,7 +185,6 @@ def weighted_kabsch(c: CorrespondenceSet, weights) -> RigidTransform:
             "weighted_kabsch: fewer than 3 pairs with positive weight"
         )
     w = weights / total
-    src, tgt = c.source, c.target
     mu_s = w @ src
     mu_t = w @ tgt
     a = src - mu_s

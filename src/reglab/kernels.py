@@ -13,18 +13,69 @@ import numpy as np
 from .errors import ConfigurationError
 
 
+# -- row softmax ---------------------------------------------------------------
+#
+# numpy's float64 exp returns +0.0 for every input below about -745.1332
+# (tests/test_kernels.py pins this for x <= _EXP_ZERO_BELOW), but it takes
+# a slow path to get there: 4 to 16 times the cost of an ordinary input
+# (numpy 2.4.6 on an AVX-512 Xeon).
+# The attention maps of a trained model are nearly one-hot, so after the
+# row max is subtracted almost every entry lies far below that floor.
+# softmax_rows skips exp there and writes the zeros itself. A zero adds
+# nothing to the row sum and 0 / sum is 0, so every entry keeps the bits
+# of the plain formula exp(x - max) / sum.
+#
+# Element-wise kernels work through chunks of about _CACHE_ENTRIES
+# entries (512 KB), so their scratch and their repeated passes stay in a
+# core's L2 cache. Every element sees the same float operations whichever
+# chunk it lands in.
+
+_EXP_ZERO_BELOW = -746.0
+_CACHE_ENTRIES = 1 << 16
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of ``width`` entries that fill one cache-sized chunk."""
+    return max(1, _CACHE_ENTRIES // max(width, 1))
+
+
+def softmax_rows(s: np.ndarray) -> np.ndarray:
+    """Row softmax of a C-contiguous 2-D float64 array, in place; returns ``s``.
+
+    Bit for bit ``e = np.exp(s - max); e / e.sum`` per row, NaN and
+    infinite entries included.
+    """
+    step = _chunk_rows(s.shape[1])
+    for lo in range(0, s.shape[0], step):
+        x = s[lo:lo + step]
+        x -= x.max(axis=1, keepdims=True)
+        live = x >= _EXP_ZERO_BELOW
+        if live.all():
+            np.exp(x, out=x)
+        else:
+            # the skipped entries are below the floor, or NaN: maximum
+            # turns the former into exp's +0.0 and keeps the latter
+            np.exp(x, out=x, where=live)
+            np.maximum(x, 0.0, out=x)
+        x /= x.sum(axis=1, keepdims=True)
+    return s
+
+
 # -- pairwise length-consistency matrix ------------------------------------
 #
 # sc(i, j) = max(0, 1 - (||ps_i - ps_j|| - ||pt_i - pt_j||)^2 / sigma^2)
 #
 # Values lie in [0, 1]; 1 means the pair preserves length exactly.
 #
-# Rows are computed in blocks of about _ROW_BLOCK (see row_blocks): each
-# block needs three (rows, N) scratch arrays, whatever N. Every element
-# goes through the same float operations in the same order whichever
-# block it lands in, so a block, a single row and the full matrix agree
-# bit for bit. The full matrix is the only N x N allocation in the
-# package; it is refused before allocation when its 8 N^2 bytes exceed
+# Any block of rows is computed in cache-sized chunks of rows (see
+# _CACHE_ENTRIES), each with two chunk-sized scratch arrays, whatever the
+# block size. Every element goes through the same float operations in the
+# same order whichever block or chunk it lands in, so a block, a single
+# row and the full matrix agree bit for bit. Those operations give
+# sc(i, j) and sc(j, i) the same bits, since (a - b)^2 == (b - a)^2, so
+# the full matrix computes each row block from its diagonal onward and
+# mirrors the rest. It is the only N x N allocation in the package; it is
+# refused before allocation when its 8 N^2 bytes exceed
 # _MATRIX_BYTES_LIMIT.
 
 _ROW_BLOCK = 240                # rows per block, a multiple of _ROW_TILE
@@ -61,16 +112,42 @@ def row_blocks(n: int, row_cost: int = 0):
     return zip(starts, starts[1:] + [n])
 
 
-def _distance_rows(pts: np.ndarray, rows, out: np.ndarray,
+def _distance_rows(pts: np.ndarray, rows, cols: np.ndarray, out: np.ndarray,
                    scratch: np.ndarray) -> np.ndarray:
-    """||p_i - p_j|| for i in ``rows`` and every j, written into ``out``."""
-    np.subtract.outer(pts[rows, 0], pts[:, 0], out=out)
+    """||p_i - p_j|| for i in ``rows`` and each column p_j, written into ``out``.
+
+    ``cols`` holds the column points transposed, as a (3, width) array.
+    """
+    np.subtract.outer(pts[rows, 0], cols[0], out=out)
     out *= out
     for axis in (1, 2):
-        np.subtract.outer(pts[rows, axis], pts[:, axis], out=scratch)
+        np.subtract.outer(pts[rows, axis], cols[axis], out=scratch)
         scratch *= scratch
         out += scratch
     return np.sqrt(out, out=out)
+
+
+def _consistency_block(src: np.ndarray, tgt: np.ndarray, sigma: float,
+                       rows: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
+    """sc(i, j) for i in ``rows`` and j >= ``first``, written into ``out``."""
+    if sigma <= 0.0:
+        raise ValueError(f"consistency_rows: sigma must be positive, got {sigma}")
+    src = np.ascontiguousarray(src, dtype=np.float64)
+    tgt = np.ascontiguousarray(tgt, dtype=np.float64)
+    src_cols, tgt_cols = src[first:].T.copy(), tgt[first:].T.copy()
+    width = src_cols.shape[1]
+    step = _chunk_rows(width)
+    dt, scratch = np.empty((2, min(step, rows.size), width))
+    for lo in range(0, rows.size, step):
+        chunk = rows[lo:lo + step]
+        m = chunk.size
+        gap = _distance_rows(src, chunk, src_cols, out[lo:lo + m], scratch[:m])
+        gap -= _distance_rows(tgt, chunk, tgt_cols, dt[:m], scratch[:m])
+        gap *= gap
+        gap /= sigma * sigma
+        np.subtract(1.0, gap, out=gap)
+        np.maximum(0.0, gap, out=gap)
+    return out
 
 
 def consistency_rows(src: np.ndarray, tgt: np.ndarray, sigma: float,
@@ -80,19 +157,10 @@ def consistency_rows(src: np.ndarray, tgt: np.ndarray, sigma: float,
     With ``hi`` None, ``lo`` is an array of row indices instead, and the
     block holds those rows in that order.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"consistency_rows: sigma must be positive, got {sigma}")
-    src = np.ascontiguousarray(src, dtype=np.float64)
-    tgt = np.ascontiguousarray(tgt, dtype=np.float64)
     rows = np.asarray(lo, dtype=np.int64) if hi is None else np.arange(lo, hi)
-    shape = (rows.size, src.shape[0])
-    dt, scratch = np.empty((2,) + shape)
-    gap = _distance_rows(src, rows, np.empty(shape) if out is None else out, scratch)
-    gap -= _distance_rows(tgt, rows, dt, scratch)
-    gap *= gap
-    gap /= sigma * sigma
-    np.subtract(1.0, gap, out=gap)
-    return np.maximum(0.0, gap, out=gap)
+    if out is None:
+        out = np.empty((rows.size, len(src)))
+    return _consistency_block(src, tgt, sigma, rows, 0, out)
 
 
 def consistency_matrix(src: np.ndarray, tgt: np.ndarray, sigma: float,
@@ -106,7 +174,8 @@ def consistency_matrix(src: np.ndarray, tgt: np.ndarray, sigma: float,
         )
     m = np.empty((n, n))
     for lo, hi in row_blocks(n):
-        consistency_rows(src, tgt, sigma, lo, hi, out=m[lo:hi])
+        _consistency_block(src, tgt, sigma, np.arange(lo, hi), lo, m[lo:hi, lo:])
+        m[hi:, lo:hi] = m[lo:hi, hi:].T
     if zero_diagonal:
         np.fill_diagonal(m, 0.0)
     return m

@@ -28,8 +28,8 @@ from .geometry import (
     RigidTransform,
     check_scene,
     count_inliers,
+    _kabsch,
     select_best_transform,
-    weighted_kabsch,
 )
 
 DEFAULT_NMS_RADIUS = {"indoor": 0.5, "outdoor": 3.0}
@@ -203,7 +203,7 @@ def _refit(
     if idx.size < 3:
         return None
     try:
-        transform = weighted_kabsch(CorrespondenceSet(c.source[idx], c.target[idx]), probs[idx])
+        transform = _kabsch(c.source[idx], c.target[idx], probs[idx])
     except (DegenerateInputError, ContractError):
         return None
     fits.append((transform, idx.astype(np.int64)))
@@ -229,9 +229,9 @@ def _two_stage_block(
     """
     stage1 = []
     for row, members in zip(rows, consensus):
-        sub = CorrespondenceSet(c.source[members], c.target[members])
         try:
-            stage1.append(weighted_kabsch(sub, probs[members] * row[members]))
+            stage1.append(_kabsch(c.source[members], c.target[members],
+                                  probs[members] * row[members]))
         except (DegenerateInputError, ContractError):
             stage1.append(None)
     fitted = [t for t in stage1 if t is not None]

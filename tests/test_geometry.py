@@ -9,6 +9,7 @@ from conftest import make_rng, random_correspondences, random_rotation, random_t
 from reglab.errors import ContractError, DegenerateInputError, ShapeError
 from reglab.geometry import (
     DEFAULT_DELTA,
+    _kabsch,
     SUCCESS_GATES,
     CorrespondenceSet,
     RigidTransform,
@@ -242,6 +243,26 @@ def test_kabsch_error_cases():
     same = CorrespondenceSet(np.zeros((5, 3)), np.zeros((5, 3)))
     with pytest.raises(DegenerateInputError):
         weighted_kabsch(same, np.ones(5))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unwrapped_kabsch_core_equals_weighted_kabsch_on_index_subsets(seed):
+    """The pipeline fits index subsets with _kabsch, skipping the CorrespondenceSet copy."""
+    rng = make_rng(seed + 4500)
+    c, _ = random_correspondences(rng, n=60, noise=0.05)
+    probs = rng.uniform(0.0, 1.0, size=60)
+    idx = np.sort(rng.choice(60, size=int(rng.integers(3, 60)), replace=False))
+    got = _kabsch(c.source[idx], c.target[idx], probs[idx])
+    want = weighted_kabsch(CorrespondenceSet(c.source[idx], c.target[idx]), probs[idx])
+    assert np.array_equal(got.rotation, want.rotation)
+    assert np.array_equal(got.translation, want.translation)
+    for weights, error in [(-probs[idx], ContractError), (0.0 * probs[idx], ContractError)]:
+        with pytest.raises(error):
+            _kabsch(c.source[idx], c.target[idx], weights)
+    two = np.zeros(idx.size)
+    two[:2] = 1.0
+    with pytest.raises(DegenerateInputError):
+        _kabsch(c.source[idx], c.target[idx], two)
 
 
 # -- select_best_transform ----------------------------------------------------

@@ -74,6 +74,13 @@ def build_artifacts() -> dict[str, bytes]:
     return artifacts
 
 
+# sha256 of predict's probabilities on an outdoor N=2003, 80%-outlier scene
+# (seed 5) with one BLAS thread: its maps span several row blocks and
+# cache chunks, which the N <= 500 goldens do not. Predict bytes at this N
+# depend on the BLAS thread count, hence the pinned single thread.
+LARGE_PREDICT_SHA256 = "1f73041bec4381fe089f76e2d4b8a4ba67b6a88b40a147a3325c4fc4274aa840"
+
+
 def test_params_file_is_the_bench_model():
     assert hashlib.sha256(PARAMS.read_bytes()).hexdigest() == PARAMS_SHA256
 
@@ -84,6 +91,33 @@ def test_outputs_match_goldens_byte_for_byte():
     changed = [name for name, data in sorted(artifacts.items())
                if (GOLDEN / name).read_bytes() != data]
     assert changed == []
+
+
+def test_predict_at_large_n_with_one_blas_thread_matches_pinned_hash():
+    import os
+    import subprocess
+
+    import reglab
+
+    code = (
+        "import hashlib, sys\n"
+        "from reglab.blocks import GPINet\n"
+        "from reglab.synth import SceneConfig, generate\n"
+        "c, _ = generate(SceneConfig(n=2003, outlier_ratio=0.8, scene='outdoor', seed=5))\n"
+        "probs = GPINet.load(sys.argv[1]).predict(c)\n"
+        "print(hashlib.sha256(probs.tobytes()).hexdigest())\n"
+    )
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(PARAMS)],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
+        check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == LARGE_PREDICT_SHA256
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Hot kernels: brute-force oracles and invariants."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ import reglab.kernels
 from conftest import make_rng, random_transform
 from reglab.errors import ConfigurationError
 from reglab.kernels import (
+    _CACHE_ENTRIES,
+    _EXP_ZERO_BELOW,
     _MATRIX_BYTES_LIMIT,
     _MIN_BLOCK_PRODUCT,
     _ROW_BLOCK,
@@ -17,10 +21,16 @@ from reglab.kernels import (
     consistency_rows,
     ransac_scan,
     row_blocks,
+    softmax_rows,
     strict_inliers,
     transforms_per_block,
 )
+from reglab.autodiff import Tensor
+from reglab.blocks import GPINet
 from reglab.geometry import CorrespondenceSet, inlier_mask
+from reglab.synth import SceneConfig, generate
+
+BENCH_PARAMS = Path(__file__).resolve().parents[1] / "bench" / "model" / "params.json"
 
 
 def consistency_oracle(src, tgt, sigma, zero_diagonal=False):
@@ -110,15 +120,19 @@ def test_consistency_matrix_rejects_nonpositive_sigma(sigma):
         consistency_matrix(pts, pts, sigma)
 
 
-def consistency_full_reference(src, tgt, sigma, zero_diagonal=False):
-    """The one-shot N x N formula: every pairwise difference at once."""
-    dxs = src[:, 0][:, None] - src[:, 0][None, :]
-    dys = src[:, 1][:, None] - src[:, 1][None, :]
-    dzs = src[:, 2][:, None] - src[:, 2][None, :]
+def consistency_full_reference(src, tgt, sigma, zero_diagonal=False, rows=None):
+    """The one-shot N x N formula: every pairwise difference at once.
+
+    With ``rows``, the same formula for those rows only.
+    """
+    rows = slice(None) if rows is None else rows
+    dxs = src[rows, 0][:, None] - src[:, 0][None, :]
+    dys = src[rows, 1][:, None] - src[:, 1][None, :]
+    dzs = src[rows, 2][:, None] - src[:, 2][None, :]
     ds = np.sqrt(dxs * dxs + dys * dys + dzs * dzs)
-    dxt = tgt[:, 0][:, None] - tgt[:, 0][None, :]
-    dyt = tgt[:, 1][:, None] - tgt[:, 1][None, :]
-    dzt = tgt[:, 2][:, None] - tgt[:, 2][None, :]
+    dxt = tgt[rows, 0][:, None] - tgt[:, 0][None, :]
+    dyt = tgt[rows, 1][:, None] - tgt[:, 1][None, :]
+    dzt = tgt[rows, 2][:, None] - tgt[:, 2][None, :]
     dt = np.sqrt(dxt * dxt + dyt * dyt + dzt * dzt)
     gap = ds - dt
     m = np.maximum(0.0, 1.0 - (gap * gap) / (sigma * sigma))
@@ -142,6 +156,38 @@ def test_consistency_matrix_across_row_blocks_matches_full_reference(n):
         np.testing.assert_array_equal(consistency_row(src, tgt, lo, 0.4), want[lo])
     rows = np.r_[rng.permutation(n)[:37], n - 1, 0, n - 1]  # any order, repeats allowed
     np.testing.assert_array_equal(consistency_rows(src, tgt, 0.4, rows), want[rows])
+
+
+@pytest.mark.parametrize("n", [5, 31, 2047, 2049])
+def test_consistency_rows_across_cache_chunks_match_full_reference(n):
+    """Blocks are computed in chunks of _CACHE_ENTRIES // N rows; here they split unevenly."""
+    rng = make_rng(900 + n)
+    src = rng.uniform(-20, 20, size=(n, 3))
+    tgt = rng.uniform(-20, 20, size=(n, 3))
+    chunk = max(1, _CACHE_ENTRIES // n)
+    uneven = (7 % n, min(n, 7 + 3 * chunk + 5))
+    for lo, hi in [(0, n), (n // 3, n), (n - 1, n), (0, min(n, 240)), uneven]:
+        rows = np.arange(lo, hi)
+        want = consistency_full_reference(src, tgt, 0.4, rows=rows)
+        np.testing.assert_array_equal(consistency_rows(src, tgt, 0.4, lo, hi), want)
+    # unsorted, with repeats, and more than one chunk long even at small N
+    rows = np.r_[rng.integers(0, n, size=2 * chunk + 3), n - 1, 0, n - 1]
+    want = consistency_full_reference(src, tgt, 0.4, rows=rows)
+    np.testing.assert_array_equal(consistency_rows(src, tgt, 0.4, rows), want)
+
+
+@pytest.mark.parametrize("n", [3, 241, 481, 517, 1001])
+def test_mirrored_consistency_matrix_matches_row_by_row_reference(n):
+    """The matrix computes each row block from its diagonal on and mirrors the rest."""
+    rng = make_rng(950 + n)
+    src = rng.uniform(-20, 20, size=(n, 3))
+    tgt = src + rng.normal(scale=0.3, size=(n, 3))  # most pairs consistent, some not
+    want = np.vstack([consistency_full_reference(src, tgt, 0.4, rows=[i]) for i in range(n)])
+    got = consistency_matrix(src, tgt, 0.4)
+    np.testing.assert_array_equal(got, want)
+    assert 0.0 < got.mean() < 1.0
+    np.fill_diagonal(want, 0.0)
+    np.testing.assert_array_equal(consistency_matrix(src, tgt, 0.4, zero_diagonal=True), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 119, 240, 359, 360, 1000, 2003, 5000])
@@ -368,3 +414,129 @@ def test_strict_inliers_columns_equal_inlier_mask(n, m):
     for j, t in enumerate(transforms):
         assert np.array_equal(got[:, j], inlier_mask(t, c, 0.1))
     assert transforms_per_block(2000) == 10 and transforms_per_block(10**6) == 1
+
+
+# -- row softmax ------------------------------------------------------------------
+
+
+def softmax_reference(x):
+    """The plain formula: exp of the shifted rows over their sums."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def bench_model_scores(monkeypatch, n: int) -> list[np.ndarray]:
+    """The N-wide score blocks that predict softmaxes under the bench model.
+
+    These are GFA's row attention and its two cross attentions.
+    """
+    blocks = []
+
+    def record(s):
+        if s.shape[1] == n:
+            blocks.append(s.copy())
+        return softmax_rows(s)
+
+    model = GPINet.load(BENCH_PARAMS)
+    c, _ = generate(SceneConfig(n=n, outlier_ratio=0.8, scene="outdoor", seed=2))
+    with monkeypatch.context() as patch:
+        patch.setattr(reglab.kernels, "softmax_rows", record)
+        model.predict(c)
+    assert len(blocks) == 3 * len(list(row_blocks(n, 32 * n)))
+    return blocks
+
+
+def test_exp_returns_positive_zero_below_the_floor():
+    """softmax_rows writes +0.0 where exp's input is below _EXP_ZERO_BELOW.
+
+    That is exact only while numpy's exp underflows to +0.0 there, on its
+    vector loop and on single values alike; a numpy that changes this
+    must fail here.
+    """
+    floor = _EXP_ZERO_BELOW
+    sweep = np.r_[
+        floor,
+        np.nextafter(floor, -np.inf),
+        np.linspace(floor, floor - 60.0, 6001),
+        -np.geomspace(-floor, 1e308, 400),
+        -np.inf,
+    ]
+    assert sweep.max() == floor and sweep.size > 6000
+    for x in (sweep, sweep[::-1].copy(), sweep.reshape(1, -1)[:, ::7], sweep[:1], sweep[-1:]):
+        got = np.exp(x)
+        assert np.all(got == 0.0) and not np.any(np.signbit(got))
+    for value in sweep[::97]:
+        got = np.exp(value)
+        assert got == 0.0 and not np.signbit(got)
+    assert np.exp(np.nextafter(-745.1332, 0.0)) > 0.0  # the floor sits below the true cutoff
+
+
+def check_softmax(x, equal_nan=False):
+    want = softmax_reference(x)
+    got = softmax_rows(x.copy())
+    assert np.array_equal(got, want, equal_nan=equal_nan)
+    assert not np.any(np.signbit(got[got == 0.0]))
+    return got
+
+
+def test_softmax_rows_on_saturated_bench_model_maps(monkeypatch):
+    """The bench model's attention is nearly one-hot: most entries fall below the floor."""
+    for scores in bench_model_scores(monkeypatch, 600):
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        assert (shifted < _EXP_ZERO_BELOW).mean() > 0.9
+        got = check_softmax(scores)
+        assert 0.0 < (got > 0.0).mean() < 0.1
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 2000), (70, 2001), (300, 3)],
+                         ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_softmax_rows_on_dense_and_mixed_rows(shape):
+    """Shapes with several cache chunks of rows, and rows mixing live and dead entries."""
+    rng = make_rng(shape[0] * 7 + shape[1])
+    dense = rng.normal(scale=4.0, size=shape)
+    check_softmax(dense)
+    mixed = dense * rng.choice([1.0, 1e3, 1e8], size=shape)
+    check_softmax(mixed)
+    assert softmax_rows(dense) is dense  # in place
+
+
+def test_softmax_rows_at_the_underflow_boundary():
+    """Shifted values either side of -746 and of exp's true cutoff near -745.1332."""
+    edges = []
+    for point in (_EXP_ZERO_BELOW, -745.1332, -744.44):
+        edges += [point, np.nextafter(point, 0.0), np.nextafter(point, -np.inf),
+                  point + 1e-9, point - 1e-9, point + 0.5, point - 0.5]
+    row = np.array([0.0] + edges)
+    x = np.stack([row, row[::-1], row + 3.0, np.r_[row[1:], 0.0] - 100.0])
+    got = check_softmax(x)
+    assert np.any((got > 0.0) & (got < 1e-300))  # subnormal exp values survive
+
+
+def test_softmax_rows_with_infinities_constants_and_nan():
+    x = np.array([
+        [0.0, -np.inf, 1.0, -np.inf],
+        [-np.inf, -np.inf, 2.0, -1e9],
+        [5.0, 5.0, 5.0, 5.0],
+        [-1e300, -1e300, -1e300, -1e300],
+        [0.0, 0.0, 0.0, -np.inf],
+    ])
+    got = check_softmax(x)
+    np.testing.assert_array_equal(got[2:4], 0.25)
+    with np.errstate(invalid="ignore"):
+        nan = np.array([
+            [0.0, np.nan, -1000.0, 1.0],
+            [np.inf, 0.0, -np.inf, 2.0],
+            [-np.inf, -np.inf, -np.inf, -np.inf],
+            [1.0, 2.0, 3.0, 4.0],
+        ])
+        got = check_softmax(nan, equal_nan=True)
+    assert np.isnan(got[:3]).all() and not np.isnan(got[3]).any()
+
+
+def test_tensor_softmax_rows_uses_the_kernel_and_keeps_its_input(monkeypatch):
+    scores = bench_model_scores(monkeypatch, 300)[0]
+    kept = scores.copy()
+    t = Tensor(scores, requires_grad=True)
+    y = t.softmax_rows()
+    assert np.array_equal(y.value, softmax_reference(kept))
+    assert np.array_equal(scores, kept)
