@@ -19,6 +19,7 @@ from .errors import (
 )
 from .geometry import (
     CorrespondenceSet,
+    _kabsch,
     count_inliers,
     inlier_mask,
     weighted_kabsch,
@@ -33,19 +34,11 @@ def minimal_samples(rng: np.random.Generator, n: int, iterations: int) -> np.nda
     is a fixed function of the generator state.
     """
     idx = rng.integers(0, n, size=(iterations, 3))
-    bad = (
-        (idx[:, 0] == idx[:, 1])
-        | (idx[:, 0] == idx[:, 2])
-        | (idx[:, 1] == idx[:, 2])
-    )
-    while bad.any():
+    while True:
+        bad = (idx[:, 0] == idx[:, 1]) | (idx[:, 0] == idx[:, 2]) | (idx[:, 1] == idx[:, 2])
+        if not bad.any():
+            return idx.astype(np.int64)
         idx[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
-        bad = (
-            (idx[:, 0] == idx[:, 1])
-            | (idx[:, 0] == idx[:, 2])
-            | (idx[:, 1] == idx[:, 2])
-        )
-    return idx.astype(np.int64)
 
 
 def ransac(
@@ -82,13 +75,11 @@ def ransac(
         )
 
     triple = samples[best_iter]
-    sub = CorrespondenceSet(c.source[triple], c.target[triple])
-    transform = weighted_kabsch(sub, np.ones(3))
+    transform = _kabsch(c.source[triple], c.target[triple], np.ones(3))
     members = np.flatnonzero(inlier_mask(transform, c, delta)).astype(np.int64)
     if refit and members.size >= 3:
-        refit_set = CorrespondenceSet(c.source[members], c.target[members])
         try:
-            transform = weighted_kabsch(refit_set, np.ones(members.size))
+            transform = _kabsch(c.source[members], c.target[members], np.ones(members.size))
             members = np.flatnonzero(inlier_mask(transform, c, delta)).astype(np.int64)
         except DegenerateInputError:
             pass  # keep the minimal-sample fit
@@ -169,15 +160,17 @@ def spectral_matching(
     v, eigenvalue, iterations, residual = power_iteration(m, tol, max_iterations)
     confidences = np.maximum(v, 0.0)
 
-    scores = confidences.copy()
+    # Suppression only zeroes scores and none is NaN, so taking the largest
+    # remaining one (ties to the lower index) is one stable descending pass.
+    suppressed = np.zeros(n, dtype=bool)
     selected: list[int] = []
-    while True:
-        i = int(np.argmax(scores))
-        if scores[i] <= 0.0:
+    for i in np.argsort(-confidences, kind="stable"):
+        if confidences[i] <= 0.0:
             break
-        selected.append(i)
-        scores[i] = 0.0
-        scores[m[i] < tau] = 0.0  # m[i] is row i of the consistency matrix, 0 at i
+        if suppressed[i]:
+            continue
+        selected.append(int(i))
+        suppressed |= m[i] < tau  # m[i] is row i of the consistency matrix, 0 at i
     return SpectralResult(
         confidences=confidences,
         selected=np.asarray(selected, dtype=np.int64),

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ContractError, DegenerateInputError, ShapeError
+from . import kernels
+from .errors import ContractError, DegenerateInputError, RegLabError, ShapeError
 
 F64 = np.float64
 Points = NDArray[F64]  # (N, 3)
@@ -43,6 +44,14 @@ def as_points(x, name: str = "points") -> Points:
     return p
 
 
+def _rigid_checks(r: NDArray[F64], t: NDArray[F64]):
+    """(all finite, max |R^T R - I|, det R) per transform of (m, 3, 3) and (m, 3) arrays."""
+    finite = np.isfinite(r).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
+    with np.errstate(invalid="ignore"):  # a non-finite rotation fails on `finite`
+        ortho = np.abs(r.transpose(0, 2, 1) @ r - np.eye(3)).max(axis=(1, 2))
+        return finite, ortho, np.linalg.det(r)
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """Proper rigid motion x -> R x + t.
@@ -57,14 +66,13 @@ class RigidTransform:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+        (finite,), (ortho,), (det,) = _rigid_checks(r[None], t[None])
+        if not finite:
             raise ContractError("RigidTransform: non-finite entries")
-        ortho = np.abs(r.T @ r - np.eye(3)).max()
         if ortho >= _ROT_TOL:
             raise ContractError(
                 f"RigidTransform: rotation not orthonormal, max |R^T R - I| = {ortho:.3e}"
             )
-        det = np.linalg.det(r)
         if abs(det - 1.0) >= _ROT_TOL:
             raise ContractError(f"RigidTransform: det(R) = {det!r}, expected +1")
         r = r.copy()
@@ -73,6 +81,14 @@ class RigidTransform:
         t.flags.writeable = False
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
+
+    @classmethod
+    def _checked(cls, rotation: NDArray[F64], translation: NDArray[F64]) -> "RigidTransform":
+        """A transform of read-only arrays that pass the checks above, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation", translation)
+        return self
 
     @staticmethod
     def identity() -> "RigidTransform":
@@ -136,8 +152,9 @@ def apply_transform(transform: RigidTransform, points: Points) -> Points:
 
 
 def _squared_residuals(transform: RigidTransform, c: CorrespondenceSet) -> NDArray[F64]:
-    diff = apply_transform(transform, c.source) - c.target
-    return (diff * diff).sum(axis=1)
+    """||R p_s + t - p_t||^2 per pair; c's points were validated on construction."""
+    return kernels.squared_residuals(c.source, c.target, transform.rotation[None],
+                                     transform.translation[None])[:, 0]
 
 
 def residuals(transform: RigidTransform, c: CorrespondenceSet) -> NDArray[F64]:
@@ -175,34 +192,49 @@ def weighted_kabsch(c: CorrespondenceSet, weights) -> RigidTransform:
 
 def _kabsch(src: Points, tgt: Points, weights: NDArray[F64]) -> RigidTransform:
     """weighted_kabsch on finite (N, 3) arrays and N float64 weights, unwrapped."""
-    if np.any(weights < 0.0):
-        raise ContractError("weighted_kabsch: negative weights")
-    total = weights.sum()
-    if not (total > 0.0):
-        raise ContractError("weighted_kabsch: all weights are zero")
-    if int((weights > 0.0).sum()) < 3:
-        raise DegenerateInputError(
-            "weighted_kabsch: fewer than 3 pairs with positive weight"
-        )
-    w = weights / total
-    mu_s = w @ src
-    mu_t = w @ tgt
-    a = src - mu_s
-    b = tgt - mu_t
-    h = (a * w[:, None]).T @ b
-    u, s, vt = np.linalg.svd(h)
-    if s[0] <= 0.0 or s[1] <= 1e-9 * s[0]:
-        raise DegenerateInputError(
-            "weighted_kabsch: weighted covariance is rank-deficient "
-            "(collinear or coincident support)"
-        )
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        raise DegenerateInputError("weighted_kabsch: singular alignment")
-    flip = np.array([1.0, 1.0, d])
-    rotation = (vt.T * flip) @ u.T
-    translation = mu_t - rotation @ mu_s
-    return RigidTransform(rotation, translation)
+    (fit,) = _kabsch_stack([(src, tgt, weights)])
+    if isinstance(fit, RegLabError):
+        raise fit
+    return fit
+
+
+def _kabsch_stack(problems) -> list[RigidTransform | RegLabError]:
+    """_kabsch of each (src, tgt, weights) problem, solved in one kernels.rigid_fits call.
+
+    A problem that _kabsch rejects gets the error _kabsch raises for it.
+    """
+    fits: list = [None] * len(problems)
+    live, hs, mu_s, mu_t = [], [], [], []
+    for i, (src, tgt, weights) in enumerate(problems):
+        total = weights.sum()
+        if np.any(weights < 0.0):
+            fits[i] = ContractError("weighted_kabsch: negative weights")
+        elif not (total > 0.0):
+            fits[i] = ContractError("weighted_kabsch: all weights are zero")
+        elif int((weights > 0.0).sum()) < 3:
+            fits[i] = DegenerateInputError("weighted_kabsch: fewer than 3 pairs with positive weight")
+        else:
+            w = weights / total
+            mu_s.append(w @ src)
+            mu_t.append(w @ tgt)
+            hs.append(((src - mu_s[-1]) * w[:, None]).T @ (tgt - mu_t[-1]))
+            live.append(i)
+    if not live:
+        return fits
+    r, t, ok = kernels.rigid_fits(np.array(hs), np.array(mu_s), np.array(mu_t))
+    finite, ortho, det = _rigid_checks(r, t)
+    valid = finite & (ortho < _ROT_TOL) & (np.abs(det - 1.0) < _ROT_TOL)
+    r.flags.writeable = False
+    t.flags.writeable = False
+    for k, i in enumerate(live):
+        if not ok[k]:
+            fits[i] = DegenerateInputError("weighted_kabsch: weighted covariance is rank-"
+                                           "deficient (collinear or coincident support)")
+        elif not valid[k]:
+            fits[i] = ContractError("weighted_kabsch: fit fails the RigidTransform checks")
+        else:
+            fits[i] = RigidTransform._checked(r[k], t[k])
+    return fits
 
 
 @dataclass(frozen=True)
@@ -229,16 +261,24 @@ def select_best_transform(
     if len(candidates) == 0:
         raise DegenerateInputError("select_best_transform: empty candidate list")
     best: tuple[int, float, int] | None = None  # (-count, mean_res, index) minimized
-    counts = []
-    for i, cand in enumerate(candidates):
-        sq = _squared_residuals(cand, c)
+    counts: list[int] = []
+    step = kernels.transforms_per_block(len(c))
+    for lo in range(0, len(candidates), step):
+        block = candidates[lo:lo + step]
+        sq = kernels.squared_residuals(c.source, c.target,
+                                       np.stack([t.rotation for t in block]),
+                                       np.stack([t.translation for t in block]))
         hits = sq < delta * delta
-        count = int(hits.sum())
-        counts.append(count)
-        mean_res = float(np.sqrt(sq[hits]).mean()) if count > 0 else np.inf
-        key = (-count, mean_res, i)
-        if best is None or key < best:
-            best = key
+        block_counts = hits.sum(axis=0)
+        counts += block_counts.tolist()
+        top = int(block_counts.max())
+        if best is not None and -top > best[0]:
+            continue  # no candidate of this block reaches the best count
+        for j in np.flatnonzero(block_counts == top):
+            mean_res = float(np.sqrt(sq[hits[:, j], j]).mean()) if top > 0 else np.inf
+            key = (-top, mean_res, lo + int(j))
+            if best is None or key < best:
+                best = key
     idx = best[2]
     return SelectionResult(idx, candidates[idx], counts[idx], tuple(counts))
 

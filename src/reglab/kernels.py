@@ -1,9 +1,9 @@
 """Hot numeric kernels in numpy.
 
 The expensive inner loops of the package live here: building the
-N x N pairwise length-consistency matrix (or any rows of it), testing
-many rigid transforms for strict inliers at once, and scanning RANSAC
-minimal samples.
+N x N pairwise length-consistency matrix (or any rows of it), fitting
+and testing many rigid transforms at once, and scanning RANSAC minimal
+samples.
 """
 
 from __future__ import annotations
@@ -186,43 +186,71 @@ def consistency_row(src: np.ndarray, tgt: np.ndarray, i: int, sigma: float) -> n
     return consistency_rows(src, tgt, sigma, i, i + 1)[0]
 
 
-# -- stacked inlier tests and the RANSAC sample scan ------------------------
+# -- stacked rigid fits, inlier tests and the RANSAC sample scan -------------
 #
-# strict_inliers scores m rigid transforms at once: all of their residuals
-# come from one matmul ``src @ [R_1^T ... R_m^T]``. Callers take m from
-# transforms_per_block, so a block holds about _SCAN_BLOCK_ENTRIES residual
-# entries (N x 3 per transform) and scratch memory stays at a few MB
-# whatever N or the transform count.
+# rigid_fits is the one rotation solve: geometry's weighted fits and
+# ransac_scan's triples both call it, m covariances at a time. numpy runs
+# LAPACK and BLAS on a stack one matrix at a time, so each fit has the bits
+# of the one-matrix calls (tests/test_geometry.py).
 #
-# ransac_scan fits a rigid transform to each row of ``samples`` (three
-# distinct correspondence indices) and counts its strict inliers at
-# ``delta``. It returns (best_iteration, best_count); ties keep the earliest
-# iteration, geometrically degenerate triples are skipped with count -1.
-# best_iteration is -1 when every triple was degenerate (or there were no
-# samples). Each block's triples are fitted with one stacked SVD.
+# squared_residuals scores m transforms at once: one matmul
+# ``src @ [R_1^T ... R_m^T]``, and the squared components added x, y, z in
+# turn, the adds of (d * d).sum(axis=1) without numpy's slow length-3
+# reduce. Callers take m from transforms_per_block: about
+# _SCAN_BLOCK_ENTRIES residual entries (N x 3 per transform), so scratch
+# stays at a few MB, and at most _MAX_STACK transforms (192 columns).
+# OpenBLAS 0.3.31 on an AVX-512 Xeon rounds each column of a product of up
+# to 195 columns as the one-transform product does; it splits wider ones
+# and rounds some columns differently (tests/test_kernels.py).
+#
+# ransac_scan fits each row of ``samples`` (three distinct correspondence
+# indices) and counts its strict inliers at ``delta``. It returns
+# (best_iteration, best_count); ties keep the earliest iteration and
+# degenerate triples count -1. best_iteration is -1 when every triple was
+# degenerate (or there were no samples).
 
 _SCAN_BLOCK_ENTRIES = 1 << 16
+_MAX_STACK = 64
 
 
 def transforms_per_block(n: int) -> int:
-    """How many transforms strict_inliers should score at once for N pairs."""
-    return max(1, _SCAN_BLOCK_ENTRIES // (3 * max(n, 1)))
+    """How many transforms squared_residuals should score at once for N pairs."""
+    return max(1, min(_MAX_STACK, _SCAN_BLOCK_ENTRIES // (3 * max(n, 1))))
 
 
-def strict_inliers(src: np.ndarray, tgt: np.ndarray, rotations: np.ndarray,
-                   translations: np.ndarray, delta: float) -> np.ndarray:
-    """(N, m) mask: ||R_j src_i + t_j - tgt_i||^2 < delta^2 for m stacked transforms.
+def rigid_fits(h: np.ndarray, mu_src: np.ndarray,
+               mu_tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rotations, translations, ok) fitted to (m, 3, 3) covariances and (m, 3) centroids.
 
-    ``rotations`` is (m, 3, 3) and ``translations`` (m, 3). Column j goes
-    through the float operations of ``geometry.inlier_mask`` of transform
-    j in the same order, and equals it bit for bit (tests/test_kernels.py).
+    Rotations are proper; ``ok`` is False where the covariance is
+    rank-deficient (collinear or coincident support) or the alignment singular.
     """
+    u, s, vt = np.linalg.svd(h)
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    d = np.sign(np.linalg.det(v @ ut))
+    v[:, :, 2] *= d[:, None]                            # reflection guard
+    r = v @ ut
+    t = mu_tgt - (r @ mu_src[:, :, None])[:, :, 0]
+    return r, t, (s[:, 1] > 1e-9 * s[:, 0]) & (d != 0.0)
+
+
+def squared_residuals(src: np.ndarray, tgt: np.ndarray, rotations: np.ndarray,
+                      translations: np.ndarray) -> np.ndarray:
+    """(N, m) ||R_j src_i + t_j - tgt_i||^2 for (m, 3, 3) rotations and (m, 3) translations."""
     n = src.shape[0]
     res = (src @ rotations.transpose(2, 0, 1).reshape(3, -1)).reshape(n, -1, 3)
     res += translations
     res -= tgt[:, None]
     res *= res
-    return res.sum(axis=2) < delta * delta
+    sq = res[:, :, 0] + res[:, :, 1]
+    sq += res[:, :, 2]
+    return sq
+
+
+def strict_inliers(src: np.ndarray, tgt: np.ndarray, rotations: np.ndarray,
+                   translations: np.ndarray, delta: float) -> np.ndarray:
+    """(N, m) mask: ||R_j src_i + t_j - tgt_i||^2 < delta^2 for m stacked transforms."""
+    return squared_residuals(src, tgt, rotations, translations) < delta * delta
 
 
 def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
@@ -239,16 +267,12 @@ def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
     for lo in range(0, total, step):
         idx = samples[lo:lo + step]
         a, b = src[idx], tgt[idx]                       # (m, 3, 3)
-        ca, cb = a.mean(axis=1), b.mean(axis=1)         # (m, 3)
+        ca = (a[:, 0] + a[:, 1] + a[:, 2]) / 3.0        # a.mean(axis=1), bit for bit
+        cb = (b[:, 0] + b[:, 1] + b[:, 2]) / 3.0
         h = (a - ca[:, None]).transpose(0, 2, 1) @ (b - cb[:, None])
-        u, s, vt = np.linalg.svd(h)
-        v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
-        d = np.sign(np.linalg.det(v @ ut))
-        v[:, :, 2] *= d[:, None]                        # reflection guard
-        r = v @ ut
-        t = cb - (r @ ca[:, :, None])[:, :, 0]
+        r, t, ok = rigid_fits(h, ca, cb)
         block = strict_inliers(src, tgt, r, t, delta).sum(axis=0)
-        block[(s[:, 1] <= 1e-9 * s[:, 0]) | (d == 0.0)] = -1
+        block[~ok] = -1
         counts[lo:lo + step] = block
     best = int(np.argmax(counts))
     if counts[best] < 0:

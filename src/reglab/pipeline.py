@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .blocks import Ablation, GPINet
-from .errors import ConfigurationError, ContractError, DegenerateInputError
+from .errors import ConfigurationError, ContractError, DegenerateInputError, RegLabError
 from .geometry import (
     SCENES,
     DEFAULT_DELTA,
@@ -28,7 +28,7 @@ from .geometry import (
     RigidTransform,
     check_scene,
     count_inliers,
-    _kabsch,
+    _kabsch_stack,
     select_best_transform,
 )
 
@@ -160,10 +160,11 @@ def select_seeds(
 #
 # register runs the seeds in blocks of kernels.transforms_per_block(N): one
 # consistency_rows call gives a block's seed rows, which yield both the
-# consensus sets and the stage-1 weights, and one kernels.strict_inliers
-# call gives the strict inliers of all of the block's stage-1 transforms.
-# Stage 2 depends only on that inlier set (and the probabilities), so it
-# runs once per distinct set, and selection scores each distinct final
+# consensus sets and the stage-1 weights; one geometry._kabsch_stack call
+# fits the block's stage-1 transforms, and one kernels.strict_inliers call
+# gives all of their strict inliers. Stage 2 depends only on that inlier
+# set (and the probabilities), so it runs once per distinct set, again as
+# one stacked fit per block, and selection scores each distinct final
 # transform once. Working memory is O(block * N) whatever the seed count.
 # build_consensus and two_stage_estimate are the one-seed case.
 
@@ -188,28 +189,6 @@ def _seed_consensus(
     return rows, sets
 
 
-def _refit(
-    mask: np.ndarray,
-    c: CorrespondenceSet,
-    probs: np.ndarray,
-    fits: list[tuple[RigidTransform, np.ndarray]],
-) -> int | None:
-    """Stage 2: probability-weighted fit on a strict-inlier mask, added to fits.
-
-    Returns its index in ``fits``, or None when the set is thin (< 3
-    pairs) or degenerate.
-    """
-    idx = np.flatnonzero(mask)
-    if idx.size < 3:
-        return None
-    try:
-        transform = _kabsch(c.source[idx], c.target[idx], probs[idx])
-    except (DegenerateInputError, ContractError):
-        return None
-    fits.append((transform, idx.astype(np.int64)))
-    return len(fits) - 1
-
-
 def _two_stage_block(
     rows: np.ndarray,
     consensus: list[np.ndarray],
@@ -224,16 +203,16 @@ def _two_stage_block(
     Appends each new final (transform, members) to ``fits``, in seed
     order, and returns each seed's index into it; None marks a degenerate
     stage-1 consensus. ``refits`` maps every strict-inlier set met so far
-    to its stage-2 entry, or to None when that refit is impossible: such a
-    seed keeps its stage-1 transform and consensus as an entry of its own.
+    to its stage-2 entry, or to None when that refit is impossible (a thin
+    set of fewer than 3 pairs, or a degenerate one): such a seed keeps its
+    stage-1 transform and consensus as an entry of its own.
     """
-    stage1 = []
-    for row, members in zip(rows, consensus):
-        try:
-            stage1.append(_kabsch(c.source[members], c.target[members],
-                                  probs[members] * row[members]))
-        except (DegenerateInputError, ContractError):
-            stage1.append(None)
+    stage1 = [
+        None if isinstance(fit, RegLabError) else fit
+        for fit in _kabsch_stack([(c.source[members], c.target[members],
+                                   probs[members] * row[members])
+                                  for row, members in zip(rows, consensus)])
+    ]
     fitted = [t for t in stage1 if t is not None]
     if not fitted:
         return [None] * len(stage1)
@@ -243,15 +222,27 @@ def _two_stage_block(
         np.stack([t.translation for t in fitted]),
         delta,
     ).T))
+    keys: list[bytes | None] = []
+    new: dict[bytes, np.ndarray] = {}  # strict-inlier sets first met in this block
+    for transform in stage1:
+        mask = None if transform is None else next(masks)
+        keys.append(None if mask is None else mask.tobytes())
+        if mask is not None and keys[-1] not in refits and keys[-1] not in new:
+            new[keys[-1]] = np.flatnonzero(mask).astype(np.int64)
+    thick = [key for key, idx in new.items() if idx.size >= 3]
+    stage2 = dict(zip(thick, _kabsch_stack([(c.source[new[key]], c.target[new[key]],
+                                              probs[new[key]]) for key in thick])))
     picks: list[int | None] = []
-    for transform, members in zip(stage1, consensus):
+    for transform, members, key in zip(stage1, consensus, keys):
         if transform is None:
             picks.append(None)
             continue
-        mask = next(masks)
-        key = mask.tobytes()
         if key not in refits:
-            refits[key] = _refit(mask, c, probs, fits)
+            fit = stage2.get(key)
+            refits[key] = None
+            if fit is not None and not isinstance(fit, RegLabError):
+                fits.append((fit, new[key]))
+                refits[key] = len(fits) - 1
         if refits[key] is None:
             fits.append((transform, members))
             picks.append(len(fits) - 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
+from reglab import baselines
 from reglab.baselines import (
     minimal_samples,
     power_iteration,
@@ -270,6 +271,46 @@ def test_spectral_sweep_matches_row_recomputing_reference(scene, n, ratio, seed,
     want = _reference_greedy_sweep(c, result.confidences, sigma_d, tau)
     assert want.size >= (1 if tau == 1.0 else 3)  # at tau 1 only exact lengths survive
     assert np.array_equal(result.selected, want)
+
+
+def argmax_sweep(confidences, m, tau):
+    """The greedy sweep as written before: one argmax per selected pair."""
+    scores = confidences.copy()
+    selected = []
+    while True:
+        i = int(np.argmax(scores))
+        if scores[i] <= 0.0:
+            break
+        selected.append(i)
+        scores[i] = 0.0
+        scores[m[i] < tau] = 0.0
+    return np.asarray(selected, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_spectral_sweep_matches_argmax_loop_on_criterion_8_scenes(seed):
+    c, _ = generate(SceneConfig(n=60, outlier_ratio=0.4, noise_sigma=0.01, seed=80_000 + seed))
+    result = spectral_matching(c, sigma_d=0.10)
+    m = consistency_matrix(c.source, c.target, 0.10, zero_diagonal=True)
+    assert np.array_equal(result.selected, argmax_sweep(result.confidences, m, 0.5))
+
+
+@pytest.mark.parametrize("case", ["all_ties", "grouped_ties", "all_zero"])
+def test_spectral_sweep_matches_argmax_loop_on_ties_and_zeros(monkeypatch, case):
+    """Tied scores go to the lower index; all-zero scores select nothing."""
+    rng = make_rng(85)
+    n = 40
+    m = (rng.random((n, n)) < 0.7) * rng.uniform(0.3, 1.0, size=(n, n))
+    m = np.maximum(m, m.T)
+    np.fill_diagonal(m, 0.0)
+    v = {"all_ties": np.ones(n), "grouped_ties": rng.integers(0, 4, size=n) / 3.0,
+         "all_zero": -np.ones(n)}[case]
+    monkeypatch.setattr(baselines.kernels, "consistency_matrix", lambda *a, **k: m)
+    monkeypatch.setattr(baselines, "power_iteration", lambda *a, **k: (v, 1.0, 1, 0.0))
+    result = spectral_matching(CorrespondenceSet(np.zeros((n, 3)), np.zeros((n, 3))), 0.1, 0.5)
+    want = argmax_sweep(np.maximum(v, 0.0), m, 0.5)
+    assert np.array_equal(result.selected, want)
+    assert want.size == 0 if case == "all_zero" else 1 < want.size < n
 
 
 def test_spectral_four_pair_worked_example_matches_eigh():

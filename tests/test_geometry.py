@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import make_rng, random_correspondences, random_rotation, random_transform
 from reglab.errors import ContractError, DegenerateInputError, ShapeError
+from reglab import kernels
 from reglab.geometry import (
     DEFAULT_DELTA,
     _kabsch,
+    _kabsch_stack,
     SUCCESS_GATES,
     CorrespondenceSet,
     RigidTransform,
@@ -265,6 +267,122 @@ def test_unwrapped_kabsch_core_equals_weighted_kabsch_on_index_subsets(seed):
         _kabsch(c.source[idx], c.target[idx], two)
 
 
+def reference_kabsch(src, tgt, weights):
+    """The one-problem weighted Kabsch fit as written before the stacked solve."""
+    if np.any(weights < 0.0):
+        raise ContractError("negative weights")
+    total = weights.sum()
+    if not (total > 0.0):
+        raise ContractError("all weights are zero")
+    if int((weights > 0.0).sum()) < 3:
+        raise DegenerateInputError("fewer than 3 pairs with positive weight")
+    w = weights / total
+    mu_s = w @ src
+    mu_t = w @ tgt
+    h = ((src - mu_s) * w[:, None]).T @ (tgt - mu_t)
+    u, s, vt = np.linalg.svd(h)
+    if s[0] <= 0.0 or s[1] <= 1e-9 * s[0]:
+        raise DegenerateInputError("rank-deficient")
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    if d == 0.0:
+        raise DegenerateInputError("singular alignment")
+    rotation = (vt.T * np.array([1.0, 1.0, d])) @ u.T
+    return RigidTransform(rotation, mu_t - rotation @ mu_s)
+
+
+def fit_outcome(fit, *problem):
+    try:
+        return fit(*problem)
+    except (ContractError, DegenerateInputError) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert isinstance(got, want) or got is want
+    else:
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.translation, want.translation)
+
+
+def fit_problems(seed):
+    """Probability-weighted subsets of a noisy scene, and one problem per failure outcome."""
+    rng = make_rng(seed)
+    c, _ = random_correspondences(rng, n=200, noise=0.05)
+    probs = rng.uniform(0.0, 1.0, size=200)
+    problems = []
+    for _ in range(40):
+        idx = np.sort(rng.choice(200, size=int(rng.integers(3, 200)), replace=False))
+        problems.append((c.source[idx], c.target[idx], probs[idx] * rng.uniform(0, 1, idx.size)))
+    line = np.stack([[float(i), 2.0 * i, 0.0] for i in range(6)])
+    two = np.r_[1.0, 1.0, np.zeros(8)]
+    failures = [
+        (c.source[:10], c.target[:10], np.zeros(10)),                 # zero weight total
+        (c.source[:10], c.target[:10], -probs[:10]),                  # negative weights
+        (c.source[:10], c.target[:10], two),                          # < 3 positive weights
+        (line, line + 1.0, np.ones(6)),                               # collinear support
+        (np.zeros((5, 3)), np.zeros((5, 3)), np.ones(5)),             # coincident support
+    ]
+    for k, bad in enumerate(failures):
+        problems.insert(7 * k + 3, bad)
+    return problems
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_fits_equal_one_problem_fits_bit_for_bit(seed):
+    problems = fit_problems(4600 + seed)
+    got = _kabsch_stack(problems)
+    outcomes = set()
+    for problem, fit in zip(problems, got):
+        want = fit_outcome(reference_kabsch, *problem)
+        assert_same_outcome(fit, want)
+        assert_same_outcome(fit_outcome(_kabsch, *problem), want)
+        outcomes.add(want if isinstance(want, type) else RigidTransform)
+    assert outcomes == {RigidTransform, ContractError, DegenerateInputError}
+
+
+def test_stacked_fits_report_a_singular_alignment(monkeypatch):
+    """sign(det(V U^T)) == 0 marks that problem degenerate, as the one-problem fit does."""
+    problems = fit_problems(4700)[:6]
+    marked = reference_kabsch(*problems[4]).rotation  # V U^T itself when no flip was needed
+    real_det = np.linalg.det
+
+    def det(a):
+        out = np.asarray(real_det(a), dtype=np.float64)
+        hit = (np.asarray(a)[..., 0, 0] == marked[0, 0]) & (np.asarray(a)[..., 2, 2] == marked[2, 2])
+        return np.where(hit, 0.0, out)[()]
+
+    monkeypatch.setattr(np.linalg, "det", det)
+    got = _kabsch_stack(problems)
+    for k, problem in enumerate(problems):
+        want = fit_outcome(reference_kabsch, *problem)
+        assert (want is DegenerateInputError) == (k == 4)
+        assert_same_outcome(got[k], want)
+        assert_same_outcome(fit_outcome(_kabsch, *problem), want)
+
+
+def test_stacked_fits_report_a_failed_transform_check(monkeypatch):
+    """A fit failing RigidTransform's checks is a ContractError, stacked or alone."""
+    problems = fit_problems(4800)[:3]
+    src, _, weights = problems[1]
+    marked = (weights / weights.sum()) @ src  # its source centroid, as the fit forms it
+    real = kernels.rigid_fits
+
+    def skewed(h, mu_src, mu_tgt):
+        r, t, ok = real(h, mu_src, mu_tgt)
+        hit = (mu_src == marked).all(axis=1)
+        r[hit] = r[hit] @ np.array([[1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        return r, t, ok  # a shear keeps det(R) = 1 but breaks orthonormality
+
+    monkeypatch.setattr(kernels, "rigid_fits", skewed)
+    got = _kabsch_stack(problems)
+    assert isinstance(got[1], ContractError)
+    with pytest.raises(ContractError):
+        _kabsch(*problems[1])
+    for k in (0, 2):
+        assert_same_outcome(got[k], reference_kabsch(*problems[k]))
+
+
 # -- select_best_transform ----------------------------------------------------
 
 
@@ -319,6 +437,57 @@ def test_selection_counts_inliers_with_the_count_inliers_predicate():
     ident = RigidTransform.identity()
     assert count_inliers(ident, c, 0.1) == 4
     assert select_best_transform([ident], c, 0.1).inlier_count == 4
+
+
+def reference_select(candidates, c, delta):
+    """The per-candidate selection loop as written before the stacked kernel."""
+    best, counts = None, []
+    for i, cand in enumerate(candidates):
+        d = c.source @ cand.rotation.T + cand.translation - c.target
+        sq = (d * d).sum(axis=1)
+        hits = sq < delta * delta
+        count = int(hits.sum())
+        counts.append(count)
+        mean_res = float(np.sqrt(sq[hits]).mean()) if count > 0 else np.inf
+        key = (-count, mean_res, i)
+        if best is None or key < best:
+            best = key
+    return best[2], tuple(counts)
+
+
+def selection_cases():
+    """(candidates, c, delta): stacks of several blocks with tied counts and means."""
+    rng = make_rng(5100)
+    for n in (250, 2003):
+        c, gt = random_correspondences(rng, n=n, noise=0.04)
+        near = [RigidTransform(gt.rotation, gt.translation + rng.normal(scale=0.01, size=3))
+                for _ in range(4)]
+        far = RigidTransform(np.eye(3), np.array([1e3, 0.0, 0.0]))  # zero inliers
+        pool = [random_transform(rng) for _ in range(20)] + near + [gt, far]
+        picks = rng.integers(0, len(pool), size=3 * kernels.transforms_per_block(n) + 5)
+        yield [pool[i] for i in picks], c, 0.1  # repeats: tied counts and tied means
+        yield [far, far, random_transform(rng)], c, 0.1  # zero-inlier ties
+    src = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    c4 = CorrespondenceSet(src, src)
+    # equal counts and equal means from different candidates: the index decides
+    yield [RigidTransform(np.eye(3), np.array(t)) for t in
+           ([0.0, 0.05, 0.0], [0.05, 0.0, 0.0], [0.0, 0.0, 0.05], [0.0, -0.05, 0.0])], c4, 0.1
+    # a later block ties the best count with a lower mean residual
+    step = kernels.transforms_per_block(len(c4))
+    yield ([RigidTransform(np.eye(3), np.array([0.05, 0.0, 0.0]))] * step
+           + [RigidTransform(np.eye(3), np.array([0.0, 0.01, 0.0]))]), c4, 0.1
+    # residuals {0.05, 0.05} against {0, 0.08}: the mean of the residuals decides, not
+    # the mean of their squares
+    c2 = CorrespondenceSet(np.zeros((2, 3)), np.array([[0.0, 0.0, 0.0], [0.08, 0.0, 0.0]]))
+    yield [RigidTransform(np.eye(3), np.array([0.04, 0.03, 0.0])), RigidTransform.identity()], c2, 0.1
+
+
+def test_stacked_selection_equals_per_candidate_loop():
+    for candidates, c, delta in selection_cases():
+        got = select_best_transform(candidates, c, delta)
+        index, counts = reference_select(candidates, c, delta)
+        assert (got.index, got.counts) == (index, counts)
+        assert got.transform is candidates[index] and got.inlier_count == counts[index]
 
 
 def test_selection_empty_candidates_raise():

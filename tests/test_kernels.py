@@ -14,6 +14,7 @@ from reglab.kernels import (
     _MATRIX_BYTES_LIMIT,
     _MIN_BLOCK_PRODUCT,
     _ROW_BLOCK,
+    _MAX_STACK,
     _ROW_TILE,
     _SCAN_BLOCK_ENTRIES,
     consistency_matrix,
@@ -22,12 +23,13 @@ from reglab.kernels import (
     ransac_scan,
     row_blocks,
     softmax_rows,
+    squared_residuals,
     strict_inliers,
     transforms_per_block,
 )
 from reglab.autodiff import Tensor
 from reglab.blocks import GPINet
-from reglab.geometry import CorrespondenceSet, inlier_mask
+from reglab.geometry import CorrespondenceSet, RigidTransform, _squared_residuals, inlier_mask
 from reglab.synth import SceneConfig, generate
 
 BENCH_PARAMS = Path(__file__).resolve().parents[1] / "bench" / "model" / "params.json"
@@ -414,6 +416,80 @@ def test_strict_inliers_columns_equal_inlier_mask(n, m):
     for j, t in enumerate(transforms):
         assert np.array_equal(got[:, j], inlier_mask(t, c, 0.1))
     assert transforms_per_block(2000) == 10 and transforms_per_block(10**6) == 1
+
+
+def literal_squared_residuals(t, src, tgt):
+    """((R p + t - q)^2).sum(axis=1), written out with no kernel code."""
+    d = src @ t.rotation.T + t.translation - tgt
+    return (d * d).sum(axis=1)
+
+
+def boundary_scene(rng, n, delta):
+    """Noisy inliers of a random motion, outliers, and pairs exactly at delta.
+
+    Integer sources under a pure translation by whole numbers put the last
+    pairs at residual exactly delta (squared exactly delta^2) and the ones
+    before them at delta - 2^-48, just inside; every coordinate is exact.
+    """
+    src = rng.uniform(-2, 2, size=(n, 3))
+    gt = random_transform(rng)
+    tgt = gt.apply(src) + rng.normal(scale=0.06, size=(n, 3))
+    tgt[n // 2:] = rng.uniform(-4, 4, size=(n - n // 2, 3))
+    shift = RigidTransform(np.eye(3), np.array([1.0, -2.0, 3.0]))
+    edge = max(1, n // 10)
+    src[-edge:] = rng.integers(-5, 6, size=(edge, 3))
+    tgt[-edge:] = src[-edge:] + shift.translation + [delta, 0.0, 0.0]
+    inside = delta - 2.0**-48
+    tgt[-2 * edge:-edge] = src[-2 * edge:-edge] + shift.translation + [inside, 0.0, 0.0]
+    return CorrespondenceSet(src, tgt), gt, shift
+
+
+@pytest.mark.parametrize("n", [1, 7, 250, 2003])
+@pytest.mark.parametrize("m", [1, 5, 31])
+def test_squared_residuals_equal_one_transform_residuals_bit_for_bit(n, m):
+    """Each column is the one-transform residual, squared, in every bit, delta^2 included."""
+    rng = make_rng(900 + n + m)
+    c, gt, shift = boundary_scene(rng, n, 0.5)
+    transforms = [(gt, shift)[j % 2] if j % 3 else random_transform(rng) for j in range(m)]
+    got = squared_residuals(c.source, c.target, np.stack([t.rotation for t in transforms]),
+                            np.stack([t.translation for t in transforms]))
+    assert got.shape == (n, m)
+    for j, t in enumerate(transforms):
+        want = literal_squared_residuals(t, c.source, c.target)
+        assert np.array_equal(got[:, j], want)
+        assert np.array_equal(_squared_residuals(t, c), want)
+    if m > 1:
+        sq = got[:, 1]  # the shift: the last pairs sit at delta^2, the ones before just inside
+        edge = max(1, n // 10)
+        assert np.all(sq[-edge:] == 0.25) and not strict_inliers(
+            c.source[-edge:], c.target[-edge:], shift.rotation[None],
+            shift.translation[None], 0.5).any()
+        if n >= 2 * edge:
+            assert np.all(sq[-2 * edge:-edge] < 0.25)
+
+
+@pytest.mark.parametrize("n", [6, 250, 1001])
+def test_stacks_up_to_max_stack_keep_one_transform_bits(n):
+    """Every stack width transforms_per_block can return gives one-transform bits."""
+    rng = make_rng(950 + n)
+    c, gt, shift = boundary_scene(rng, n, 0.5)
+    transforms = [random_transform(rng) for _ in range(_MAX_STACK)]
+    rotations = np.stack([t.rotation for t in transforms])
+    translations = np.stack([t.translation for t in transforms])
+    single = np.stack([literal_squared_residuals(t, c.source, c.target) for t in transforms], axis=1)
+    for m in range(1, _MAX_STACK + 1):
+        assert np.array_equal(squared_residuals(c.source, c.target, rotations[:m],
+                                                translations[:m]), single[:, :m])
+    assert transforms_per_block(n) <= _MAX_STACK
+    assert transforms_per_block(1) == _MAX_STACK
+
+
+def test_triple_centroid_adds_equal_numpy_mean():
+    """ransac_scan's (a0 + a1 + a2) / 3 is numpy's mean over the triple, bit for bit."""
+    rng = make_rng(990)
+    for m in (1, 7, 64):
+        a = rng.normal(size=(m, 3, 3)) * rng.choice([1e-9, 1.0, 1e9], size=(m, 3, 3))
+        assert np.array_equal((a[:, 0] + a[:, 1] + a[:, 2]) / 3.0, a.mean(axis=1))
 
 
 # -- row softmax ------------------------------------------------------------------

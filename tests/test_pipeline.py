@@ -564,6 +564,28 @@ def test_register_matches_per_seed_loop_on_fallbacks(case):
     assert {label for label, _ in stages} == want
 
 
+def test_stage_one_fit_failing_the_transform_check_marks_its_seed_degenerate(monkeypatch):
+    """The stacked solve checks each fit as RigidTransform would; a failure is a degenerate seed."""
+    real = kernels.rigid_fits
+
+    def skewed(h, mu_src, mu_tgt):
+        r, t, ok = real(h, mu_src, mu_tgt)
+        r[1::2] *= -1.0  # every other fit of each stack: orthonormal, but det(R) = -1
+        return r, t, ok
+
+    c, _ = generate(SceneConfig(n=200, outlier_ratio=0.5, seed=73))
+    probs = c.labels.astype(np.float64)
+    clean = register(c, probabilities=probs)
+    monkeypatch.setattr(kernels, "rigid_fits", skewed)
+    got = register(c, probabilities=probs)
+    assert kernels.transforms_per_block(200) > got.seed_count  # the seeds form one block
+    assert not any(d["degenerate"] for d in clean.seed_diagnostics)
+    assert [d["degenerate"] for d in got.seed_diagnostics] == [
+        k % 2 == 1 for k in range(got.seed_count)
+    ]
+    assert got.ok and got.hypothesis_count == (got.seed_count + 1) // 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 100_000),
