@@ -60,9 +60,9 @@ class ModelConfig:
                 f"ModelConfig: channels {d} not divisible by shuffle_groups "
                 f"{self.shuffle_groups}"
             )
-        if self.sc_sigma <= 0.0:
+        if not 0.0 < self.sc_sigma < np.inf:
             raise ConfigurationError(
-                f"ModelConfig: sc_sigma must be positive, got {self.sc_sigma}"
+                f"ModelConfig: sc_sigma must be positive and finite, got {self.sc_sigma}"
             )
 
     def to_dict(self) -> dict:
@@ -77,6 +77,17 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelConfig":
+        """The config a JSON object holds: known fields only, each of its field's type."""
+        fields = ModelConfig().to_dict()
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"model config must be an object, got {doc!r}")
+        for key, value in doc.items():
+            if key not in fields:
+                raise ConfigurationError(f"model config has unknown field {key!r}")
+            want = type(fields[key])
+            if not (type(value) is want or want is float and type(value) is int):
+                raise ConfigurationError(
+                    f"model config field {key!r} must be a {want.__name__}, got {value!r}")
         return ModelConfig(**doc)
 
 
@@ -225,9 +236,9 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tens
     """softmax_rows(q k^T [* scale]) v, with an (N, N) map.
 
     When nothing tracks gradients the map is never stored: each block of
-    query rows is scored, softmaxed in place and applied to v on its own.
-    Softmax is per row, so the blocks see the same float operations as
-    the graph path and the result is bit-identical.
+    query rows is scored and applied to v on its own by
+    kernels.attend_rows. Softmax is per row, so the blocks see the same
+    float operations as the graph path and the result is bit-identical.
     """
     if q.requires_grad or k.requires_grad or v.requires_grad:
         scores = q.matmul(k.T)
@@ -240,7 +251,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tens
         s = q.value[lo:hi] @ kt
         if scale is not None:
             s *= scale
-        out[lo:hi] = kernels.softmax_rows(s) @ v.value
+        out[lo:hi] = kernels.attend_rows(s, v.value)
     return Tensor(out)
 
 
@@ -474,7 +485,10 @@ class GPINet:
     @staticmethod
     def load(path) -> "GPINet":
         config_doc, arrays = load_parameters(path)
-        config = ModelConfig.from_dict(config_doc) if config_doc else ModelConfig()
+        try:
+            config = ModelConfig.from_dict({} if config_doc is None else config_doc)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
         model = GPINet(config, seed=0)
         params = model.parameters()
         param_arrays = {k: v for k, v in arrays.items() if k in params}

@@ -39,6 +39,24 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CACHE_ENTRIES // max(width, 1))
 
 
+def _shift_rows(x: np.ndarray) -> np.ndarray:
+    """Subtract each row's max in place; returns the mask of entries exp keeps."""
+    x -= x.max(axis=1, keepdims=True)
+    return x >= _EXP_ZERO_BELOW
+
+
+def _finish_rows(x: np.ndarray, live: np.ndarray) -> None:
+    """exp over the sum, in place, of rows already shifted by _shift_rows."""
+    if live.all():
+        np.exp(x, out=x)
+    else:
+        # the skipped entries are below the floor, or NaN: maximum
+        # turns the former into exp's +0.0 and keeps the latter
+        np.exp(x, out=x, where=live)
+        np.maximum(x, 0.0, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+
+
 def softmax_rows(s: np.ndarray) -> np.ndarray:
     """Row softmax of a C-contiguous 2-D float64 array, in place; returns ``s``.
 
@@ -48,17 +66,37 @@ def softmax_rows(s: np.ndarray) -> np.ndarray:
     step = _chunk_rows(s.shape[1])
     for lo in range(0, s.shape[0], step):
         x = s[lo:lo + step]
-        x -= x.max(axis=1, keepdims=True)
-        live = x >= _EXP_ZERO_BELOW
-        if live.all():
-            np.exp(x, out=x)
-        else:
-            # the skipped entries are below the floor, or NaN: maximum
-            # turns the former into exp's +0.0 and keeps the latter
-            np.exp(x, out=x, where=live)
-            np.maximum(x, 0.0, out=x)
-        x /= x.sum(axis=1, keepdims=True)
+        _finish_rows(x, _shift_rows(x))
     return s
+
+
+def attend_rows(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``softmax_rows(s) @ v``, bit for bit; ``s`` is overwritten.
+
+    A row whose one live entry (at or above _EXP_ZERO_BELOW after the
+    shift) is j softmaxes to exactly e_j, and BLAS sums that row's product
+    from a zeroed register: v[j] plus terms 0 * v that are all +-0.0, i.e.
+    ``v[j] + 0.0`` (which turns -0.0 into +0.0). While every row has one
+    live entry and v is finite (0 * inf is NaN), the rows are gathered; at
+    the first chunk that fails, the chunks shifted so far are finished and
+    the product runs as usual.
+    """
+    step = _chunk_rows(s.shape[1])
+    hot = np.empty(s.shape[0], dtype=np.intp) if np.isfinite(v).all() else None
+    for lo in range(0, s.shape[0], step):
+        x = s[lo:lo + step]
+        live = _shift_rows(x)
+        # one live entry per row: as many as rows, and none of them empty
+        if hot is not None and np.count_nonzero(live) == len(x) and live.any(axis=1).all():
+            hot[lo:lo + step] = live.argmax(axis=1)
+            continue
+        if hot is not None:
+            for done in range(0, lo, step):             # the chunks shifted so far
+                y = s[done:done + step]
+                _finish_rows(y, y >= _EXP_ZERO_BELOW)
+            hot = None
+        _finish_rows(x, live)
+    return s @ v if hot is None else v[hot] + 0.0
 
 
 # -- pairwise length-consistency matrix ------------------------------------
@@ -130,7 +168,7 @@ def _distance_rows(pts: np.ndarray, rows, cols: np.ndarray, out: np.ndarray,
 def _consistency_block(src: np.ndarray, tgt: np.ndarray, sigma: float,
                        rows: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
     """sc(i, j) for i in ``rows`` and j >= ``first``, written into ``out``."""
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError(f"consistency_rows: sigma must be positive, got {sigma}")
     src = np.ascontiguousarray(src, dtype=np.float64)
     tgt = np.ascontiguousarray(tgt, dtype=np.float64)

@@ -86,6 +86,33 @@ def test_model_config_round_trip():
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+def test_model_config_rejects_non_finite_sc_sigma(sigma):
+    with pytest.raises(ConfigurationError, match="sc_sigma"):
+        ModelConfig(sc_sigma=sigma)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"bogus": 1}, "bogus"),
+    ({"channels": "32"}, "channels"),
+    ({"channels": 32.0}, "channels"),
+    ({"channels": True}, "channels"),
+    ({"sc_sigma": "0.1"}, "sc_sigma"),
+    ({"sc_sigma": None}, "sc_sigma"),
+    ({"top_down_include_finest": 1}, "top_down_include_finest"),
+    ([["channels", 32]], "object"),
+], ids=["unknown", "str_int", "float_int", "bool_int", "str_float", "none_float", "int_bool",
+        "list"])
+def test_model_config_from_dict_rejects_unknown_and_mistyped_fields(doc, field):
+    with pytest.raises(ConfigurationError, match=field):
+        ModelConfig.from_dict(doc)
+
+
+def test_model_config_from_dict_takes_an_integer_sigma():
+    assert ModelConfig.from_dict({"sc_sigma": 1, "top_down_include_finest": True}) == ModelConfig(
+        sc_sigma=1.0, top_down_include_finest=True)
+
+
 def test_ablation_parsing_and_tags():
     assert Ablation.from_names([]) == Ablation()
     assert Ablation.from_names(["gfa"]).disabled() == ("gfa",)

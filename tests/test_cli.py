@@ -197,6 +197,15 @@ MALFORMED_INPUTS = {
     "ply_header_line_truncated": ("src.ply", "ply\nformat\nend_header\n", "--source-ply"),
     "params_not_json": ("params.json", "{bad", "--params"),
     "params_entry_lacks_shape": ("params.json", '{"parameters": {"a": {}}}', "--params"),
+    "params_config_unknown_key": ("params.json", '{"config": {"bogus": 1}, "parameters": {}}',
+                                  "--params"),
+    "params_config_wrong_type": ("params.json", '{"config": {"channels": "32"}, "parameters": {}}',
+                                 "--params"),
+    "params_config_is_list": ("params.json", '{"config": [32, 3], "parameters": {}}', "--params"),
+    "params_sc_sigma_nan": ("params.json", '{"config": {"sc_sigma": NaN}, "parameters": {}}',
+                            "--params"),
+    "params_sc_sigma_infinite": ("params.json",
+                                 '{"config": {"sc_sigma": Infinity}, "parameters": {}}', "--params"),
 }
 
 

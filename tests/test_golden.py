@@ -78,7 +78,11 @@ def build_artifacts() -> dict[str, bytes]:
 # (seed 5) with one BLAS thread: its maps span several row blocks and
 # cache chunks, which the N <= 500 goldens do not. Predict bytes at this N
 # depend on the BLAS thread count, hence the pinned single thread.
+# The bench model's attention rows each hold one live entry, so its hash
+# pins the gathered rows; an untrained GPINet(seed=0) has dense maps, so
+# its hash pins the softmax-and-product path.
 LARGE_PREDICT_SHA256 = "1f73041bec4381fe089f76e2d4b8a4ba67b6a88b40a147a3325c4fc4274aa840"
+LARGE_UNTRAINED_PREDICT_SHA256 = "0236b13394247841346f036c13689c9cfd71ad60b079124f7b5f2e4efed78bc3"
 
 
 def test_params_file_is_the_bench_model():
@@ -93,7 +97,8 @@ def test_outputs_match_goldens_byte_for_byte():
     assert changed == []
 
 
-def test_predict_at_large_n_with_one_blas_thread_matches_pinned_hash():
+def _large_predict_sha256(model: str) -> str:
+    """sha256 of ``model``'s probabilities on the N=2003 scene, in a one-thread child."""
     import os
     import subprocess
 
@@ -104,7 +109,7 @@ def test_predict_at_large_n_with_one_blas_thread_matches_pinned_hash():
         "from reglab.blocks import GPINet\n"
         "from reglab.synth import SceneConfig, generate\n"
         "c, _ = generate(SceneConfig(n=2003, outlier_ratio=0.8, scene='outdoor', seed=5))\n"
-        "probs = GPINet.load(sys.argv[1]).predict(c)\n"
+        f"probs = {model}.predict(c)\n"
         "print(hashlib.sha256(probs.tobytes()).hexdigest())\n"
     )
     package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.__file__)))
@@ -117,7 +122,15 @@ def test_predict_at_large_n_with_one_blas_thread_matches_pinned_hash():
         check=False,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == LARGE_PREDICT_SHA256
+    return out.stdout.strip()
+
+
+def test_predict_at_large_n_with_one_blas_thread_matches_pinned_hash():
+    assert _large_predict_sha256("GPINet.load(sys.argv[1])") == LARGE_PREDICT_SHA256
+
+
+def test_untrained_predict_at_large_n_with_one_blas_thread_matches_pinned_hash():
+    assert _large_predict_sha256("GPINet(seed=0)") == LARGE_UNTRAINED_PREDICT_SHA256
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from reglab.kernels import (
     _MAX_STACK,
     _ROW_TILE,
     _SCAN_BLOCK_ENTRIES,
+    attend_rows,
     consistency_matrix,
     consistency_row,
     consistency_rows,
@@ -115,7 +116,7 @@ def test_consistency_matrix_perfect_rigid_pair_is_all_ones():
     np.testing.assert_allclose(m, np.ones((25, 25)), atol=1e-9)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -0.5])
+@pytest.mark.parametrize("sigma", [0.0, -0.5, np.nan])
 def test_consistency_matrix_rejects_nonpositive_sigma(sigma):
     pts = np.zeros((4, 3))
     with pytest.raises(ValueError):
@@ -501,25 +502,30 @@ def softmax_reference(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def bench_model_scores(monkeypatch, n: int) -> list[np.ndarray]:
-    """The N-wide score blocks that predict softmaxes under the bench model.
+def bench_model_attention(monkeypatch, n: int, scene: str = "outdoor", outlier_ratio: float = 0.8,
+                          seed: int = 2) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (scores, v) blocks that predict attends with under the bench model.
 
     These are GFA's row attention and its two cross attentions.
     """
     blocks = []
 
-    def record(s):
-        if s.shape[1] == n:
-            blocks.append(s.copy())
-        return softmax_rows(s)
+    def record(s, v):
+        blocks.append((s.copy(), v))
+        return attend_rows(s, v)
 
     model = GPINet.load(BENCH_PARAMS)
-    c, _ = generate(SceneConfig(n=n, outlier_ratio=0.8, scene="outdoor", seed=2))
+    c, _ = generate(SceneConfig(n=n, outlier_ratio=outlier_ratio, scene=scene, seed=seed))
     with monkeypatch.context() as patch:
-        patch.setattr(reglab.kernels, "softmax_rows", record)
+        patch.setattr(reglab.kernels, "attend_rows", record)
         model.predict(c)
     assert len(blocks) == 3 * len(list(row_blocks(n, 32 * n)))
     return blocks
+
+
+def bench_model_scores(monkeypatch, n: int) -> list[np.ndarray]:
+    """The N-wide score blocks that predict softmaxes under the bench model."""
+    return [s for s, _ in bench_model_attention(monkeypatch, n)]
 
 
 def test_exp_returns_positive_zero_below_the_floor():
@@ -616,3 +622,107 @@ def test_tensor_softmax_rows_uses_the_kernel_and_keeps_its_input(monkeypatch):
     y = t.softmax_rows()
     assert np.array_equal(y.value, softmax_reference(kept))
     assert np.array_equal(scores, kept)
+
+
+# -- one-live-entry attention ---------------------------------------------------
+
+
+def check_attend(s, v):
+    """attend_rows(s, v) has the bytes of softmax_rows(s) @ v; True if it gathered.
+
+    The gather leaves ``s`` shifted (row max 0.0); the dense path leaves it
+    softmaxed (row max 1.0 on a finite row, NaN on a NaN row).
+    """
+    x = s.copy()
+    with np.errstate(invalid="ignore"):
+        want = softmax_rows(s.copy()) @ v
+        got = attend_rows(x, v)
+    gathered = bool(np.all(x.max(axis=1) == 0.0))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return gathered
+
+
+def one_hot_scores(rng, m, n):
+    """(m, n) scores whose rows each hold one entry above exp's floor after the shift."""
+    s = rng.uniform(-5000.0, -1000.0, size=(m, n))
+    s[np.arange(m), rng.integers(0, n, size=m)] = rng.uniform(-3.0, 3.0, size=m)
+    return s
+
+
+def awkward_values(rng, n, d=9):
+    """(n, d) finite values with signed zeros, subnormals and magnitudes near 1e300."""
+    v = rng.normal(size=(n, d))
+    v[:, 0] = -0.0                      # every term is -0.0; BLAS still returns +0.0
+    v[:, 1] = -np.abs(v[:, 1])
+    v[::2, 1] = -0.0
+    v[:, 2] = 0.0
+    v[:, 3] = 5e-324 * rng.integers(-9, 9, size=n)          # subnormals, +-0.0
+    v[:, 4] = -2.2e-308 * rng.uniform(0.0, 1.0, size=n)
+    v[:, 5] = 1e300 * rng.uniform(-1.7, 1.7, size=n)
+    return v
+
+
+@pytest.mark.parametrize("n", [1, 7, 250, 257, 2003])
+def test_attend_rows_gathers_one_live_entry_rows_bit_for_bit(n):
+    rng = make_rng(n + 40)
+    v = awkward_values(rng, n)
+    for m in (1, 3, 24, 240, 241):
+        assert check_attend(one_hot_scores(rng, m, n), v)
+
+
+@pytest.mark.parametrize("n", [2, 7, 250, 2003])
+def test_attend_rows_falls_back_on_a_tie_at_the_row_max(n):
+    rng = make_rng(n + 41)
+    s = one_hot_scores(rng, 240, n)
+    row = s[-1]
+    row[(row.argmax() + 1) % n] = row.max()
+    assert not check_attend(s, awkward_values(rng, n))
+
+
+@pytest.mark.parametrize("n", [7, 257, 2003])
+def test_attend_rows_finishes_every_chunk_when_the_last_one_fails(n):
+    """Two live entries in the last chunk of a block: the shifted chunks before it
+    must be finished too."""
+    rng = make_rng(n + 42)
+    m = max(240, 3 * (_CACHE_ENTRIES // n))             # several chunks of rows
+    s = one_hot_scores(rng, m, n)
+    row = s[-1]
+    row[(row.argmax() + 3) % n] = row.max() - 700.0
+    assert not check_attend(s, awkward_values(rng, n))
+
+
+def test_attend_rows_on_nan_and_infinite_scores():
+    rng = make_rng(43)
+    n = 6
+    v = awkward_values(rng, n)
+    s = one_hot_scores(rng, 5, n)
+    s[1, 2] = -np.inf                                   # still one live entry
+    assert check_attend(s, v)
+    for bad in ([np.nan] + [0.0] * (n - 1), [np.inf] + [0.0] * (n - 1), [-np.inf] * n,
+                [np.inf, np.inf, 0.0, 0.0, 0.0, 0.0], [-np.inf] * (n - 1) + [np.inf]):
+        t = s.copy()
+        t[3] = bad
+        assert not check_attend(t, v)
+        t[4, (t[4].argmax() + 1) % n] = t[4].max()  # as many live entries as rows
+        assert not check_attend(t, v)
+
+
+@pytest.mark.parametrize("n", [1, 7, 2003])
+def test_attend_rows_takes_the_dense_path_on_infinite_values(n):
+    """0 * inf is NaN, so a gathered row would miss the NaN the product holds."""
+    rng = make_rng(n + 44)
+    s = one_hot_scores(rng, 240, n)
+    for value in (np.inf, -np.inf, np.nan):
+        v = awkward_values(rng, n)
+        v[n // 2, 6] = value
+        assert not check_attend(s, v)
+
+
+def test_attend_rows_on_bench_model_attention(monkeypatch):
+    """Indoor N=256 (train_toy's scenes) reaches the dense path; outdoor N=600 does not."""
+    indoor = bench_model_attention(monkeypatch, 256, scene="indoor", outlier_ratio=0.5, seed=5)
+    outdoor = bench_model_attention(monkeypatch, 600)
+    paths = {name: [check_attend(s, v) for s, v in blocks]
+             for name, blocks in (("indoor", indoor), ("outdoor", outdoor))}
+    assert all(paths["outdoor"])
+    assert any(paths["indoor"]) and not all(paths["indoor"])

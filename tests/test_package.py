@@ -15,3 +15,22 @@ def test_top_level_surface_is_the_documented_api():
         "run_experiment", "RegLabError",
     ])
     assert reglab.__version__ == "0.1.0"
+
+
+def test_the_package_writes_nothing_to_stdout(capfd):
+    """The last stdout line of bench/run.py is its result, so library calls
+    must leave stdout alone, at the file-descriptor level too."""
+    from pathlib import Path
+
+    from reglab.evaluate import TrainConfig, train_toy
+
+    params = Path(__file__).resolve().parents[1] / "bench" / "model" / "params.json"
+    model = reglab.GPINet.load(params)
+    c, _ = reglab.generate(reglab.SceneConfig(n=250, outlier_ratio=0.5, seed=7))
+    model.predict(c)
+    for method in reglab.METHODS:
+        assert reglab.solve(method, c, reglab.RegistrationConfig(), model,
+                            ransac_iterations=100).ok
+    train_toy(TrainConfig(iterations=5))
+    out, _ = capfd.readouterr()
+    assert out == ""
