@@ -8,8 +8,10 @@ accumulates gradients into every tensor created with
 
 The operation set is exactly the closure needed by the network blocks:
 matmul, transpose, broadcast add/sub/mul/div, relu, sigmoid, log, sqrt,
-clip, row softmax, sum/mean reductions, column concatenation and channel
-shuffling. Scalars ride along as (1, 1) tensors.
+clip, sum/mean reductions, column concatenation and channel shuffling.
+Scalars ride along as (1, 1) tensors. The network's two N x N ops, the
+row-blocked attention and consistency mix, are nodes of their own built
+in ``blocks`` through ``Tensor._make`` and ``recording``.
 
 Graphs are cheap throwaway objects: build, call backward once, drop.
 Inference code wraps forwards in ``no_grad()`` so no graph is recorded.
@@ -21,7 +23,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import kernels
 from .errors import ContractError, ShapeError
 
 _GRAD_ENABLED = True
@@ -37,6 +38,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def recording(*tensors: "Tensor") -> bool:
+    """Whether an op on ``tensors`` records a backward: one tracks gradients, outside no_grad."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
 
 
 def _as_value(x) -> np.ndarray:
@@ -96,17 +102,19 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # No gradient is ever written in place, so a C-ordered first one is kept
+        # as given, shared or not, and later ones add into a new array.
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = np.ascontiguousarray(g)
         else:
-            self.grad += g
+            self.grad = np.add(self.grad, g, order="C")
 
     @staticmethod
     def _make(value: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.value = value
         out.grad = None
-        track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        track = recording(*parents)
         out.requires_grad = track
         out._parents = parents if track else ()
         out._backward = backward if track else None
@@ -263,17 +271,6 @@ class Tensor:
         return Tensor._make(np.clip(a.value, lo, hi), (a,), backward)
 
     # -- structured ops --------------------------------------------------------
-
-    def softmax_rows(self) -> "Tensor":
-        a = self
-        y = kernels.softmax_rows(np.array(a.value, order="C"))
-
-        def backward(g):
-            if a.requires_grad:
-                inner = (g * y).sum(axis=1, keepdims=True)
-                a._accumulate(y * (g - inner))
-
-        return Tensor._make(y, (a,), backward)
 
     def sum(self, axis: int | None = None) -> "Tensor":
         a = self

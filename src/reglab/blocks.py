@@ -19,12 +19,12 @@ forwards are deterministic for a fixed parameter seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import kernels
-from .autodiff import Tensor, concat_cols, no_grad
+from .autodiff import Tensor, concat_cols, no_grad, recording
 from .errors import ConfigurationError, DegenerateInputError
 from .geometry import CorrespondenceSet
 from .nn import BatchNorm, InstanceNorm, Linear, flatten_tensors
@@ -43,6 +43,11 @@ class ModelConfig:
     top_down_include_finest: bool = False
 
     def __post_init__(self):
+        for field in fields(self):
+            value, want = getattr(self, field.name), type(field.default)
+            if not (type(value) is want or want is float and type(value) is int):
+                raise ConfigurationError(
+                    f"model config field {field.name!r} must be a {want.__name__}, got {value!r}")
         d, t = self.channels, self.granularities
         if t < 1:
             raise ConfigurationError(f"ModelConfig: granularities must be >= 1, got {t}")
@@ -50,44 +55,26 @@ class ModelConfig:
             raise ConfigurationError(
                 f"ModelConfig: channels {d} not divisible by 2^granularities = {2 ** t}"
             )
-        if d % self.bottleneck_ratio != 0:
-            raise ConfigurationError(
-                f"ModelConfig: channels {d} not divisible by bottleneck_ratio "
-                f"{self.bottleneck_ratio}"
-            )
-        if d % self.shuffle_groups != 0:
-            raise ConfigurationError(
-                f"ModelConfig: channels {d} not divisible by shuffle_groups "
-                f"{self.shuffle_groups}"
-            )
+        for name in ("bottleneck_ratio", "shuffle_groups"):
+            if getattr(self, name) < 1 or d % getattr(self, name) != 0:
+                raise ConfigurationError(
+                    f"ModelConfig: channels {d} not divisible by {name} {getattr(self, name)}")
         if not 0.0 < self.sc_sigma < np.inf:
             raise ConfigurationError(
                 f"ModelConfig: sc_sigma must be positive and finite, got {self.sc_sigma}"
             )
 
     def to_dict(self) -> dict:
-        return {
-            "channels": self.channels,
-            "granularities": self.granularities,
-            "bottleneck_ratio": self.bottleneck_ratio,
-            "shuffle_groups": self.shuffle_groups,
-            "sc_sigma": self.sc_sigma,
-            "top_down_include_finest": self.top_down_include_finest,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelConfig":
         """The config a JSON object holds: known fields only, each of its field's type."""
-        fields = ModelConfig().to_dict()
         if not isinstance(doc, dict):
             raise ConfigurationError(f"model config must be an object, got {doc!r}")
-        for key, value in doc.items():
-            if key not in fields:
+        for key in doc:
+            if key not in ModelConfig.__dataclass_fields__:
                 raise ConfigurationError(f"model config has unknown field {key!r}")
-            want = type(fields[key])
-            if not (type(value) is want or want is float and type(value) is int):
-                raise ConfigurationError(
-                    f"model config field {key!r} must be a {want.__name__}, got {value!r}")
         return ModelConfig(**doc)
 
 
@@ -159,14 +146,7 @@ class ContextualEmbedding:
             raise DegenerateInputError(f"ContextualEmbedding: needs N >= 4, got {n}")
         raw = Tensor(np.concatenate([c.source, c.target], axis=1))
         feats = self.mix(self.norm(self.lift(raw)).relu())
-        if feats.requires_grad:
-            sc = kernels.consistency_matrix(c.source, c.target, self.sc_sigma)
-            return feats + Tensor(sc).matmul(feats) * (1.0 / n)
-        mixed = np.empty(feats.shape)
-        for lo, hi in kernels.row_blocks(n, n * feats.shape[1]):
-            sc = kernels.consistency_rows(c.source, c.target, self.sc_sigma, lo, hi)
-            mixed[lo:hi] = sc @ feats.value
-        return feats + Tensor(mixed) * (1.0 / n)
+        return feats + _consistency_mix(c, self.sc_sigma, feats) * (1.0 / n)
 
     def tensors(self):
         return {"lift": self.lift.tensors(), "mix": self.mix.tensors()}
@@ -232,27 +212,73 @@ class OrthogonalIntegration:
         }
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
-    """softmax_rows(q k^T [* scale]) v, with an (N, N) map.
+def _consistency_mix(c: CorrespondenceSet, sigma: float, feats: Tensor) -> Tensor:
+    """SC @ feats for the (N, N) consistency matrix SC, one row block at a time.
 
-    When nothing tracks gradients the map is never stored: each block of
-    query rows is scored and applied to v on its own by
-    kernels.attend_rows. Softmax is per row, so the blocks see the same
-    float operations as the graph path and the result is bit-identical.
+    A block of SC is kept only when the product records a backward; SC is
+    a symmetric constant, so the gradient of feats is SC @ g, block by block.
     """
-    if q.requires_grad or k.requires_grad or v.requires_grad:
-        scores = q.matmul(k.T)
-        if scale is not None:
-            scores = scores * scale
-        return scores.softmax_rows().matmul(v)
+    n = len(c)
+    mixed = np.empty(feats.shape)
+    kept = [] if recording(feats) else None
+    for lo, hi in kernels.row_blocks(n, n * feats.shape[1]):
+        sc = kernels.consistency_rows(c.source, c.target, sigma, lo, hi)
+        mixed[lo:hi] = sc @ feats.value
+        if kept is not None:
+            kept.append(sc)
+
+    def backward(g):
+        feats._accumulate(np.concatenate([sc @ g for sc in kept]))
+
+    return Tensor._make(mixed, (feats,), backward)
+
+
+def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
+    """softmax_rows(q k^T [* scale]) v, one block of query rows at a time.
+
+    The map is never stored. The forward hands each block of scores to
+    kernels.attend_rows. The backward scores the block again, recomputes
+    its softmax P and takes the block's share of every gradient:
+    dV += P^T g, dS = P * (dP - rowsum(dP * P)) with dP = g V^T, then
+    dQ = dS K and dK^T += Q^T dS (FlashAttention's backward; a whole key
+    row fits in the block, so no online rescaling). Softmax is per row,
+    so every block sees the float operations of the whole map.
+    """
     kt = np.ascontiguousarray(k.value.T)
-    out = np.empty((q.shape[0], v.shape[1]))
-    for lo, hi in kernels.row_blocks(q.shape[0], k.shape[0] * min(q.shape[1], v.shape[1])):
+    blocks = list(kernels.row_blocks(q.shape[0], k.shape[0] * min(q.shape[1], v.shape[1])))
+
+    def scores(lo, hi):
         s = q.value[lo:hi] @ kt
         if scale is not None:
             s *= scale
-        out[lo:hi] = kernels.attend_rows(s, v.value)
-    return Tensor(out)
+        return s
+
+    out = np.empty((q.shape[0], v.shape[1]))
+    for lo, hi in blocks:
+        out[lo:hi] = kernels.attend_rows(scores(lo, hi), v.value)
+
+    def backward(g):
+        dq = np.empty(q.shape)
+        for lo, hi in blocks:
+            p = kernels.softmax_rows(scores(lo, hi))
+            ds = g[lo:hi] @ v.value.T                         # dP, then dS in place
+            ds -= (ds * p).sum(axis=1, keepdims=True)
+            ds *= p
+            if scale is not None:
+                ds *= scale
+            dq[lo:hi] = ds @ kt.T
+            if lo == 0:
+                dv, dkt = p.T @ g[lo:hi], q.value[lo:hi].T @ ds
+            else:
+                dv += p.T @ g[lo:hi]
+                dkt += q.value[lo:hi].T @ ds
+        # v, then q, then k, as the graph formula added them: the order of the sums
+        # decides the bits of a tensor that also feeds other ops (GFA's at_rows)
+        v._accumulate(dv)
+        q._accumulate(dq)
+        k._accumulate(dkt.T)
+
+    return Tensor._make(out, (q, k, v), backward)
 
 
 class GestaltAttention:
@@ -282,8 +308,7 @@ class GestaltAttention:
 
         at_rows = self.pw_rows(_attend(q, k, v)) + feats
 
-        chan_map = q.T.matmul(k).softmax_rows()              # (d, d)
-        at_channels = self.pw_channels(chan_map.matmul(v.T).T) + feats
+        at_channels = self.pw_channels(_attend(q.T, k.T, v.T).T) + feats   # a (d, d) map
 
         scale = 1.0 / np.sqrt(self.d)
         out_rows = self.pw_cross_rows(_attend(at_rows, at_channels, at_channels, scale)) + at_rows
@@ -317,9 +342,6 @@ class MixUnit:
     def tensors(self):
         return {"bnorm": self.bnorm.tensors(), "lin": self.lin.tensors()}
 
-    def buffers(self):
-        return {"bnorm": self.bnorm.buffers()}
-
 
 class MultiGranularityMixer:
     """Channel-pyramid aggregation of the two attention outputs.
@@ -345,7 +367,6 @@ class MultiGranularityMixer:
         td_levels = list(range(t_max - 1, -1 if cfg.top_down_include_finest else 0, -1))
         self.top_down = {t: MixUnit(widths[t + 1], widths[t], rng) for t in td_levels}
         self.fusion = MixUnit(fused_width(d, t_max), d, rng)
-        self.last_concat_width: int | None = None
 
     def build_pyramid(self, feats: Tensor) -> list[Tensor]:
         levels = [feats]
@@ -361,7 +382,6 @@ class MultiGranularityMixer:
         for t in sorted(self.top_down, reverse=True):
             g[t] = g[t] + self.top_down[t](g[t + 1], mode)
         stacked = concat_cols([f[t] + g[t] for t in range(self.t_max + 1)])
-        self.last_concat_width = stacked.shape[1]
         fusedv = self.fusion(stacked, mode)
         return fusedv.channel_shuffle(self.shuffle_groups)
 
@@ -371,14 +391,6 @@ class MultiGranularityMixer:
             tree[f"bottom_up_{t}"] = unit.tensors()
         for t, unit in self.top_down.items():
             tree[f"top_down_{t}"] = unit.tensors()
-        return tree
-
-    def buffers(self):
-        tree = {"fusion": self.fusion.buffers()}
-        for t, unit in self.bottom_up.items():
-            tree[f"bottom_up_{t}"] = unit.buffers()
-        for t, unit in self.top_down.items():
-            tree[f"top_down_{t}"] = unit.buffers()
         return tree
 
 
@@ -435,7 +447,7 @@ class GPINet:
             fusedv = at_rows
         else:
             fusedv = self.dmg(at_rows, at_channels, mode)
-            diagnostics["concat_width"] = self.dmg.last_concat_width
+            diagnostics["concat_width"] = self.dmg.fusion.bnorm.width
         probs = self.head(fusedv)
         return probs, diagnostics
 
@@ -460,18 +472,9 @@ class GPINet:
         return flatten_tensors(self.tensor_tree())
 
     def buffers(self) -> dict[str, np.ndarray]:
-        flat: dict[str, np.ndarray] = {}
-
-        def walk(tree: dict, prefix: str):
-            for key, node in tree.items():
-                name = f"{prefix}{key}"
-                if isinstance(node, dict):
-                    walk(node, f"{name}.")
-                elif node is not None:
-                    flat[name] = node
-
-        walk({"dmg": self.dmg.buffers()}, "")
-        return flat
+        """The populated running statistics, by dotted name."""
+        return {f"{name}.{key}": value for name, layer in self.batch_norms().items()
+                for key, value in layer.buffers().items() if value is not None}
 
     def batch_norms(self) -> dict[str, BatchNorm]:
         named = {f"dmg.bottom_up_{t}.bnorm": u.bnorm for t, u in self.dmg.bottom_up.items()}
@@ -494,13 +497,8 @@ class GPINet:
         param_arrays = {k: v for k, v in arrays.items() if k in params}
         assign_parameters(params, param_arrays)
         for name, layer in model.batch_norms().items():
-            loaded = {}
-            for stat in ("running_mean", "running_var"):
-                key = f"{name}.{stat}"
-                if key in arrays:
-                    loaded[stat] = arrays[key]
-            if loaded:
-                layer.load_buffers(loaded)
+            keys = {stat: f"{name}.{stat}" for stat in ("running_mean", "running_var")}
+            layer.load_buffers({stat: arrays[key] for stat, key in keys.items() if key in arrays})
         return model
 
 

@@ -40,6 +40,7 @@ from .formats import (
     read_text_file,
     save_correspondences,
     save_transform,
+    transform_doc,
 )
 from .geometry import (
     CorrespondenceSet,
@@ -73,13 +74,6 @@ def _split(values: list[str] | None, cast, what: str) -> tuple:
             except ValueError as exc:
                 raise ConfigurationError(f"bad {what} value {piece!r}") from exc
     return tuple(out)
-
-
-def _transform_doc(transform) -> dict:
-    return {
-        "rotation": [float(v) for v in transform.rotation.reshape(-1)],
-        "translation": [float(v) for v in transform.translation],
-    }
 
 
 # -- subcommands -------------------------------------------------------------
@@ -164,7 +158,7 @@ def cmd_register(args) -> int:
     if sol.reason is not None:
         doc["reason"] = sol.reason
     if sol.ok:
-        doc["transform"] = _transform_doc(sol.transform)
+        doc["transform"] = transform_doc(sol.transform)
         if gt is not None:
             re = rotation_error(gt, sol.transform)
             te = translation_error(gt, sol.transform)

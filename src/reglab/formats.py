@@ -77,12 +77,16 @@ def load_correspondences(path: str | Path) -> CorrespondenceSet:
     return CorrespondenceSet(data[:, 0:3], data[:, 3:6], labels)
 
 
-def save_transform(path: str | Path, transform: RigidTransform) -> None:
-    doc = {
-        "rotation": [float(v) for v in transform.rotation.reshape(-1)],  # row-major
+def transform_doc(transform: RigidTransform) -> dict:
+    """The JSON object of a transform: row-major rotation and translation as lists."""
+    return {
+        "rotation": [float(v) for v in transform.rotation.reshape(-1)],
         "translation": [float(v) for v in transform.translation],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def save_transform(path: str | Path, transform: RigidTransform) -> None:
+    Path(path).write_text(json.dumps(transform_doc(transform), sort_keys=True, indent=1) + "\n")
 
 
 def load_transform(path: str | Path) -> RigidTransform:

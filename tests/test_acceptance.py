@@ -223,7 +223,7 @@ def test_criterion_3_pyramid_width_contract():
         out = dmg(
             Tensor(rng.normal(size=(8, d))), Tensor(rng.normal(size=(8, d))), "frozen"
         )
-        assert dmg.last_concat_width == expected
+        assert dmg.fusion.bnorm.width == expected  # the forward's concatenation width
         assert out.shape == (8, d)
         checked.append(f"d={d}:{expected}")
     verdict(3, "pre-fusion width 15d/8 at T=3", True, ", ".join(checked))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_grad_matches, coord_sample, make_rng
 from reglab.autodiff import Tensor, concat_cols, no_grad, shuffle_permutation
+from reglab.blocks import _attend
 from reglab.errors import ContractError, ShapeError
 
 SHAPES = [(1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 4), (2, 6), (6, 2), (3, 5), (5, 4)]
@@ -147,14 +148,27 @@ def test_clip_saturated_gradient_is_zero():
 
 @pytest.mark.parametrize("seed,shape", list(enumerate(SHAPES)))
 def test_softmax_rows(seed, shape):
+    """The row softmax's gradient, through the attention node that holds it.
+
+    _attend(q, k, v) = softmax_rows(q k^T [* scale]) v with a score map of
+    ``shape``; odd seeds scale the scores and pass one tensor as k and v,
+    as the cross attentions do.
+    """
     rng = make_rng(seed + 70)
-    a = rng.normal(size=shape) * 3.0
+    m, keys = shape
+    arrays = {"q": rng.normal(size=(m, 3)) * 1.5, "k": rng.normal(size=(keys, 3))}
+    if seed % 2 == 0:
+        arrays["v"] = rng.normal(size=(keys, 2))
 
     def build(t):
-        s, _ = scalarize(t["a"].softmax_rows(), make_rng(seed + 3000))
+        if seed % 2 == 0:
+            out = _attend(t["q"], t["k"], t["v"])
+        else:
+            out = _attend(t["q"], t["k"], t["k"], 0.7)
+        s, _ = scalarize(out, make_rng(seed + 3000))
         return s
 
-    run_check(build, {"a": a}, seed)
+    run_check(build, arrays, seed)
 
 
 @pytest.mark.parametrize("seed,shape", list(enumerate(SHAPES)))
@@ -235,6 +249,17 @@ def test_shared_subexpression_accumulates(seed):
         {"a": a},
         seed,
     )
+
+
+def test_a_gradient_shared_by_two_tensors_stays_theirs():
+    """a + b hands both leaves the same gradient array; a later contribution to one
+    of them must not reach the other."""
+    for flip in (False, True):
+        a, b = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(2))
+        terms = [((a + b) * 2.0).sum(), (a * 3.0).sum()]
+        (terms[1] + terms[0] if flip else terms[0] + terms[1]).backward()
+        assert np.array_equal(a.grad, np.full((2, 3), 5.0))
+        assert np.array_equal(b.grad, np.full((2, 3), 2.0))
 
 
 def test_backward_requires_scalar_root():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import graph_reference
 from conftest import make_rng, random_correspondences
 from reglab.autodiff import Tensor, no_grad
 from reglab.blocks import (
@@ -18,6 +19,8 @@ from reglab.blocks import (
     bce_loss,
     fused_width,
     halving_pool_matrix,
+    _attend,
+    _consistency_mix,
     pyramid_widths,
 )
 from reglab.errors import (
@@ -26,6 +29,7 @@ from reglab.errors import (
     UninitializedStatsError,
 )
 from reglab.geometry import CorrespondenceSet
+from reglab.kernels import row_blocks
 from reglab.nn import BatchNorm, InstanceNorm, Linear, flatten_tensors, sgd_step
 from reglab.synth import SceneConfig, generate
 
@@ -75,6 +79,11 @@ def test_model_config_validation():
         ModelConfig(channels=32, bottleneck_ratio=5)
     with pytest.raises(ConfigurationError):
         ModelConfig(channels=32, shuffle_groups=3)
+    for ratio in (0, -4):  # d % 0 raises ZeroDivisionError; d % -4 == 0
+        with pytest.raises(ConfigurationError, match="bottleneck_ratio"):
+            ModelConfig(channels=32, bottleneck_ratio=ratio)
+    with pytest.raises(ConfigurationError, match="shuffle_groups"):
+        ModelConfig(channels=32, shuffle_groups=-2)
     with pytest.raises(ConfigurationError):
         ModelConfig(sc_sigma=0.0)
     with pytest.raises(ConfigurationError):
@@ -106,6 +115,12 @@ def test_model_config_rejects_non_finite_sc_sigma(sigma):
 def test_model_config_from_dict_rejects_unknown_and_mistyped_fields(doc, field):
     with pytest.raises(ConfigurationError, match=field):
         ModelConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", ["32", 32.0], ids=["str", "float"])
+def test_model_config_checks_field_types_when_built_directly(value):
+    with pytest.raises(ConfigurationError, match="channels"):
+        ModelConfig(channels=value)
 
 
 def test_model_config_from_dict_takes_an_integer_sigma():
@@ -396,7 +411,7 @@ def test_mixer_concat_width_and_pyramid():
     f = rng.normal(size=(10, 32))
     out = mixer(Tensor(f), Tensor(f * 0.5), "frozen")
     assert out.shape == (10, 32)
-    assert mixer.last_concat_width == fused_width(32, 3) == 60
+    assert mixer.fusion.bnorm.width == fused_width(32, 3) == 60  # the concatenation's width
 
     levels = mixer.build_pyramid(Tensor(f))
     assert [lv.shape[1] for lv in levels] == pyramid_widths(32, 3)
@@ -563,12 +578,128 @@ def test_predict_bytes_identical_across_processes():
     assert out.stdout.strip() == model.predict(c).tobytes().hex()
 
 
-# -- row-blocked inference ------------------------------------------------------------
+# -- row-blocked attention and consistency mix ---------------------------------------
+
+
+def run_child(code: str, threads: int) -> list[str]:
+    """stdout lines of ``code`` run in a fresh interpreter with ``threads`` BLAS threads."""
+    import os
+    import subprocess
+    import sys
+
+    import reglab
+
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join([tests_dir, package_dir]),
+             "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+             "MKL_NUM_THREADS": str(threads)},
+        check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split("\n")[:-1]
+
+
+def attention_and_grads(attend, n: int, scale: float | None, case: str):
+    """Output and q, k, v gradients of ``attend`` on (n, 32) inputs under a random loss.
+
+    In the "cross" case one tensor serves as k and v, as in GFA's cross
+    attentions. In the "one_hot" case k is q and its rows have norm 100, so
+    each row's own key scores thousands above the rest: every row has one
+    live entry, and the forward gathers.
+    """
+    rng = make_rng(n)
+    q, k, v = (Tensor(rng.normal(size=(n, 32)) * 3.0, requires_grad=True) for _ in range(3))
+    if case == "cross":
+        v = k
+    if case == "one_hot":
+        q.value *= 100.0 / np.linalg.norm(q.value, axis=1, keepdims=True)
+        k = q
+    out = attend(q, k, v, scale)
+    (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+    return [out.value, q.grad, k.grad, v.grad]
+
+
+def mix_and_grad(mix, n: int):
+    """SC @ feats and the gradient of feats under a random loss, on an outdoor scene."""
+    rng = make_rng(n)
+    c, _ = generate(SceneConfig(n=n, outlier_ratio=0.8, scene="outdoor", seed=n))
+    feats = Tensor(rng.normal(size=(n, 32)), requires_grad=True)
+    out = mix(c, 0.1, feats)
+    (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+    return [out.value, feats.grad]
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest difference over the largest reference entry; one-hot maps give q and k
+    all-zero gradients, where the difference itself must be 0."""
+    return float(np.abs(got - want).max() / (np.abs(want).max() or 1.0))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+@pytest.mark.parametrize("scale, case", [(None, "self"), (0.17, "scaled"), (0.17, "cross"),
+                                         (None, "one_hot")],
+                         ids=["self", "scaled", "cross", "one_hot"])
+def test_attention_node_matches_graph_formula_bit_for_bit_in_one_block(n, scale, case):
+    """One row block: the node runs the graph formula's products in its order."""
+    got = attention_and_grads(_attend, n, scale, case)
+    want = attention_and_grads(graph_reference.attend, n, scale, case)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [600, 1001, 2003])
+def test_attention_node_matches_graph_formula_across_blocks(n):
+    """Several row blocks: k's and v's gradients add the blocks' partial sums in turn."""
+    for scale, case in ((None, "self"), (0.17, "cross"), (None, "one_hot")):
+        got = attention_and_grads(_attend, n, scale, case)
+        want = attention_and_grads(graph_reference.attend, n, scale, case)
+        for g, w in zip(got, want):
+            assert relative_gap(g, w) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 600, 1001, 2003])
+def test_consistency_mix_matches_graph_formula(n):
+    """Bit for bit in one row block; within 1e-12 of the largest entry across blocks."""
+    got = mix_and_grad(_consistency_mix, n)
+    want = mix_and_grad(graph_reference.consistency_mix, n)
+    for g, w in zip(got, want):
+        if len(list(row_blocks(n, 32 * n))) == 1:
+            assert g.tobytes() == w.tobytes()
+        assert relative_gap(g, w) <= 1e-12
+
+
+def test_consistency_mix_keeps_sc_blocks_only_for_a_backward():
+    """Under no_grad the mix holds one row block of SC at a time; with a graph it
+    keeps all of them (one N x N map, 32 MB at N=2000) for the backward."""
+    import tracemalloc
+
+    n = 2000
+    c, _ = generate(SceneConfig(n=n, outlier_ratio=0.8, scene="outdoor", seed=3))
+    feats = Tensor(make_rng(3).normal(size=(n, 32)), requires_grad=True)
+    peaks = []
+    for record in (False, True):
+        tracemalloc.start()
+        try:
+            if record:
+                out = _consistency_mix(c, 0.1, feats)
+            else:
+                with no_grad():
+                    out = _consistency_mix(c, 0.1, feats)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad is record
+    assert peaks[0] < 8 * n * n / 2 < 8 * n * n <= peaks[1]
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 560, 600])
 def test_blocked_inference_matches_graph_path_bit_for_bit(n):
-    """predict scores the N x N maps in row blocks; forward with grad stores them.
+    """forward with grad, which records the backward, and predict give the same bits.
 
     At 560 and 600 the maps span two and three blocks.
     """
@@ -590,39 +721,58 @@ def test_blocked_inference_matches_graph_path_bit_for_bit(n):
 def test_blocked_attention_matches_graph_path_with_one_blas_thread():
     """Row counts that are not a multiple of 8 put edge columns in every block.
 
-    With several BLAS threads the whole product splits its rows among the
-    threads, so only a single-threaded BLAS pins every row count.
+    With several BLAS threads the whole product of the graph formula splits
+    its rows among the threads, so only a single-threaded BLAS pins every
+    row count.
     """
-    import os
-    import subprocess
-    import sys
-
-    import reglab
-
     code = (
         "import numpy as np\n"
+        "import graph_reference\n"
         "from reglab.autodiff import Tensor\n"
         "from reglab.blocks import _attend\n"
         "rng = np.random.default_rng(0)\n"
         "for n in (517, 745, 1001, 2003):\n"
-        "    q, k, v = (rng.normal(size=(n, 32)) * 3 for _ in range(3))\n"
+        "    q, k, v = (Tensor(rng.normal(size=(n, 32)) * 3) for _ in range(3))\n"
         "    for scale in (None, 0.17):\n"
-        "        graph = _attend(Tensor(q, True), Tensor(k, True), Tensor(v, True), scale)\n"
-        "        blocked = _attend(Tensor(q), Tensor(k), Tensor(v), scale)\n"
+        "        graph = graph_reference.attend(q, k, v, scale)\n"
+        "        blocked = _attend(q, k, v, scale)\n"
         "        print(n, scale, np.array_equal(graph.value, blocked.value))\n"
     )
-    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, "OPENBLAS_NUM_THREADS": "1",
-             "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
-        check=False,
+    lines = run_child(code, threads=1)
+    assert len(lines) == 8 and all(line.endswith(" True") for line in lines), lines
+
+
+def test_forward_with_grad_matches_predict_with_two_blas_threads():
+    """Training and inference run the same row blocks, so their bits agree at any
+    thread count; the graph formula's whole products split among two threads."""
+    code = (
+        "from reglab.blocks import GPINet\n"
+        "from reglab.synth import SceneConfig, generate\n"
+        "model = GPINet(seed=5)\n"
+        "for n in (517, 1001, 2003):\n"
+        "    c, _ = generate(SceneConfig(n=n, outlier_ratio=0.8, scene='outdoor', seed=n))\n"
+        "    probs, _ = model.forward(c)\n"
+        "    print(n, probs.value.ravel().tobytes() == model.predict(c).tobytes())\n"
     )
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.split("\n")[:-1]
-    assert len(lines) == 8 and all(line.endswith(" True") for line in lines), out.stdout
+    lines = run_child(code, threads=2)
+    assert lines == ["517 True", "1001 True", "2003 True"]
+
+
+def test_training_step_memory_stays_far_below_n_squared():
+    """At N=1000 a training step stored every N x N map and peaked near 187 MB."""
+    import tracemalloc
+
+    model = GPINet(seed=0)
+    c, _ = generate(SceneConfig(n=1000, outlier_ratio=0.8, scene="outdoor", seed=1))
+    tracemalloc.start()
+    try:
+        probs, _ = model.forward(c, mode="train")
+        bce_loss(probs, c.labels).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad is not None for t in model.parameters().values())
+    assert peak < 100e6
 
 
 def test_predict_memory_stays_far_below_n_squared():

@@ -206,6 +206,12 @@ MALFORMED_INPUTS = {
                             "--params"),
     "params_sc_sigma_infinite": ("params.json",
                                  '{"config": {"sc_sigma": Infinity}, "parameters": {}}', "--params"),
+    "params_bottleneck_ratio_zero": ("params.json",
+                                     '{"config": {"bottleneck_ratio": 0}, "parameters": {}}',
+                                     "--params"),
+    "params_shuffle_groups_negative": ("params.json",
+                                       '{"config": {"shuffle_groups": -2}, "parameters": {}}',
+                                       "--params"),
 }
 
 

@@ -29,7 +29,7 @@ from reglab.kernels import (
     transforms_per_block,
 )
 from reglab.autodiff import Tensor
-from reglab.blocks import GPINet
+from reglab.blocks import GPINet, _attend
 from reglab.geometry import CorrespondenceSet, RigidTransform, _squared_residuals, inlier_mask
 from reglab.synth import SceneConfig, generate
 
@@ -506,7 +506,8 @@ def bench_model_attention(monkeypatch, n: int, scene: str = "outdoor", outlier_r
                           seed: int = 2) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (scores, v) blocks that predict attends with under the bench model.
 
-    These are GFA's row attention and its two cross attentions.
+    These are GFA's row attention and its two cross attentions, N wide and
+    one call per row block each, and its (32, 32) channel map in one call.
     """
     blocks = []
 
@@ -519,12 +520,13 @@ def bench_model_attention(monkeypatch, n: int, scene: str = "outdoor", outlier_r
     with monkeypatch.context() as patch:
         patch.setattr(reglab.kernels, "attend_rows", record)
         model.predict(c)
-    assert len(blocks) == 3 * len(list(row_blocks(n, 32 * n)))
+    assert len(blocks) == 3 * len(list(row_blocks(n, 32 * n))) + 1
+    assert [s.shape for s, _ in blocks].count((32, 32)) == 1
     return blocks
 
 
 def bench_model_scores(monkeypatch, n: int) -> list[np.ndarray]:
-    """The N-wide score blocks that predict softmaxes under the bench model."""
+    """The score blocks that predict softmaxes under the bench model."""
     return [s for s, _ in bench_model_attention(monkeypatch, n)]
 
 
@@ -615,13 +617,18 @@ def test_softmax_rows_with_infinities_constants_and_nan():
     assert np.isnan(got[:3]).all() and not np.isnan(got[3]).any()
 
 
-def test_tensor_softmax_rows_uses_the_kernel_and_keeps_its_input(monkeypatch):
+def test_attend_softmaxes_with_the_kernel_and_keeps_its_inputs(monkeypatch):
+    """_attend(s, I, I) is softmax_rows(s I^T) I, which is the softmax of s exactly;
+    neither the forward nor the recomputing backward writes into q, k or v."""
     scores = bench_model_scores(monkeypatch, 300)[0]
     kept = scores.copy()
-    t = Tensor(scores, requires_grad=True)
-    y = t.softmax_rows()
+    q, k, v = (Tensor(a, requires_grad=True) for a in (scores, np.eye(300), np.eye(300)))
+    y = _attend(q, k, v)
     assert np.array_equal(y.value, softmax_reference(kept))
+    (y * Tensor(make_rng(5).normal(size=y.shape))).sum().backward()
     assert np.array_equal(scores, kept)
+    assert np.array_equal(k.value, np.eye(300)) and np.array_equal(v.value, np.eye(300))
+    assert all(np.isfinite(t.grad).all() for t in (q, k, v))
 
 
 # -- one-live-entry attention ---------------------------------------------------

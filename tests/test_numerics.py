@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import make_rng
 from reglab.autodiff import Tensor
+from reglab.blocks import _attend
 from reglab.errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -55,23 +56,30 @@ def test_sigmoid_matches_formula_and_saturates_safely():
     assert extreme[0, 0] == 0.0 and extreme[0, 1] == 1.0
 
 
+def row_softmax(m: np.ndarray) -> np.ndarray:
+    """The model's row softmax: the attention node with identity keys and values,
+    softmax_rows(m I^T) I, which is softmax_rows(m) exactly for finite m."""
+    eye = Tensor(np.eye(m.shape[1]))
+    return _attend(Tensor(m), eye, eye).value
+
+
 def test_softmax_rows_oracle_small():
     m = np.array([[0.0, np.log(3.0)]])
-    out = Tensor(m).softmax_rows().value
+    out = row_softmax(m)
     assert np.allclose(out, [[0.25, 0.75]], atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
 @given(finite_matrices)
 def test_softmax_rows_rows_sum_to_one(m):
-    out = Tensor(m).softmax_rows().value
+    out = row_softmax(m)
     assert np.all(out >= 0.0)
     assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
 
 
 def test_softmax_rows_extreme_magnitudes():
     m = np.array([[1e3, -1e3, 0.0], [-1e3, -1e3, -1e3]])
-    out = Tensor(m).softmax_rows().value
+    out = row_softmax(m)
     assert np.all(np.isfinite(out))
     assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
 
@@ -162,6 +170,6 @@ def test_channel_shuffle_preserves_row_multisets():
 def test_operations_are_deterministic():
     rng = make_rng(7)
     m = rng.normal(size=(9, 6))
-    assert Tensor(m).softmax_rows().value.tobytes() == Tensor(m).softmax_rows().value.tobytes()
+    assert row_softmax(m).tobytes() == row_softmax(m).tobytes()
     assert InstanceNorm()(Tensor(m)).value.tobytes() == InstanceNorm()(Tensor(m)).value.tobytes()
     assert Tensor(m).channel_shuffle().value.tobytes() == Tensor(m).channel_shuffle().value.tobytes()
