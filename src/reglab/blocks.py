@@ -213,22 +213,41 @@ class OrthogonalIntegration:
 
 
 def _consistency_mix(c: CorrespondenceSet, sigma: float, feats: Tensor) -> Tensor:
-    """SC @ feats for the (N, N) consistency matrix SC, one row block at a time.
+    """SC @ feats for the (N, N) consistency matrix SC, from one triangle of SC.
 
-    A block of SC is kept only when the product records a backward; SC is
-    a symmetric constant, so the gradient of feats is SC @ g, block by block.
+    SC is symmetric, so row block [lo, hi) is computed only from its
+    diagonal on, as an (h, N - lo) block B: its rows take B @ x[lo:], and
+    the rows below take B[:, h:]^T @ x[lo:hi]. In one block that is the
+    whole product SC @ x, bit for bit; across blocks each row adds the same
+    terms in another order, so its bits are held to a tolerance instead
+    (tests/register_gate.py). The blocks have row_blocks' default size: a
+    row cost would keep each block's product rounding as the whole
+    product does, which no longer matters here, and its larger blocks were
+    slower at N = 400 and 450. The blocks are kept only when the product
+    records a backward; SC is a symmetric constant, so the gradient of
+    feats is the same triangle product on g.
     """
-    n = len(c)
-    mixed = np.empty(feats.shape)
-    kept = [] if recording(feats) else None
-    for lo, hi in kernels.row_blocks(n, n * feats.shape[1]):
-        sc = kernels.consistency_rows(c.source, c.target, sigma, lo, hi)
-        mixed[lo:hi] = sc @ feats.value
-        if kept is not None:
-            kept.append(sc)
+    keep = recording(feats)
+    blocks = kernels.consistency_triangle(c.source, c.target, sigma, reuse=not keep)
+    if keep:
+        blocks = list(blocks)
+
+    def triangle_product(x):
+        out = np.empty(x.shape)
+        for lo, hi, sc in blocks:
+            below = sc[:, hi - lo:].T
+            if lo == 0:  # written in place: a recorded mix's peak is its kept blocks
+                np.matmul(sc, x, out=out[:hi])
+                np.matmul(below, x[:hi], out=out[hi:])
+            else:
+                out[lo:hi] += sc @ x[lo:]
+                out[hi:] += below @ x[lo:hi]
+        return out
+
+    mixed = triangle_product(feats.value)
 
     def backward(g):
-        feats._accumulate(np.concatenate([sc @ g for sc in kept]))
+        feats._accumulate(triangle_product(g))
 
     return Tensor._make(mixed, (feats,), backward)
 

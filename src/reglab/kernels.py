@@ -105,15 +105,18 @@ def attend_rows(s: np.ndarray, v: np.ndarray) -> np.ndarray:
 #
 # Values lie in [0, 1]; 1 means the pair preserves length exactly.
 #
-# Any block of rows is computed in cache-sized chunks of rows (see
-# _CACHE_ENTRIES), each with two chunk-sized scratch arrays, whatever the
+# Any block of rows is computed in chunks of rows whose two scratch arrays
+# together fill one cache-sized chunk (see _CACHE_ENTRIES), whatever the
 # block size. Every element goes through the same float operations in the
 # same order whichever block or chunk it lands in, so a block, a single
 # row and the full matrix agree bit for bit. Those operations give
 # sc(i, j) and sc(j, i) the same bits, since (a - b)^2 == (b - a)^2, so
-# the full matrix computes each row block from its diagonal onward and
-# mirrors the rest. It is the only N x N allocation in the package; it is
-# refused before allocation when its 8 N^2 bytes exceed
+# each row block is computed only from its diagonal on, into a contiguous
+# array (writing into a strided view of the matrix was about 45% slower).
+# consistency_matrix copies each block in and mirrors the rest;
+# consistency_triangle hands the blocks to the embedding's mix, which uses
+# the triangle alone. The full matrix is the only N x N allocation in the
+# package; it is refused before allocation when its 8 N^2 bytes exceed
 # _MATRIX_BYTES_LIMIT.
 
 _ROW_BLOCK = 240                # rows per block, a multiple of _ROW_TILE
@@ -174,7 +177,7 @@ def _consistency_block(src: np.ndarray, tgt: np.ndarray, sigma: float,
     tgt = np.ascontiguousarray(tgt, dtype=np.float64)
     src_cols, tgt_cols = src[first:].T.copy(), tgt[first:].T.copy()
     width = src_cols.shape[1]
-    step = _chunk_rows(width)
+    step = _chunk_rows(2 * width)
     dt, scratch = np.empty((2, min(step, rows.size), width))
     for lo in range(0, rows.size, step):
         chunk = rows[lo:lo + step]
@@ -201,9 +204,34 @@ def consistency_rows(src: np.ndarray, tgt: np.ndarray, sigma: float,
     return _consistency_block(src, tgt, sigma, rows, 0, out)
 
 
+def consistency_triangle(src: np.ndarray, tgt: np.ndarray, sigma: float, reuse: bool):
+    """(lo, hi, block) per row block [lo, hi) of row_blocks(N): the consistency
+    matrix's rows lo..hi from column lo on, as a contiguous (hi - lo, N - lo) array.
+
+    With ``reuse`` every block is a view of one buffer, sized for the
+    largest block, and the next block overwrites it.
+    """
+    n = len(src)
+    bounds = list(row_blocks(n))
+    buf = np.empty(max((hi - lo) * (n - lo) for lo, hi in bounds)) if reuse else None
+    for lo, hi in bounds:
+        shape = (hi - lo, n - lo)
+        out = buf[:shape[0] * shape[1]].reshape(shape) if reuse else np.empty(shape)
+        yield lo, hi, _consistency_block(src, tgt, sigma, np.arange(lo, hi), lo, out)
+
+
 def consistency_matrix(src: np.ndarray, tgt: np.ndarray, sigma: float,
                        zero_diagonal: bool = False) -> np.ndarray:
-    """Full N x N length-consistency matrix for a correspondence set."""
+    """Full N x N length-consistency matrix for a correspondence set.
+
+    The row blocks run last to first, so the rows above a block are not
+    written yet: each block is computed, contiguous, in their memory (the
+    first block in its own rows), then copied into place and mirrored.
+    A block after the first fits there. It starts at a row lo >= 240, and
+    it is at most lo rows tall, or it is the last block, h x h with
+    h <= 359 and 240 (240 + h) >= h^2. A block that did not fit would make
+    the reshape raise, not overwrite rows.
+    """
     n = len(src)
     if 8 * n * n > _MATRIX_BYTES_LIMIT:
         raise ConfigurationError(
@@ -211,9 +239,13 @@ def consistency_matrix(src: np.ndarray, tgt: np.ndarray, sigma: float,
             f"{_MATRIX_BYTES_LIMIT / 2**30:g} GiB limit of one N x N matrix"
         )
     m = np.empty((n, n))
-    for lo, hi in row_blocks(n):
-        _consistency_block(src, tgt, sigma, np.arange(lo, hi), lo, m[lo:hi, lo:])
-        m[hi:, lo:hi] = m[lo:hi, hi:].T
+    for lo, hi in reversed(list(row_blocks(n))):
+        h = hi - lo
+        block = m[:lo].reshape(-1)[:h * (n - lo)].reshape(h, n - lo) if lo else m[:hi]
+        _consistency_block(src, tgt, sigma, np.arange(lo, hi), lo, block)
+        if lo:
+            m[lo:hi, lo:] = block
+        m[hi:, lo:hi] = block[:, h:].T
     if zero_diagonal:
         np.fill_diagonal(m, 0.0)
     return m

@@ -668,14 +668,15 @@ def test_consistency_mix_matches_graph_formula(n):
     got = mix_and_grad(_consistency_mix, n)
     want = mix_and_grad(graph_reference.consistency_mix, n)
     for g, w in zip(got, want):
-        if len(list(row_blocks(n, 32 * n))) == 1:
+        if len(list(row_blocks(n))) == 1:
             assert g.tobytes() == w.tobytes()
         assert relative_gap(g, w) <= 1e-12
 
 
 def test_consistency_mix_keeps_sc_blocks_only_for_a_backward():
     """Under no_grad the mix holds one row block of SC at a time; with a graph it
-    keeps all of them (one N x N map, 32 MB at N=2000) for the backward."""
+    keeps the blocks of one triangle for the backward: over half of one N x N
+    map (32 MB at N=2000), and under 0.6 of it."""
     import tracemalloc
 
     n = 2000
@@ -694,7 +695,7 @@ def test_consistency_mix_keeps_sc_blocks_only_for_a_backward():
         finally:
             tracemalloc.stop()
         assert out.requires_grad is record
-    assert peaks[0] < 8 * n * n / 2 < 8 * n * n <= peaks[1]
+    assert peaks[0] < 8 * n * n / 2 <= peaks[1] < 0.6 * 8 * n * n
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 560, 600])

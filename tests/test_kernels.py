@@ -163,11 +163,11 @@ def test_consistency_matrix_across_row_blocks_matches_full_reference(n):
 
 @pytest.mark.parametrize("n", [5, 31, 2047, 2049])
 def test_consistency_rows_across_cache_chunks_match_full_reference(n):
-    """Blocks are computed in chunks of _CACHE_ENTRIES // N rows; here they split unevenly."""
+    """Blocks are computed in chunks of _CACHE_ENTRIES // 2N rows; here they split unevenly."""
     rng = make_rng(900 + n)
     src = rng.uniform(-20, 20, size=(n, 3))
     tgt = rng.uniform(-20, 20, size=(n, 3))
-    chunk = max(1, _CACHE_ENTRIES // n)
+    chunk = max(1, _CACHE_ENTRIES // (2 * n))
     uneven = (7 % n, min(n, 7 + 3 * chunk + 5))
     for lo, hi in [(0, n), (n // 3, n), (n - 1, n), (0, min(n, 240)), uneven]:
         rows = np.arange(lo, hi)
@@ -191,6 +191,15 @@ def test_mirrored_consistency_matrix_matches_row_by_row_reference(n):
     assert 0.0 < got.mean() < 1.0
     np.fill_diagonal(want, 0.0)
     np.testing.assert_array_equal(consistency_matrix(src, tgt, 0.4, zero_diagonal=True), want)
+
+
+def test_consistency_matrix_blocks_fit_in_the_rows_above_them():
+    """consistency_matrix computes each block after the first in the rows above it.
+    From N = 600 on there are three blocks or more, and each block after the first
+    is at most as tall as the rows above it."""
+    for n in range(1, 3000):
+        for lo, hi in row_blocks(n):
+            assert lo == 0 or (hi - lo) * (n - lo) <= lo * n, (n, lo, hi)
 
 
 @pytest.mark.parametrize("n", [1, 2, 119, 240, 359, 360, 1000, 2003, 5000])
