@@ -154,10 +154,17 @@ def spectral_matching(
     """
     n = len(c)
     m = kernels.consistency_matrix(c.source, c.target, sigma_d, zero_diagonal=True)
-    if not np.any(m > 0.0):
+    try:
+        v, eigenvalue, iterations, residual = power_iteration(m, tol, max_iterations)
+    except ConvergenceError:
+        if np.any(m > 0.0):  # NaN entries, from distances that overflow, never converge
+            raise
+        eigenvalue = 0.0
+    # M >= 0 and v > 0, so v @ M v sums non-negative terms, and a nonzero M
+    # (entries >= 2^-53, times 1 / sqrt(N) > 2^-7) adds a positive one: the
+    # first eigenvalue is 0.0 exactly when M has no positive entry
+    if eigenvalue == 0.0:
         return SpectralResult(np.zeros(n), np.empty(0, dtype=np.int64), 0.0, 0, 0.0)
-
-    v, eigenvalue, iterations, residual = power_iteration(m, tol, max_iterations)
     confidences = np.maximum(v, 0.0)
 
     # Suppression only zeroes scores and none is NaN, so taking the largest

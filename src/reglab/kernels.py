@@ -153,16 +153,35 @@ def row_blocks(n: int, row_cost: int = 0):
     return zip(starts, starts[1:] + [n])
 
 
-def _distance_rows(pts: np.ndarray, rows, cols: np.ndarray, out: np.ndarray,
-                   scratch: np.ndarray) -> np.ndarray:
-    """||p_i - p_j|| for i in ``rows`` and each column p_j, written into ``out``.
+def _difference_factors(pts: np.ndarray, rows, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factors whose product per axis is p_i - p_j, for i in ``rows`` and j >= ``first``.
 
-    ``cols`` holds the column points transposed, as a (3, width) array.
+    Returns ``left``, (3, rows, 2) rows [p_i, 1], and ``right``, (3, 2, width)
+    rows [1; -p_j]: ``left[a] @ right[a]`` is ``np.subtract.outer`` on axis a.
     """
-    np.subtract.outer(pts[rows, 0], cols[0], out=out)
+    left = np.ones((3, len(rows), 2))
+    left[:, :, 0] = pts[rows].T
+    right = np.ones((3, 2, len(pts) - first))
+    np.negative(pts[first:].T, out=right[:, 1])
+    return left, right
+
+
+def _distance_rows(left: np.ndarray, right: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """||p_i - p_j|| for the rows of ``left`` and the columns of ``right``, written into ``out``.
+
+    ``left`` and ``right`` are _difference_factors slices; each axis's
+    differences are one BLAS product of inner dimension 2, at about a fifth
+    of the cost of numpy's np.subtract.outer broadcast. Both of its terms,
+    p_i * 1 and 1 * -p_j, are exact, so the sum's one rounding is the
+    subtraction's, with or without FMA and at any BLAS thread count; only
+    the sign of an exact zero may differ, and the square drops it
+    (tests/test_kernels.py pins this on the installed BLAS).
+    """
+    np.matmul(left[0], right[0], out=out)
     out *= out
     for axis in (1, 2):
-        np.subtract.outer(pts[rows, axis], cols[axis], out=scratch)
+        np.matmul(left[axis], right[axis], out=scratch)
         scratch *= scratch
         out += scratch
     return np.sqrt(out, out=out)
@@ -173,17 +192,16 @@ def _consistency_block(src: np.ndarray, tgt: np.ndarray, sigma: float,
     """sc(i, j) for i in ``rows`` and j >= ``first``, written into ``out``."""
     if not sigma > 0.0:
         raise ValueError(f"consistency_rows: sigma must be positive, got {sigma}")
-    src = np.ascontiguousarray(src, dtype=np.float64)
-    tgt = np.ascontiguousarray(tgt, dtype=np.float64)
-    src_cols, tgt_cols = src[first:].T.copy(), tgt[first:].T.copy()
-    width = src_cols.shape[1]
+    src_left, src_right = _difference_factors(np.asarray(src, dtype=np.float64), rows, first)
+    tgt_left, tgt_right = _difference_factors(np.asarray(tgt, dtype=np.float64), rows, first)
+    width = src_right.shape[2]
     step = _chunk_rows(2 * width)
     dt, scratch = np.empty((2, min(step, rows.size), width))
     for lo in range(0, rows.size, step):
-        chunk = rows[lo:lo + step]
-        m = chunk.size
-        gap = _distance_rows(src, chunk, src_cols, out[lo:lo + m], scratch[:m])
-        gap -= _distance_rows(tgt, chunk, tgt_cols, dt[:m], scratch[:m])
+        m = min(step, rows.size - lo)
+        chunk = slice(lo, lo + m)
+        gap = _distance_rows(src_left[:, chunk], src_right, out[chunk], scratch[:m])
+        gap -= _distance_rows(tgt_left[:, chunk], tgt_right, dt[:m], scratch[:m])
         gap *= gap
         gap /= sigma * sigma
         np.subtract(1.0, gap, out=gap)
@@ -310,7 +328,8 @@ def squared_residuals(src: np.ndarray, tgt: np.ndarray, rotations: np.ndarray,
     n = src.shape[0]
     res = (src @ rotations.transpose(2, 0, 1).reshape(3, -1)).reshape(n, -1, 3)
     res += translations
-    res -= tgt[:, None]
+    for axis in range(3):                               # length-m inner loops, not length 3
+        res[:, :, axis] -= tgt[:, axis, None]
     res *= res
     sq = res[:, :, 0] + res[:, :, 1]
     sq += res[:, :, 2]

@@ -210,6 +210,33 @@ def test_spectral_matching_zero_matrix_special_case():
     assert result.eigenvalue == 0.0 and result.iterations == 0
 
 
+def test_spectral_matching_without_positive_entries_is_the_zero_case():
+    """Distances past 1e154 overflow: every pair is NaN or 0, and none is positive."""
+    src = np.array([[0.0, 0, 0], [1e200, 0, 0], [0, 1e200, 0], [0, 0, 1e200]])
+    c = CorrespondenceSet(src, 2.0 * src)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(consistency_matrix(src, 2.0 * src, 0.1)).any()
+        result = spectral_matching(c, sigma_d=0.1)
+    assert np.array_equal(result.confidences, np.zeros(4))
+    assert result.selected.size == 0
+    assert result.eigenvalue == 0.0 and result.iterations == 0
+
+
+def test_spectral_matching_smallest_positive_entry_is_not_the_zero_case():
+    """One pair at 2^-53, the smallest positive consistency, and every other pair at 0."""
+    sigma = float.fromhex("0x1.a66cf4ae57c93p+0")
+    d = float(np.nextafter(sigma, 0.0))                # 1 - d^2 / sigma^2 rounds to 2^-53
+    src = np.array([[0.0, 0, 0], [d, 0, 0], [50.0, 0, 0], [0, 50.0, 0]])
+    tgt = np.zeros((4, 3))
+    m = consistency_matrix(src, tgt, sigma, zero_diagonal=True)
+    assert m[0, 1] == m[1, 0] == 2.0**-53 and np.count_nonzero(m) == 2
+    result = spectral_matching(CorrespondenceSet(src, tgt), sigma_d=sigma)
+    assert result.eigenvalue == pytest.approx(2.0**-53, rel=1e-15) and result.iterations == 2
+    assert result.confidences[0] == result.confidences[1] == pytest.approx(0.5**0.5, rel=1e-15)
+    np.testing.assert_array_equal(result.confidences[2:], 0.0)
+    np.testing.assert_array_equal(result.selected, [0])
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_spectral_confidences_properties(seed):
     cfg = SceneConfig(n=60, outlier_ratio=0.4, noise_sigma=0.005, seed=seed + 40)

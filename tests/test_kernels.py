@@ -21,6 +21,7 @@ from reglab.kernels import (
     consistency_matrix,
     consistency_row,
     consistency_rows,
+    consistency_triangle,
     ransac_scan,
     row_blocks,
     softmax_rows,
@@ -191,6 +192,131 @@ def test_mirrored_consistency_matrix_matches_row_by_row_reference(n):
     assert 0.0 < got.mean() < 1.0
     np.fill_diagonal(want, 0.0)
     np.testing.assert_array_equal(consistency_matrix(src, tgt, 0.4, zero_diagonal=True), want)
+
+
+# -- pairwise differences as BLAS products ------------------------------------
+#
+# The consistency kernels form p_i - p_j as the product [p_i, 1] @ [1; -p_j].
+# Both of its terms are exact, so the one rounding of their sum is that of the
+# subtraction; only the sign of an exact zero may differ, and squaring drops it.
+
+
+def adversarial_values(rng, kind, size, mix=("zeros", "magnitudes", "offsets", "subnormal")):
+    """Coordinates that stress p_i - p_j, of one kind or ("mixed") drawn from the kinds in ``mix``."""
+    if kind == "zeros":             # +-0.0 and many coordinates equal
+        return rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], size=size)
+    if kind == "magnitudes":        # 1e-150 .. 1e150, either sign
+        return rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-150, 150, size=size)
+    if kind == "offsets":           # 1e6 with 1e-9 jitter: differences cancel
+        return 1e6 + rng.normal(scale=1e-9, size=size)
+    if kind == "subnormal":         # integer multiples of the smallest subnormal
+        return np.ldexp(rng.integers(-2**20, 2**20, size=size).astype(np.float64), -1074)
+    pool = np.concatenate([adversarial_values(rng, k, size).ravel() for k in mix])
+    return rng.choice(pool, size=size)
+
+
+ADVERSARIAL_KINDS = ("zeros", "magnitudes", "offsets", "subnormal", "mixed")
+ADVERSARIAL_SIGMA = {"zeros": 1.5, "magnitudes": 1e3, "offsets": 1e-9,
+                     "subnormal": 1e-150, "mixed": 1.0}
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [31, 517])
+@pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
+def test_consistency_kernels_equal_the_broadcast_reference_on_adversarial_points(kind, n):
+    """Rows, triangle and matrix against the literal broadcast formula, bit for bit."""
+    rng = make_rng(ADVERSARIAL_KINDS.index(kind) * 1000 + n)
+    src = adversarial_values(rng, kind, (n, 3))
+    tgt = adversarial_values(rng, kind, (n, 3))
+    tgt[::3] = src[::3]                 # pairs whose differences are equal in both clouds
+    sigma = ADVERSARIAL_SIGMA[kind]
+    want = consistency_full_reference(src, tgt, sigma)
+    assert_same_bits(consistency_matrix(src, tgt, sigma), want)
+    zeroed = want.copy()
+    np.fill_diagonal(zeroed, 0.0)
+    assert_same_bits(consistency_matrix(src, tgt, sigma, zero_diagonal=True), zeroed)
+    for lo, hi in [(0, n), (n // 2, n), (n - 1, n)]:
+        assert_same_bits(consistency_rows(src, tgt, sigma, lo, hi), want[lo:hi])
+    rows = np.r_[rng.permutation(n)[:23], n - 1, 0, n - 1]
+    assert_same_bits(consistency_rows(src, tgt, sigma, rows), want[rows])
+    for reuse in (False, True):
+        for lo, hi, block in consistency_triangle(src, tgt, sigma, reuse):
+            assert_same_bits(block, want[lo:hi, lo:])
+
+
+def test_consistency_kernels_on_adversarial_points_take_every_value_kind():
+    """The adversarial cases reach zeros, ones and values strictly between."""
+    values = set()
+    for kind in ADVERSARIAL_KINDS:
+        rng = make_rng(ADVERSARIAL_KINDS.index(kind) * 1000 + 517)
+        src, tgt = adversarial_values(rng, kind, (517, 3)), adversarial_values(rng, kind, (517, 3))
+        m = consistency_matrix(src, tgt, ADVERSARIAL_SIGMA[kind])
+        values |= {"zero" if x == 0.0 else "one" if x == 1.0 else "between" for x in np.unique(m)}
+    assert values == {"zero", "one", "between"}
+
+
+@pytest.mark.parametrize("mix, heights", [(("zeros", "magnitudes", "offsets"), (1, 7, 16, 131, 240)),
+                                         (("zeros", "subnormal"), (1, 7, 16))],
+                         ids=["normal", "subnormal"])
+def test_blas_products_of_inner_dimension_two_are_exact_differences(mix, heights):
+    """[p, 1] @ [1; -q] == np.subtract.outer(p, q) on the installed BLAS.
+
+    Every lhs height the kernels use (a one-row gemv, short and full row
+    tiles, a cache chunk, a row block) against every width up to N = 2003,
+    so each column tail of the BLAS kernels is covered. A BLAS that rounds
+    the two exact terms' sum otherwise must fail here. Subnormal operands
+    take a slow path in the FPU, so they sweep the short heights only.
+    """
+    rng = make_rng(2003)
+    p = adversarial_values(rng, "mixed", 240, mix)
+    q = adversarial_values(rng, "mixed", 2003, mix)
+    q[::7] = p[np.arange(len(q[::7])) % 240]     # equal coordinates
+    want = np.subtract.outer(p, q)
+    left = np.ones((240, 2))
+    left[:, 0] = p
+    for w in range(1, 2004):
+        right = np.ones((2, w))
+        np.negative(q[:w], out=right[1])
+        for h in heights:
+            assert np.array_equal(np.matmul(left[:h], right), want[:h, :w]), (h, w)
+
+
+def test_consistency_kernels_give_the_same_bytes_with_one_and_two_blas_threads():
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from reglab.kernels import consistency_matrix, consistency_rows, consistency_triangle\n"
+        "rng = np.random.Generator(np.random.PCG64(2003))\n"
+        "src = rng.uniform(-20, 20, size=(2003, 3))\n"
+        "tgt = src + rng.normal(scale=0.3, size=(2003, 3))\n"
+        "for part in (consistency_matrix(src, tgt, 0.4),\n"
+        "             *(b for _, _, b in consistency_triangle(src, tgt, 0.4, False)),\n"
+        "             consistency_rows(src, tgt, 0.4, rng.integers(0, 2003, size=300))):\n"
+        "    print(hashlib.sha256(part.tobytes()).hexdigest())\n"
+    )
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.kernels.__file__)))
+    hashes = []
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, "OPENBLAS_NUM_THREADS": threads,
+                 "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads},
+            check=False,
+        )
+        assert out.returncode == 0, out.stderr
+        hashes.append(out.stdout.split())
+    assert len(hashes[0]) == 1 + len(list(row_blocks(2003))) + 1
+    assert hashes[0] == hashes[1]
 
 
 def test_consistency_matrix_blocks_fit_in_the_rows_above_them():
