@@ -112,8 +112,10 @@ def power_iteration(
     Iterates from the uniform unit vector and stops when the eigenpair
     residual satisfies ||M v - lambda v|| <= tol * lambda. Returns
     (eigenvector, eigenvalue, iterations, residual); raises
-    ``ConvergenceError`` when the budget runs out. The normalized
-    eigenvector is invariant to scaling M by any positive constant.
+    ``ConvergenceError`` when the budget runs out, or at once when the
+    eigenvalue is not finite (M with NaN entries), since the iterates stay
+    NaN. The normalized eigenvector is invariant to scaling M by any
+    positive constant.
     """
     n = m.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
@@ -123,6 +125,8 @@ def power_iteration(
     for iterations in range(1, max_iterations + 1):
         u = m @ v
         eigenvalue = float(v @ u)
+        if not np.isfinite(eigenvalue):
+            break
         residual = float(np.linalg.norm(u - eigenvalue * v))
         if residual <= tol * max(eigenvalue, np.finfo(np.float64).tiny):
             return v, eigenvalue, iterations, residual
@@ -131,7 +135,7 @@ def power_iteration(
             break
         v = u / norm
     raise ConvergenceError(
-        f"power_iteration: did not converge in {max_iterations} iterations "
+        f"power_iteration: did not converge in {iterations} of {max_iterations} iterations "
         f"(last residual {residual:.3e}, eigenvalue {eigenvalue:.6e})"
     )
 

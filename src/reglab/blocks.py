@@ -59,10 +59,9 @@ class ModelConfig:
             if getattr(self, name) < 1 or d % getattr(self, name) != 0:
                 raise ConfigurationError(
                     f"ModelConfig: channels {d} not divisible by {name} {getattr(self, name)}")
-        if not 0.0 < self.sc_sigma < np.inf:
-            raise ConfigurationError(
-                f"ModelConfig: sc_sigma must be positive and finite, got {self.sc_sigma}"
-            )
+        if not (0.0 < self.sc_sigma < np.inf and self.sc_sigma * self.sc_sigma > 0.0):
+            raise ConfigurationError(f"ModelConfig: sc_sigma must be positive and finite "
+                                     f"with a nonzero square, got {self.sc_sigma}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -255,8 +254,9 @@ def _consistency_mix(c: CorrespondenceSet, sigma: float, feats: Tensor) -> Tenso
 def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
     """softmax_rows(q k^T [* scale]) v, one block of query rows at a time.
 
-    The map is never stored. The forward hands each block of scores to
-    kernels.attend_rows. The backward scores the block again, recomputes
+    The map is never stored. The forward hands each block of unscaled
+    scores and the scale to kernels.attend_rows, which scales only a block
+    that it cannot gather. The backward scores the block again, recomputes
     its softmax P and takes the block's share of every gradient:
     dV += P^T g, dS = P * (dP - rowsum(dP * P)) with dP = g V^T, then
     dQ = dS K and dK^T += Q^T dS (FlashAttention's backward; a whole key
@@ -274,7 +274,7 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tens
 
     out = np.empty((q.shape[0], v.shape[1]))
     for lo, hi in blocks:
-        out[lo:hi] = kernels.attend_rows(scores(lo, hi), v.value)
+        out[lo:hi] = kernels.attend_rows(q.value[lo:hi] @ kt, v.value, scale)
 
     def backward(g):
         dq = np.empty(q.shape)

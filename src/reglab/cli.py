@@ -283,12 +283,20 @@ def cmd_report(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """A ``--seed`` value: numpy's seed sequences take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_scene_flags(p: argparse.ArgumentParser, n_default: int = 1000) -> None:
     p.add_argument("--n", type=int, default=n_default, help="correspondence count")
     p.add_argument("--outlier-ratio", type=float, default=0.6)
     p.add_argument("--noise-sigma", type=float, default=0.01, help="meters")
     p.add_argument("--scene", choices=["indoor", "outdoor"], default="indoor")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -341,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise-sigma", type=float, default=0.01)
         p.add_argument("--scene", choices=["indoor", "outdoor"], default="indoor")
         p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=non_negative_int, default=0, help="master seed")
         p.add_argument("--ransac-iterations", type=int, default=1000)
         _add_model_flags(p)
         p.add_argument("--out", type=str, required=True)

@@ -32,29 +32,12 @@ from .errors import ConfigurationError
 
 _EXP_ZERO_BELOW = -746.0
 _CACHE_ENTRIES = 1 << 16
+_LEAD_ROWS = 8
 
 
 def _chunk_rows(width: int) -> int:
     """Rows of ``width`` entries that fill one cache-sized chunk."""
     return max(1, _CACHE_ENTRIES // max(width, 1))
-
-
-def _shift_rows(x: np.ndarray) -> np.ndarray:
-    """Subtract each row's max in place; returns the mask of entries exp keeps."""
-    x -= x.max(axis=1, keepdims=True)
-    return x >= _EXP_ZERO_BELOW
-
-
-def _finish_rows(x: np.ndarray, live: np.ndarray) -> None:
-    """exp over the sum, in place, of rows already shifted by _shift_rows."""
-    if live.all():
-        np.exp(x, out=x)
-    else:
-        # the skipped entries are below the floor, or NaN: maximum
-        # turns the former into exp's +0.0 and keeps the latter
-        np.exp(x, out=x, where=live)
-        np.maximum(x, 0.0, out=x)
-    x /= x.sum(axis=1, keepdims=True)
 
 
 def softmax_rows(s: np.ndarray) -> np.ndarray:
@@ -66,37 +49,75 @@ def softmax_rows(s: np.ndarray) -> np.ndarray:
     step = _chunk_rows(s.shape[1])
     for lo in range(0, s.shape[0], step):
         x = s[lo:lo + step]
-        _finish_rows(x, _shift_rows(x))
+        x -= x.max(axis=1, keepdims=True)
+        live = x >= _EXP_ZERO_BELOW
+        if live.all():
+            np.exp(x, out=x)
+        else:
+            # the skipped entries are below the floor, or NaN: maximum
+            # turns the former into exp's +0.0 and keeps the latter
+            np.exp(x, out=x, where=live)
+            np.maximum(x, 0.0, out=x)
+        x /= x.sum(axis=1, keepdims=True)
     return s
 
 
-def attend_rows(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``softmax_rows(s) @ v``, bit for bit; ``s`` is overwritten.
+def _live_columns(x: np.ndarray, scale: float | None) -> np.ndarray | None:
+    """The column of each row's one live entry in softmax_rows(x [* scale]), or
+    None if some row has more or none; ``x`` is left as it was.
+
+    j = argmax of the unscaled row, and ``second`` the row's max with x[j]
+    masked to -inf. For scale > 0, x -> fl(x * scale) never decreases, so
+    fl(x[j] * scale) is the scaled row's max and fl(second * scale) the
+    largest of its other entries; the row has one live entry exactly when
+    that max is finite and fl(fl(second * scale) - max) < _EXP_ZERO_BELOW.
+    A NaN row, a row with +inf and an all -inf row have a non-finite max;
+    a non-positive or NaN scale never passes.
+    """
+    j = x.argmax(axis=1)
+    flat = x.reshape(-1)        # a view of a C-contiguous x; on a copy no row passes
+    at = np.arange(0, x.size, x.shape[1])
+    at += j
+    top = flat[at]
+    flat[at] = -np.inf
+    second = x.max(axis=1)
+    flat[at] = top
+    if scale is not None:
+        top *= scale
+        second *= scale
+    if not np.isfinite(top).all():
+        return None
+    second -= top
+    return j if (second < _EXP_ZERO_BELOW).all() else None
+
+
+def attend_rows(s: np.ndarray, v: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """``softmax_rows(s [* scale]) @ v``, bit for bit.
 
     A row whose one live entry (at or above _EXP_ZERO_BELOW after the
     shift) is j softmaxes to exactly e_j, and BLAS sums that row's product
     from a zeroed register: v[j] plus terms 0 * v that are all +-0.0, i.e.
-    ``v[j] + 0.0`` (which turns -0.0 into +0.0). While every row has one
-    live entry and v is finite (0 * inf is NaN), the rows are gathered; at
-    the first chunk that fails, the chunks shifted so far are finished and
-    the product runs as usual.
+    ``v[j] + 0.0`` (which turns -0.0 into +0.0). When every row has one
+    live entry (see _live_columns) and v is finite (0 * inf is NaN), the
+    rows are gathered and ``s`` is left as it was. Otherwise ``s`` is
+    scaled and softmaxed in place and the product runs as usual. The
+    first _LEAD_ROWS rows are checked on their own, so a dense block
+    stops there.
     """
-    step = _chunk_rows(s.shape[1])
-    hot = np.empty(s.shape[0], dtype=np.intp) if np.isfinite(v).all() else None
-    for lo in range(0, s.shape[0], step):
-        x = s[lo:lo + step]
-        live = _shift_rows(x)
-        # one live entry per row: as many as rows, and none of them empty
-        if hot is not None and np.count_nonzero(live) == len(x) and live.any(axis=1).all():
-            hot[lo:lo + step] = live.argmax(axis=1)
-            continue
-        if hot is not None:
-            for done in range(0, lo, step):             # the chunks shifted so far
-                y = s[done:done + step]
-                _finish_rows(y, y >= _EXP_ZERO_BELOW)
-            hot = None
-        _finish_rows(x, live)
-    return s @ v if hot is None else v[hot] + 0.0
+    m = s.shape[0]
+    bounds = [0, *range(min(_LEAD_ROWS, m), m, _chunk_rows(s.shape[1])), m]
+    hot = np.empty(m, dtype=np.intp)
+    for lo, hi in zip(bounds, bounds[1:]):
+        j = _live_columns(s[lo:hi], scale)
+        if j is None:
+            break
+        hot[lo:hi] = j
+    else:
+        if np.isfinite(v).all():
+            return v[hot] + 0.0
+    if scale is not None:
+        s *= scale
+    return softmax_rows(s) @ v
 
 
 # -- pairwise length-consistency matrix ------------------------------------
@@ -190,8 +211,9 @@ def _distance_rows(left: np.ndarray, right: np.ndarray, out: np.ndarray,
 def _consistency_block(src: np.ndarray, tgt: np.ndarray, sigma: float,
                        rows: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
     """sc(i, j) for i in ``rows`` and j >= ``first``, written into ``out``."""
-    if not sigma > 0.0:
-        raise ValueError(f"consistency_rows: sigma must be positive, got {sigma}")
+    if not (sigma > 0.0 and sigma * sigma > 0.0):
+        raise ConfigurationError(
+            f"consistency_rows: sigma must be positive with a nonzero square, got {sigma}")
     src_left, src_right = _difference_factors(np.asarray(src, dtype=np.float64), rows, first)
     tgt_left, tgt_right = _difference_factors(np.asarray(tgt, dtype=np.float64), rows, first)
     width = src_right.shape[2]

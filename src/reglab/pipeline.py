@@ -56,8 +56,9 @@ class RegistrationConfig:
         check_scene(self.scene)
         for name in ("delta", "sigma_d"):
             value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0.0):
-                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+            if value is not None and not (0.0 < value < np.inf and value * value > 0.0):
+                raise ConfigurationError(
+                    f"{name} must be positive and finite with a nonzero square, got {value}")
         r = self.nms_radius
         if r is not None and not (np.isfinite(r) and r >= 0.0):
             raise ConfigurationError(f"nms_radius must be >= 0 and finite, got {r}")

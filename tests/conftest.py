@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from reglab.geometry import CorrespondenceSet, RigidTransform
@@ -10,6 +12,20 @@ from reglab.synth import rotation_from_axis_angle
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def smallest_sigma_with_nonzero_square() -> float:
+    """The least positive float whose square does not underflow to 0.
+
+    Squares round to the nearest multiple of 2^-1074, so the bound is
+    just above sqrt(2^-1075) = sqrt(2) * 2^-538, about 1.5e-162.
+    """
+    x = math.ldexp(math.sqrt(2.0), -538)
+    while x * x > 0.0:
+        x = float(np.nextafter(x, 0.0))
+    while not x * x > 0.0:
+        x = float(np.nextafter(x, 1.0))
+    return x
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -189,6 +189,25 @@ def test_power_iteration_scale_invariance():
     assert abs(lam2 - 7.5 * lam1) < 1e-9 * abs(lam2)
 
 
+def test_power_iteration_stops_at_the_first_nan_eigenvalue():
+    """A NaN entry keeps every iterate NaN: one product, then ConvergenceError."""
+
+    class CountedProducts:
+        def __init__(self, m):
+            self.m, self.shape, self.products = m, m.shape, 0
+
+        def __matmul__(self, v):
+            self.products += 1
+            return self.m @ v
+
+    m = np.ones((6, 6))
+    m[1, 4] = m[4, 1] = np.nan
+    counted = CountedProducts(m)
+    with pytest.raises(ConvergenceError, match="eigenvalue nan"):
+        power_iteration(counted)
+    assert counted.products == 1
+
+
 def test_power_iteration_exhausted_budget_raises():
     rng = make_rng(202)
     m = rng.random((20, 20))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import graph_reference
-from conftest import make_rng, random_correspondences
+from conftest import make_rng, random_correspondences, smallest_sigma_with_nonzero_square
 from reglab.autodiff import Tensor, no_grad
 from reglab.blocks import (
     Ablation,
@@ -99,6 +99,13 @@ def test_model_config_round_trip():
 def test_model_config_rejects_non_finite_sc_sigma(sigma):
     with pytest.raises(ConfigurationError, match="sc_sigma"):
         ModelConfig(sc_sigma=sigma)
+
+
+def test_model_config_refuses_an_sc_sigma_whose_square_underflows():
+    sigma = smallest_sigma_with_nonzero_square()
+    ModelConfig(sc_sigma=sigma)
+    with pytest.raises(ConfigurationError, match="sc_sigma"):
+        ModelConfig(sc_sigma=float(np.nextafter(sigma, 0.0)))
 
 
 @pytest.mark.parametrize("doc, field", [

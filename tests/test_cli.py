@@ -442,6 +442,27 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: out of memory (Unable to allocate 7.2 GiB)\n"
 
 
+@pytest.mark.parametrize("command", ["generate", "register", "benchmark", "ablate", "train"])
+def test_negative_seed_exits_2_naming_the_flag(command, tmp_path, capsys):
+    """numpy's SeedSequence refuses negative seeds; argparse refuses them first."""
+    argv = [command, "--seed", "-1"]
+    if command != "register":
+        argv += ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be >= 0, got -1" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_delta_whose_square_underflows_exits_2(capsys):
+    """1e-320 squared is 0: the consistency matrix would divide 0 by 0."""
+    assert main(["register", "--n", "100", "--delta", "1e-320", "--method", "oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta must be positive") and "nonzero square" in err
+
+
 # -- non-finite float flags ------------------------------------------------------------
 
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import reglab.kernels
-from conftest import make_rng, random_transform
+from conftest import make_rng, random_transform, smallest_sigma_with_nonzero_square
 from reglab.errors import ConfigurationError
 from reglab.kernels import (
     _CACHE_ENTRIES,
     _EXP_ZERO_BELOW,
+    _LEAD_ROWS,
     _MATRIX_BYTES_LIMIT,
     _MIN_BLOCK_PRODUCT,
     _ROW_BLOCK,
@@ -122,6 +123,16 @@ def test_consistency_matrix_rejects_nonpositive_sigma(sigma):
     pts = np.zeros((4, 3))
     with pytest.raises(ValueError):
         consistency_matrix(pts, pts, sigma)
+
+
+def test_consistency_kernels_refuse_a_sigma_whose_square_underflows():
+    """gap / sigma^2 with sigma^2 == 0 puts 0 / 0 = NaN on the diagonal."""
+    sigma = smallest_sigma_with_nonzero_square()
+    pts = make_rng(30).normal(size=(5, 3))
+    m = consistency_matrix(pts, pts, sigma)
+    assert np.array_equal(m, np.ones((5, 5)))
+    with pytest.raises(ConfigurationError, match="sigma"):
+        consistency_rows(pts, pts, float(np.nextafter(sigma, 0.0)), 0, 5)
 
 
 def consistency_full_reference(src, tgt, sigma, zero_diagonal=False, rows=None):
@@ -638,17 +649,18 @@ def softmax_reference(x):
 
 
 def bench_model_attention(monkeypatch, n: int, scene: str = "outdoor", outlier_ratio: float = 0.8,
-                          seed: int = 2) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (scores, v) blocks that predict attends with under the bench model.
+                          seed: int = 2) -> list[tuple[np.ndarray, np.ndarray, float | None]]:
+    """The (scores, v, scale) blocks that predict attends with under the bench model.
 
     These are GFA's row attention and its two cross attentions, N wide and
     one call per row block each, and its (32, 32) channel map in one call.
+    The scores are unscaled; the two cross attentions pass 1/sqrt(32).
     """
     blocks = []
 
-    def record(s, v):
-        blocks.append((s.copy(), v))
-        return attend_rows(s, v)
+    def record(s, v, scale=None):
+        blocks.append((s.copy(), v, scale))
+        return attend_rows(s, v, scale)
 
     model = GPINet.load(BENCH_PARAMS)
     c, _ = generate(SceneConfig(n=n, outlier_ratio=outlier_ratio, scene=scene, seed=seed))
@@ -656,13 +668,13 @@ def bench_model_attention(monkeypatch, n: int, scene: str = "outdoor", outlier_r
         patch.setattr(reglab.kernels, "attend_rows", record)
         model.predict(c)
     assert len(blocks) == 3 * len(list(row_blocks(n, 32 * n))) + 1
-    assert [s.shape for s, _ in blocks].count((32, 32)) == 1
+    assert [s.shape for s, _, _ in blocks].count((32, 32)) == 1
     return blocks
 
 
 def bench_model_scores(monkeypatch, n: int) -> list[np.ndarray]:
-    """The score blocks that predict softmaxes under the bench model."""
-    return [s for s, _ in bench_model_attention(monkeypatch, n)]
+    """The (scaled) score blocks that predict softmaxes under the bench model."""
+    return [s if c is None else s * c for s, _, c in bench_model_attention(monkeypatch, n)]
 
 
 def test_exp_returns_positive_zero_below_the_floor():
@@ -769,25 +781,31 @@ def test_attend_softmaxes_with_the_kernel_and_keeps_its_inputs(monkeypatch):
 # -- one-live-entry attention ---------------------------------------------------
 
 
-def check_attend(s, v):
-    """attend_rows(s, v) has the bytes of softmax_rows(s) @ v; True if it gathered.
+def check_attend(s, v, scale=None):
+    """attend_rows(s, v, scale) has the bytes of softmax_rows(s [* scale]) @ v;
+    True if it gathered.
 
-    The gather leaves ``s`` shifted (row max 0.0); the dense path leaves it
-    softmaxed (row max 1.0 on a finite row, NaN on a NaN row).
+    The gather leaves ``s`` as it was; the dense path scales and softmaxes
+    it in place.
     """
     x = s.copy()
     with np.errstate(invalid="ignore"):
-        want = softmax_rows(s.copy()) @ v
-        got = attend_rows(x, v)
-    gathered = bool(np.all(x.max(axis=1) == 0.0))
+        want = softmax_rows(s.copy() if scale is None else s * scale) @ v
+        got = attend_rows(x, v, scale)
+    gathered = x.tobytes() == s.tobytes()
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     return gathered
 
 
-def one_hot_scores(rng, m, n):
-    """(m, n) scores whose rows each hold one entry above exp's floor after the shift."""
-    s = rng.uniform(-5000.0, -1000.0, size=(m, n))
-    s[np.arange(m), rng.integers(0, n, size=m)] = rng.uniform(-3.0, 3.0, size=m)
+SCALE = 1.0 / np.sqrt(32)               # the cross attentions' scale at d = 32
+
+
+def one_hot_scores(rng, m, n, scale=None):
+    """(m, n) scores whose rows each hold one entry above exp's floor after the
+    scale and the shift."""
+    spread = 1.0 if scale is None else 1.0 / scale
+    s = rng.uniform(-5000.0, -1000.0, size=(m, n)) * spread
+    s[np.arange(m), rng.integers(0, n, size=m)] = rng.uniform(-3.0, 3.0, size=m) * spread
     return s
 
 
@@ -823,8 +841,8 @@ def test_attend_rows_falls_back_on_a_tie_at_the_row_max(n):
 
 @pytest.mark.parametrize("n", [7, 257, 2003])
 def test_attend_rows_finishes_every_chunk_when_the_last_one_fails(n):
-    """Two live entries in the last chunk of a block: the shifted chunks before it
-    must be finished too."""
+    """Two live entries in the last chunk of a block: every chunk before it,
+    already checked, takes the dense path too."""
     rng = make_rng(n + 42)
     m = max(240, 3 * (_CACHE_ENTRIES // n))             # several chunks of rows
     s = one_hot_scores(rng, m, n)
@@ -833,20 +851,35 @@ def test_attend_rows_finishes_every_chunk_when_the_last_one_fails(n):
     assert not check_attend(s, awkward_values(rng, n))
 
 
-def test_attend_rows_on_nan_and_infinite_scores():
-    rng = make_rng(43)
+def check_nan_and_infinite_scores(seed, scale=None):
+    rng = make_rng(seed)
     n = 6
     v = awkward_values(rng, n)
-    s = one_hot_scores(rng, 5, n)
+    s = one_hot_scores(rng, 5, n, scale)
     s[1, 2] = -np.inf                                   # still one live entry
-    assert check_attend(s, v)
+    assert check_attend(s, v, scale)
     for bad in ([np.nan] + [0.0] * (n - 1), [np.inf] + [0.0] * (n - 1), [-np.inf] * n,
-                [np.inf, np.inf, 0.0, 0.0, 0.0, 0.0], [-np.inf] * (n - 1) + [np.inf]):
+                [np.inf, np.inf, 0.0, 0.0, 0.0, 0.0], [-np.inf] * (n - 1) + [np.inf],
+                [-np.inf, np.nan, 1.0, -np.inf, -1e9, -1e9]):
         t = s.copy()
         t[3] = bad
-        assert not check_attend(t, v)
+        assert not check_attend(t, v, scale)
         t[4, (t[4].argmax() + 1) % n] = t[4].max()  # as many live entries as rows
-        assert not check_attend(t, v)
+        assert not check_attend(t, v, scale)
+
+
+def test_attend_rows_on_nan_and_infinite_scores():
+    check_nan_and_infinite_scores(43)
+
+
+def test_attend_rows_on_nan_and_infinite_scaled_scores():
+    check_nan_and_infinite_scores(46, SCALE)
+    rng = make_rng(47)
+    v = awkward_values(rng, 6)
+    s = one_hot_scores(rng, 5, 6)
+    s[2, 0] = 1e308                                     # the scaled max overflows to +inf
+    with np.errstate(over="ignore"):
+        assert check_attend(s, v, 1.0) and not check_attend(s, v, 4.0)
 
 
 @pytest.mark.parametrize("n", [1, 7, 2003])
@@ -860,11 +893,109 @@ def test_attend_rows_takes_the_dense_path_on_infinite_values(n):
         assert not check_attend(s, v)
 
 
+@pytest.mark.parametrize("n", [1, 7, 2003])
+def test_attend_rows_gathers_scaled_one_live_entry_rows_bit_for_bit(n):
+    """Width 1 included: a lone finite entry is always the one live entry."""
+    rng = make_rng(n + 45)
+    v = awkward_values(rng, n)
+    for m in (1, _LEAD_ROWS, _LEAD_ROWS + 1, 241):
+        assert check_attend(one_hot_scores(rng, m, n, SCALE), v, SCALE)
+
+
+def test_attend_rows_on_width_one_rows():
+    rng = make_rng(48)
+    v = awkward_values(rng, 1)
+    s = rng.uniform(-1e300, 1e300, size=(9, 1))
+    assert check_attend(s, v) and check_attend(s, v, SCALE)
+    for bad in (np.nan, np.inf, -np.inf):
+        t = s.copy()
+        t[4, 0] = bad
+        assert not check_attend(t, v) and not check_attend(t, v, SCALE)
+
+
+def test_attend_rows_goes_dense_on_maxima_that_the_scale_makes_equal():
+    """a > b unscaled, but fl(a * scale) == fl(b * scale): two live entries."""
+    rng = make_rng(49)
+    tops = [float(a) for a in rng.uniform(1.0, 2.0, size=200)]
+    a = next(a for a in tops if a * SCALE == float(np.nextafter(a, 0.0)) * SCALE)
+    b = float(np.nextafter(a, 0.0))
+    v = awkward_values(rng, 7)
+    for first, second in ((a, b), (b, a)):
+        s = one_hot_scores(rng, 12, 7, SCALE)
+        s[5] = -1e6
+        s[5, 1], s[5, 4] = first, second
+        assert not check_attend(s, v, SCALE)
+
+
+@pytest.mark.parametrize("scale", [0.5 * SCALE, SCALE, 2.0])
+def test_attend_rows_decides_on_the_scaled_gap(scale):
+    """A gap of -1000 is dead unscaled and live at 1/sqrt(32); -500 the other way round at 2."""
+    rng = make_rng(50)
+    v = awkward_values(rng, 7)
+    for gap in (-1000.0, -500.0):
+        s = one_hot_scores(rng, 12, 7, min(scale, 1.0))
+        s[3] = -1e6
+        s[3, 2], s[3, 6] = 1.5, 1.5 + gap
+        dead_scaled = (1.5 + gap) * scale - 1.5 * scale < _EXP_ZERO_BELOW
+        assert check_attend(s, v) == (gap < _EXP_ZERO_BELOW)
+        assert check_attend(s, v, scale) == dead_scaled
+
+
+@pytest.mark.parametrize("scale", [None, SCALE], ids=["unscaled", "scaled"])
+def test_attend_rows_at_the_scaled_underflow_boundary(scale):
+    """fl(fl(second * scale) - fl(top * scale)) == -746 is live; one step below is dead."""
+    c = 1.0 if scale is None else scale
+    want = {_EXP_ZERO_BELOW: None, float(np.nextafter(_EXP_ZERO_BELOW, -np.inf)): None}
+    for top in np.linspace(0.0, 3.0, 301):               # search the seconds near the floor
+        second = (top * c + _EXP_ZERO_BELOW) / c
+        for _ in range(8):
+            second = np.nextafter(second, -np.inf)
+        for _ in range(17):
+            gap = float(second * c - top * c)
+            if gap in want and want[gap] is None:
+                want[gap] = (float(top), float(second))
+            second = np.nextafter(second, np.inf)
+    assert all(want.values())
+    rng = make_rng(51)
+    v = awkward_values(rng, 5)
+    for gap, (top, second) in want.items():
+        s = one_hot_scores(rng, 10, 5, scale)
+        s[6] = -np.inf
+        s[6, 0], s[6, 3] = second, top
+        assert check_attend(s, v, scale) == (gap < _EXP_ZERO_BELOW)
+
+
+@pytest.mark.parametrize("n", [7, 2003])
+def test_attend_rows_goes_dense_on_a_row_inside_or_after_the_leading_rows(n, monkeypatch):
+    """A dense row among the first _LEAD_ROWS rows ends the check there; a later
+    one ends it at the chunk that holds it."""
+    rng = make_rng(n + 52)
+    v = awkward_values(rng, n)
+    m = 240
+    calls = []
+
+    def counted(x, scale):
+        calls.append(len(x))
+        return live_columns(x, scale)
+
+    live_columns = reglab.kernels._live_columns
+    monkeypatch.setattr(reglab.kernels, "_live_columns", counted)
+    for row in (0, 3, _LEAD_ROWS - 1, _LEAD_ROWS, 100, m - 1):
+        for scale in (None, SCALE):
+            s = one_hot_scores(rng, m, n, scale)
+            s[row, (s[row].argmax() + 1) % n] = s[row].max() - 1.0
+            calls.clear()
+            assert not check_attend(s, v, scale)
+            assert calls[0] == _LEAD_ROWS
+            assert (len(calls) == 1) == (row < _LEAD_ROWS)
+            assert sum(calls[:-1]) <= row < sum(calls)
+
+
 def test_attend_rows_on_bench_model_attention(monkeypatch):
     """Indoor N=256 (train_toy's scenes) reaches the dense path; outdoor N=600 does not."""
     indoor = bench_model_attention(monkeypatch, 256, scene="indoor", outlier_ratio=0.5, seed=5)
     outdoor = bench_model_attention(monkeypatch, 600)
-    paths = {name: [check_attend(s, v) for s, v in blocks]
+    paths = {name: [check_attend(s, v, scale) for s, v, scale in blocks]
              for name, blocks in (("indoor", indoor), ("outdoor", outdoor))}
     assert all(paths["outdoor"])
     assert any(paths["indoor"]) and not all(paths["indoor"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng
+from conftest import make_rng, smallest_sigma_with_nonzero_square
 from reglab import kernels
 from reglab.blocks import GPINet, ModelConfig
 from reglab.errors import ConfigurationError, ContractError, DegenerateInputError
@@ -74,6 +74,15 @@ def test_registration_config_validation():
     with pytest.raises(ConfigurationError):
         RegistrationConfig(sigma_d=0.0)
     RegistrationConfig(tau=1.0)  # the closed end is allowed
+
+
+@pytest.mark.parametrize("name", ["delta", "sigma_d"])
+def test_registration_config_refuses_a_radius_whose_square_underflows(name):
+    """delta and sigma_d are squared (inlier tests, the consistency matrix's divisor)."""
+    sigma = smallest_sigma_with_nonzero_square()
+    RegistrationConfig(**{name: sigma})
+    with pytest.raises(ConfigurationError, match=name):
+        RegistrationConfig(**{name: float(np.nextafter(sigma, 0.0))})
 
 
 # -- seed selection ------------------------------------------------------------
