@@ -157,7 +157,8 @@ def spectral_matching(
     confidences and an empty selection.
     """
     n = len(c)
-    m = kernels.consistency_matrix(c.source, c.target, sigma_d, zero_diagonal=True)
+    m = kernels.consistency_matrix(c.source, c.target, sigma_d)
+    np.fill_diagonal(m, 0.0)
     try:
         v, eigenvalue, iterations, residual = power_iteration(m, tol, max_iterations)
     except ConvergenceError:

@@ -27,7 +27,7 @@ from . import kernels
 from .autodiff import Tensor, concat_cols, no_grad, recording
 from .errors import ConfigurationError, DegenerateInputError
 from .geometry import CorrespondenceSet
-from .nn import BatchNorm, InstanceNorm, Linear, flatten_tensors
+from .nn import BatchNorm, InstanceNorm, Linear, named_parts
 from .nn import assign_parameters, load_parameters, save_parameters
 
 POOLED_NORM_FLOOR = 1e-12  # below this, projection onto the pooled vector is a zero map
@@ -147,9 +147,6 @@ class ContextualEmbedding:
         feats = self.mix(self.norm(self.lift(raw)).relu())
         return feats + _consistency_mix(c, self.sc_sigma, feats) * (1.0 / n)
 
-    def tensors(self):
-        return {"lift": self.lift.tensors(), "mix": self.mix.tensors()}
-
 
 class OrthogonalIntegration:
     """Decompose features against a learned pooled descriptor.
@@ -201,14 +198,6 @@ class OrthogonalIntegration:
         rows_of_refined = Tensor(np.ones((n, 1))).matmul(parts["refined"])
         out = self.fuse(concat_cols([residual, rows_of_refined])) + feats
         return out, {"pooled_vector_near_zero": parts["degenerate"]}
-
-    def tensors(self):
-        return {
-            "weigh": self.weigh.tensors(),
-            "squeeze": self.squeeze.tensors(),
-            "expand": self.expand.tensors(),
-            "fuse": self.fuse.tensors(),
-        }
 
 
 def _consistency_mix(c: CorrespondenceSet, sigma: float, feats: Tensor) -> Tensor:
@@ -335,17 +324,6 @@ class GestaltAttention:
                         + at_channels)
         return out_rows, out_channels
 
-    def tensors(self):
-        return {
-            "to_query": self.to_query.tensors(),
-            "to_key": self.to_key.tensors(),
-            "to_value": self.to_value.tensors(),
-            "pw_rows": self.pw_rows.tensors(),
-            "pw_channels": self.pw_channels.tensors(),
-            "pw_cross_rows": self.pw_cross_rows.tensors(),
-            "pw_cross_channels": self.pw_cross_channels.tensors(),
-        }
-
 
 class MixUnit:
     """InstanceNorm -> BatchNorm -> ReLU -> pointwise linear."""
@@ -357,9 +335,6 @@ class MixUnit:
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         return self.lin(self.bnorm(self.inorm(x), mode).relu())
-
-    def tensors(self):
-        return {"bnorm": self.bnorm.tensors(), "lin": self.lin.tensors()}
 
 
 class MultiGranularityMixer:
@@ -404,14 +379,6 @@ class MultiGranularityMixer:
         fusedv = self.fusion(stacked, mode)
         return fusedv.channel_shuffle(self.shuffle_groups)
 
-    def tensors(self):
-        tree = {"fusion": self.fusion.tensors()}
-        for t, unit in self.bottom_up.items():
-            tree[f"bottom_up_{t}"] = unit.tensors()
-        for t, unit in self.top_down.items():
-            tree[f"top_down_{t}"] = unit.tensors()
-        return tree
-
 
 class ClassificationHead:
     """Linear d -> 1 plus sigmoid: per-correspondence inlier probability."""
@@ -421,9 +388,6 @@ class ClassificationHead:
 
     def __call__(self, feats: Tensor) -> Tensor:
         return self.lin(feats).sigmoid()
-
-    def tensors(self):
-        return {"lin": self.lin.tensors()}
 
 
 class GPINet:
@@ -478,17 +442,8 @@ class GPINet:
 
     # -- parameter plumbing -------------------------------------------------
 
-    def tensor_tree(self) -> dict:
-        return {
-            "embedding": self.embedding.tensors(),
-            "oi": self.oi.tensors(),
-            "gfa": self.gfa.tensors(),
-            "dmg": self.dmg.tensors(),
-            "head": self.head.tensors(),
-        }
-
     def parameters(self) -> dict[str, Tensor]:
-        return flatten_tensors(self.tensor_tree())
+        return {name: part for name, part in named_parts(self) if isinstance(part, Tensor)}
 
     def buffers(self) -> dict[str, np.ndarray]:
         """The populated running statistics, by dotted name."""
@@ -496,10 +451,7 @@ class GPINet:
                 for key, value in layer.buffers().items() if value is not None}
 
     def batch_norms(self) -> dict[str, BatchNorm]:
-        named = {f"dmg.bottom_up_{t}.bnorm": u.bnorm for t, u in self.dmg.bottom_up.items()}
-        named.update({f"dmg.top_down_{t}.bnorm": u.bnorm for t, u in self.dmg.top_down.items()})
-        named["dmg.fusion.bnorm"] = self.dmg.fusion.bnorm
-        return named
+        return {name: part for name, part in named_parts(self) if isinstance(part, BatchNorm)}
 
     def save(self, path) -> None:
         save_parameters(path, self.parameters(), self.buffers(), self.config.to_dict())
@@ -512,9 +464,7 @@ class GPINet:
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
         model = GPINet(config, seed=0)
-        params = model.parameters()
-        param_arrays = {k: v for k, v in arrays.items() if k in params}
-        assign_parameters(params, param_arrays)
+        assign_parameters(model.parameters(), arrays)
         for name, layer in model.batch_norms().items():
             keys = {stat: f"{name}.{stat}" for stat in ("running_mean", "running_var")}
             layer.load_buffers({stat: arrays[key] for stat, key in keys.items() if key in arrays})

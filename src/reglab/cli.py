@@ -43,6 +43,7 @@ from .formats import (
     transform_doc,
 )
 from .geometry import (
+    SCENES,
     CorrespondenceSet,
     registration_success,
     rotation_error,
@@ -295,7 +296,7 @@ def _add_scene_flags(p: argparse.ArgumentParser, n_default: int = 1000) -> None:
     p.add_argument("--n", type=int, default=n_default, help="correspondence count")
     p.add_argument("--outlier-ratio", type=float, default=0.6)
     p.add_argument("--noise-sigma", type=float, default=0.01, help="meters")
-    p.add_argument("--scene", choices=["indoor", "outdoor"], default="indoor")
+    p.add_argument("--scene", choices=SCENES, default="indoor")
     p.add_argument("--seed", type=non_negative_int, default=0)
 
 
@@ -306,7 +307,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--ablate",
         action="append",
-        choices=["oi", "gfa", "dmg"],
+        choices=Ablation.BLOCKS,
         help="disable a block (repeatable)",
     )
 
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--outlier-ratio", action="append", help="repeatable or comma-separated")
         p.add_argument("--trials", type=int, default=10)
         p.add_argument("--noise-sigma", type=float, default=0.01)
-        p.add_argument("--scene", choices=["indoor", "outdoor"], default="indoor")
+        p.add_argument("--scene", choices=SCENES, default="indoor")
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--seed", type=non_negative_int, default=0, help="master seed")
         p.add_argument("--ransac-iterations", type=int, default=1000)

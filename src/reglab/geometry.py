@@ -97,10 +97,6 @@ class RigidTransform:
     def apply(self, points: Points) -> Points:
         return apply_transform(self, points)
 
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -(rt @ self.translation))
-
     def compose(self, inner: "RigidTransform") -> "RigidTransform":
         """self after inner: (self.compose(inner)).apply(x) == self.apply(inner.apply(x))."""
         return RigidTransform(

@@ -232,16 +232,14 @@ def _consistency_block(src: np.ndarray, tgt: np.ndarray, sigma: float,
 
 
 def consistency_rows(src: np.ndarray, tgt: np.ndarray, sigma: float,
-                     lo, hi: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+                     lo, hi: int | None = None) -> np.ndarray:
     """Rows [lo, hi) of the consistency matrix, as a (hi - lo, N) block.
 
     With ``hi`` None, ``lo`` is an array of row indices instead, and the
     block holds those rows in that order.
     """
     rows = np.asarray(lo, dtype=np.int64) if hi is None else np.arange(lo, hi)
-    if out is None:
-        out = np.empty((rows.size, len(src)))
-    return _consistency_block(src, tgt, sigma, rows, 0, out)
+    return _consistency_block(src, tgt, sigma, rows, 0, np.empty((rows.size, len(src))))
 
 
 def consistency_triangle(src: np.ndarray, tgt: np.ndarray, sigma: float, reuse: bool):
@@ -260,8 +258,7 @@ def consistency_triangle(src: np.ndarray, tgt: np.ndarray, sigma: float, reuse: 
         yield lo, hi, _consistency_block(src, tgt, sigma, np.arange(lo, hi), lo, out)
 
 
-def consistency_matrix(src: np.ndarray, tgt: np.ndarray, sigma: float,
-                       zero_diagonal: bool = False) -> np.ndarray:
+def consistency_matrix(src: np.ndarray, tgt: np.ndarray, sigma: float) -> np.ndarray:
     """Full N x N length-consistency matrix for a correspondence set.
 
     The row blocks run last to first, so the rows above a block are not
@@ -286,8 +283,6 @@ def consistency_matrix(src: np.ndarray, tgt: np.ndarray, sigma: float,
         if lo:
             m[lo:hi, lo:] = block
         m[hi:, lo:hi] = block[:, h:].T
-    if zero_diagonal:
-        np.fill_diagonal(m, 0.0)
     return m
 
 

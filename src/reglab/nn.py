@@ -1,7 +1,8 @@
 """Layers over the autodiff Tensor plus parameter (de)serialization.
 
-Layers are plain objects holding named Tensors. A model aggregates them
-into a flat ``{dotted.name: Tensor}`` mapping; that mapping round-trips
+Layers are plain objects holding named Tensors. A parameter's name is the
+attribute path that holds it (``named_parts``), so a model's parameters
+form a flat ``{dotted.name: Tensor}`` mapping; that mapping round-trips
 through a single JSON document of ``name -> {shape, values}`` with
 row-major value arrays and exact shape validation on load.
 """
@@ -44,9 +45,6 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return x.matmul(self.weight) + self.bias
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
-
 
 class InstanceNorm:
     """Per-column standardization over the rows; no learnable parameters."""
@@ -63,9 +61,6 @@ class InstanceNorm:
         centered = x - mu
         var = (centered * centered).mean(axis=0)
         return centered / (var + self.eps).sqrt()
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {}
 
 
 class BatchNorm:
@@ -124,9 +119,6 @@ class BatchNorm:
                 self.running_var = (1.0 - m) * self.running_var + m * batch_var
         return centered / (var + self.eps).sqrt() * self.scale + self.shift
 
-    def tensors(self) -> dict[str, Tensor]:
-        return {"scale": self.scale, "shift": self.shift}
-
     def buffers(self) -> dict[str, np.ndarray | None]:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
@@ -137,16 +129,25 @@ class BatchNorm:
             self.running_var = values["running_var"].reshape(1, self.width).copy()
 
 
-def flatten_tensors(tree: dict, prefix: str = "") -> dict[str, Tensor]:
-    """Flatten a nested {name: Tensor | dict} tree into dotted names."""
-    flat: dict[str, Tensor] = {}
-    for key, node in tree.items():
-        name = f"{prefix}{key}"
-        if isinstance(node, Tensor):
-            flat[name] = node
-        else:
-            flat.update(flatten_tensors(node, prefix=f"{name}."))
-    return flat
+def named_parts(layer, prefix: str = ""):
+    """(dotted attribute path, part) for every parameter and sub-layer under ``layer``.
+
+    A parameter is a Tensor that requires a gradient. A sub-layer is any
+    other object with a ``__dict__``; it is yielded, then walked in turn.
+    Each entry of a dict attribute is named ``attr_key``. Lists, arrays,
+    numbers and constant Tensors are skipped. The paths of the parameters
+    are the keys of a parameter file, so renaming an attribute changes it.
+    """
+    for attr, value in vars(layer).items():
+        entries = ([(f"{attr}_{key}", part) for key, part in value.items()]
+                   if isinstance(value, dict) else [(attr, value)])
+        for name, part in entries:
+            if isinstance(part, Tensor):
+                if part.requires_grad:
+                    yield prefix + name, part
+            elif hasattr(part, "__dict__"):
+                yield prefix + name, part
+                yield from named_parts(part, f"{prefix}{name}.")
 
 
 def sgd_step(params: dict[str, Tensor], lr: float) -> None:
@@ -167,18 +168,11 @@ def save_parameters(
     doc: dict = {"format": "reglab-parameters-v1"}
     if config is not None:
         doc["config"] = config
-    entries: dict[str, dict] = {}
-    for name, t in sorted(params.items()):
-        entries[name] = {
-            "shape": list(t.value.shape),
-            "values": [float(v) for v in t.value.reshape(-1)],
-        }
-    for name, arr in sorted((buffers or {}).items()):
-        entries[name] = {
-            "shape": list(arr.shape),
-            "values": [float(v) for v in arr.reshape(-1)],
-        }
-    doc["parameters"] = entries
+    arrays = {name: t.value for name, t in params.items()} | (buffers or {})
+    doc["parameters"] = {
+        name: {"shape": list(arr.shape), "values": [float(v) for v in arr.reshape(-1)]}
+        for name, arr in arrays.items()
+    }
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 

@@ -51,7 +51,7 @@ from reglab.geometry import (
     weighted_kabsch,
 )
 from reglab.kernels import consistency_matrix
-from reglab.nn import flatten_tensors
+from reglab.nn import named_parts
 from reglab.pipeline import RegistrationConfig, register
 from reglab.reports import emit_reports
 from reglab.synth import SceneConfig, generate
@@ -102,6 +102,11 @@ def test_criterion_1_orthogonality_suite():
 CFG2 = ModelConfig(channels=16, granularities=2)
 
 
+def trainable(layer) -> dict[str, Tensor]:
+    """The layer's parameters, by attribute path."""
+    return {name: part for name, part in named_parts(layer) if isinstance(part, Tensor)}
+
+
 def run_grad_suite(label: str, make_loss, tensors: dict, seed: int, coords_per: int = 2) -> float:
     loss = make_loss()
     loss.backward()
@@ -133,7 +138,7 @@ def test_criterion_2_gradient_suite():
     worst["embedding"] = run_grad_suite(
         "embedding",
         lambda: (emb(c) * Tensor(w_emb)).sum(),
-        flatten_tensors(emb.tensors()),
+        trainable(emb),
         seed=24,
     )
 
@@ -141,7 +146,7 @@ def test_criterion_2_gradient_suite():
     x_oi = Tensor(make_rng(32).normal(size=(n, d)), requires_grad=True)
     assert not oi.decompose(x_oi)["degenerate"]
     w_oi = make_rng(33).normal(size=(n, d))
-    tensors = dict(flatten_tensors(oi.tensors()), input=x_oi)
+    tensors = dict(trainable(oi), input=x_oi)
     worst["orthogonal_integration"] = run_grad_suite(
         "orthogonal_integration",
         lambda: (oi(x_oi)[0] * Tensor(w_oi)).sum(),
@@ -158,14 +163,14 @@ def test_criterion_2_gradient_suite():
         rows, channels = gfa(x_gfa)
         return (rows * Tensor(w_rows)).sum() + (channels * Tensor(w_chan)).sum()
 
-    tensors = dict(flatten_tensors(gfa.tensors()), input=x_gfa)
+    tensors = dict(trainable(gfa), input=x_gfa)
     worst["gestalt_attention"] = run_grad_suite("gestalt_attention", gfa_loss, tensors, seed=45)
 
     dmg = MultiGranularityMixer(CFG2, make_rng(51))
     fine = Tensor(make_rng(52).normal(size=(n, d)), requires_grad=True)
     coarse = Tensor(make_rng(53).normal(size=(n, d)), requires_grad=True)
     w_dmg = make_rng(54).normal(size=(n, d))
-    tensors = dict(flatten_tensors(dmg.tensors()), fine=fine, coarse=coarse)
+    tensors = dict(trainable(dmg), fine=fine, coarse=coarse)
     worst["multi_granularity"] = run_grad_suite(
         "multi_granularity",
         lambda: (dmg(fine, coarse, "frozen") * Tensor(w_dmg)).sum(),
@@ -176,7 +181,7 @@ def test_criterion_2_gradient_suite():
     head = ClassificationHead(CFG2, make_rng(61))
     x_head = Tensor(make_rng(62).normal(size=(n, d)), requires_grad=True)
     w_head = make_rng(63).normal(size=(n, 1))
-    tensors = dict(flatten_tensors(head.tensors()), input=x_head)
+    tensors = dict(trainable(head), input=x_head)
     worst["classification_head"] = run_grad_suite(
         "classification_head",
         lambda: (head(x_head) * Tensor(w_head)).sum(),

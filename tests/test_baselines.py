@@ -219,6 +219,13 @@ def test_power_iteration_exhausted_budget_raises():
 # -- spectral matching ---------------------------------------------------------------
 
 
+def sm_matrix(src, tgt, sigma):
+    """spectral_matching's compatibility matrix: consistency off the diagonal, zeros on it."""
+    m = consistency_matrix(src, tgt, sigma)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
 def test_spectral_matching_zero_matrix_special_case():
     # any length pairing is wildly inconsistent: all-zero compatibility
     src = np.array([[0.0, 0, 0], [10.0, 0, 0], [0, 10.0, 0], [0, 0, 10.0]])
@@ -247,7 +254,7 @@ def test_spectral_matching_smallest_positive_entry_is_not_the_zero_case():
     d = float(np.nextafter(sigma, 0.0))                # 1 - d^2 / sigma^2 rounds to 2^-53
     src = np.array([[0.0, 0, 0], [d, 0, 0], [50.0, 0, 0], [0, 50.0, 0]])
     tgt = np.zeros((4, 3))
-    m = consistency_matrix(src, tgt, sigma, zero_diagonal=True)
+    m = sm_matrix(src, tgt, sigma)
     assert m[0, 1] == m[1, 0] == 2.0**-53 and np.count_nonzero(m) == 2
     result = spectral_matching(CorrespondenceSet(src, tgt), sigma_d=sigma)
     assert result.eigenvalue == pytest.approx(2.0**-53, rel=1e-15) and result.iterations == 2
@@ -263,7 +270,7 @@ def test_spectral_confidences_properties(seed):
     result = spectral_matching(c, sigma_d=0.10)
     assert np.all(result.confidences >= 0.0)
     assert result.confidences.shape == (60,)
-    m = consistency_matrix(c.source, c.target, 0.10, zero_diagonal=True)
+    m = sm_matrix(c.source, c.target, 0.10)
     v = result.confidences
     assert result.residual <= 1e-9 * result.eigenvalue
     assert np.linalg.norm(m @ v - result.eigenvalue * v) <= 1e-6 * result.eigenvalue
@@ -337,7 +344,7 @@ def argmax_sweep(confidences, m, tau):
 def test_spectral_sweep_matches_argmax_loop_on_criterion_8_scenes(seed):
     c, _ = generate(SceneConfig(n=60, outlier_ratio=0.4, noise_sigma=0.01, seed=80_000 + seed))
     result = spectral_matching(c, sigma_d=0.10)
-    m = consistency_matrix(c.source, c.target, 0.10, zero_diagonal=True)
+    m = sm_matrix(c.source, c.target, 0.10)
     assert np.array_equal(result.selected, argmax_sweep(result.confidences, m, 0.5))
 
 
@@ -366,7 +373,7 @@ def test_spectral_four_pair_worked_example_matches_eigh():
     c = CorrespondenceSet(src, tgt)
     result = spectral_matching(c, sigma_d=0.4)
 
-    m = consistency_matrix(src, tgt, 0.4, zero_diagonal=True)
+    m = sm_matrix(src, tgt, 0.4)
     evals, evecs = np.linalg.eigh(m)
     lead = evecs[:, -1]
     if lead.sum() < 0:

@@ -1,5 +1,7 @@
 """Model blocks: widths, orthogonality, equivariance, wiring oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from reglab.errors import (
 )
 from reglab.geometry import CorrespondenceSet
 from reglab.kernels import row_blocks
-from reglab.nn import BatchNorm, InstanceNorm, Linear, flatten_tensors, sgd_step
+from reglab.nn import BatchNorm, InstanceNorm, Linear, load_parameters, named_parts, sgd_step
 from reglab.synth import SceneConfig, generate
 
 EPS = 1e-5  # normalization epsilon shared by every layer
@@ -223,11 +225,24 @@ def test_batch_norm_layer_modes():
         bn(Tensor(x), "training")
 
 
-def test_flatten_and_sgd_step():
+def test_named_parts_and_sgd_step():
     rng = make_rng(4)
     lin = Linear(3, 2, rng)
-    flat = flatten_tensors({"layer": lin.tensors()})
+    flat = dict(named_parts(lin, "layer."))
     assert set(flat) == {"layer.weight", "layer.bias"}
+    assert flat["layer.weight"] is lin.weight
+    # sub-layers by attribute path, dict entries as attr_key; lists, arrays,
+    # numbers and constant Tensors are not parts
+    holder = SimpleNamespace(
+        units={1: MixUnit(4, 2, rng)}, norm=InstanceNorm(), width=4, shape=np.ones(2),
+        pools=[Tensor(np.ones((2, 2)), requires_grad=True)], constant=Tensor(np.ones((1, 1))))
+    parts = dict(named_parts(holder))
+    unit = holder.units[1]
+    assert parts == {"units_1": unit, "units_1.inorm": unit.inorm, "units_1.bnorm": unit.bnorm,
+                     "units_1.bnorm.scale": unit.bnorm.scale,
+                     "units_1.bnorm.shift": unit.bnorm.shift, "units_1.lin": unit.lin,
+                     "units_1.lin.weight": unit.lin.weight, "units_1.lin.bias": unit.lin.bias,
+                     "norm": holder.norm}
     before = lin.weight.value.copy()
     loss = (lin(Tensor(np.ones((2, 3)))) * 2.0).sum()
     loss.backward()
@@ -483,19 +498,31 @@ def test_predict_deterministic_across_instances():
 
 
 def test_save_load_round_trip(tmp_path):
-    cfg = ModelConfig(channels=16, granularities=2)
-    model = GPINet(cfg, seed=3)
     c, _ = random_correspondences(make_rng(23), n=11, noise=0.05)
-    model.forward(c, mode="train")  # populate batch-norm buffers
+    finest = ModelConfig(channels=16, granularities=2, top_down_include_finest=True)
+    for cfg in (ModelConfig(channels=16, granularities=2), finest):
+        model = GPINet(cfg, seed=3)
+        model.forward(c, mode="train")  # populate batch-norm buffers
 
-    path = tmp_path / "params.json"
-    model.save(path)
-    clone = GPINet.load(path)
-    assert clone.config == cfg
-    assert clone.predict(c).tobytes() == model.predict(c).tobytes()
-    with_stats, _ = clone.forward(c, mode="eval")
-    want, _ = model.forward(c, mode="eval")
-    np.testing.assert_array_equal(with_stats.value, want.value)
+        path = tmp_path / "params.json"
+        model.save(path)
+        clone = GPINet.load(path)
+        assert clone.config == cfg
+        assert clone.predict(c).tobytes() == model.predict(c).tobytes()
+        with_stats, _ = clone.forward(c, mode="eval")
+        want, _ = model.forward(c, mode="eval")
+        np.testing.assert_array_equal(with_stats.value, want.value)
+        clone.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    # keys are attribute paths; the finest top-down unit is the dict entry top_down_0
+    units = ("bottom_up_1", "bottom_up_2", "top_down_1", "top_down_0", "fusion")
+    assert {name for name in model.parameters() if name.startswith("dmg.")} == {
+        f"dmg.{unit}.{leaf}" for unit in units
+        for leaf in ("bnorm.scale", "bnorm.shift", "lin.weight", "lin.bias")}
+    assert set(model.batch_norms()) == {f"dmg.{unit}.bnorm" for unit in units}
+    assert set(load_parameters(path)[1]) == set(model.parameters()) | {
+        f"dmg.{unit}.bnorm.{stat}" for unit in units for stat in ("running_mean", "running_var")}
 
 
 def test_eval_mode_requires_training_first():

@@ -6,14 +6,19 @@ the network's probabilities on an outlier-free scene of the same size
 and seed, and one RANSAC scan result.
 A refactor that changes any of them changes observable behaviour.
 
-Regenerate (only when an output is meant to change) with
-``PYTHONPATH=src python tests/test_golden.py``.
+The test builds them in a child interpreter with two BLAS threads, so
+that the caller's thread setting does not change their bytes. Regenerate
+(only when an output is meant to change) with the same setting:
+``OPENBLAS_NUM_THREADS=2 OMP_NUM_THREADS=2 MKL_NUM_THREADS=2 PYTHONPATH=src
+python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -104,21 +109,31 @@ def test_reglab_train_with_every_default_writes_the_bench_model(tmp_path):
     assert hashlib.sha256((tmp_path / "params.json").read_bytes()).hexdigest() == PARAMS_SHA256
 
 
-def test_outputs_match_goldens_byte_for_byte():
-    artifacts = build_artifacts()
-    assert sorted(artifacts) == sorted(p.name for p in GOLDEN.iterdir())
-    changed = [name for name, data in sorted(artifacts.items())
-               if (GOLDEN / name).read_bytes() != data]
+def _child(args: list[str], threads: int) -> str:
+    """Standard output of ``python args`` with reglab importable and ``threads`` BLAS threads."""
+    import reglab
+
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.__file__)))
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir}
+    env.update({var: str(threads) for var in
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    out = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                         check=False, timeout=600)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_outputs_match_goldens_byte_for_byte(tmp_path):
+    """The goldens' bytes, built by this file's __main__ with two BLAS threads."""
+    _child([__file__, str(tmp_path)], threads=2)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in GOLDEN.iterdir())
+    changed = [p.name for p in sorted(GOLDEN.iterdir())
+               if (tmp_path / p.name).read_bytes() != p.read_bytes()]
     assert changed == []
 
 
 def _large_predict_sha256(model: str) -> str:
     """sha256 of ``model``'s probabilities on the N=2003 scene, in a one-thread child."""
-    import os
-    import subprocess
-
-    import reglab
-
     code = (
         "import hashlib, sys\n"
         "from reglab.blocks import GPINet\n"
@@ -127,17 +142,7 @@ def _large_predict_sha256(model: str) -> str:
         f"probs = {model}.predict(c)\n"
         "print(hashlib.sha256(probs.tobytes()).hexdigest())\n"
     )
-    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(PARAMS)],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, "OPENBLAS_NUM_THREADS": "1",
-             "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
-        check=False,
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
+    return _child(["-c", code, str(PARAMS)], threads=1).strip()
 
 
 def test_predict_at_large_n_with_one_blas_thread_matches_pinned_hash():
@@ -149,7 +154,8 @@ def test_untrained_predict_at_large_n_with_one_blas_thread_matches_pinned_hash()
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+    out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
+    out_dir.mkdir(exist_ok=True)
     for name, data in build_artifacts().items():
-        (GOLDEN / name).write_bytes(data)
-        print(f"wrote {GOLDEN / name}", file=sys.stderr)
+        (out_dir / name).write_bytes(data)
+        print(f"wrote {out_dir / name}", file=sys.stderr)

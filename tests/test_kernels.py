@@ -38,14 +38,12 @@ from reglab.synth import SceneConfig, generate
 BENCH_PARAMS = Path(__file__).resolve().parents[1] / "bench" / "model" / "params.json"
 
 
-def consistency_oracle(src, tgt, sigma, zero_diagonal=False):
+def consistency_oracle(src, tgt, sigma):
     """Scalar-loop re-derivation of the pairwise length-consistency score."""
     n = src.shape[0]
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            if zero_diagonal and i == j:
-                continue
             ds = np.linalg.norm(src[i] - src[j])
             dt = np.linalg.norm(tgt[i] - tgt[j])
             out[i, j] = max(0.0, 1.0 - (ds - dt) ** 2 / sigma**2)
@@ -88,10 +86,8 @@ def test_consistency_matrix_matches_loop_oracle(seed):
     src = rng.uniform(-3, 3, size=(n, 3))
     tgt = rng.uniform(-3, 3, size=(n, 3))
     sigma = float(rng.uniform(0.05, 1.5))
-    for zd in (False, True):
-        got = consistency_matrix(src, tgt, sigma, zero_diagonal=zd)
-        want = consistency_oracle(src, tgt, sigma, zero_diagonal=zd)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    got = consistency_matrix(src, tgt, sigma)
+    np.testing.assert_allclose(got, consistency_oracle(src, tgt, sigma), rtol=0, atol=1e-13)
 
 
 def test_consistency_matrix_basic_properties():
@@ -103,10 +99,6 @@ def test_consistency_matrix_basic_properties():
     assert np.all(m >= 0.0) and np.all(m <= 1.0)
     np.testing.assert_allclose(m, m.T, atol=1e-15)
     np.testing.assert_array_equal(np.diag(m), np.ones(40))
-    z = consistency_matrix(src, tgt, 0.2, zero_diagonal=True)
-    np.testing.assert_array_equal(np.diag(z), np.zeros(40))
-    off = ~np.eye(40, dtype=bool)
-    np.testing.assert_array_equal(z[off], m[off])
 
 
 def test_consistency_matrix_perfect_rigid_pair_is_all_ones():
@@ -135,7 +127,7 @@ def test_consistency_kernels_refuse_a_sigma_whose_square_underflows():
         consistency_rows(pts, pts, float(np.nextafter(sigma, 0.0)), 0, 5)
 
 
-def consistency_full_reference(src, tgt, sigma, zero_diagonal=False, rows=None):
+def consistency_full_reference(src, tgt, sigma, rows=None):
     """The one-shot N x N formula: every pairwise difference at once.
 
     With ``rows``, the same formula for those rows only.
@@ -150,10 +142,7 @@ def consistency_full_reference(src, tgt, sigma, zero_diagonal=False, rows=None):
     dzt = tgt[rows, 2][:, None] - tgt[:, 2][None, :]
     dt = np.sqrt(dxt * dxt + dyt * dyt + dzt * dzt)
     gap = ds - dt
-    m = np.maximum(0.0, 1.0 - (gap * gap) / (sigma * sigma))
-    if zero_diagonal:
-        np.fill_diagonal(m, 0.0)
-    return m
+    return np.maximum(0.0, 1.0 - (gap * gap) / (sigma * sigma))
 
 
 @pytest.mark.parametrize("n", [1, 239, 240, 241, 255, 256, 257, 359, 360, 517])
@@ -162,10 +151,8 @@ def test_consistency_matrix_across_row_blocks_matches_full_reference(n):
     rng = make_rng(n)
     src = rng.uniform(-20, 20, size=(n, 3))
     tgt = rng.uniform(-20, 20, size=(n, 3))
-    for zd in (False, True):
-        want = consistency_full_reference(src, tgt, 0.4, zero_diagonal=zd)
-        np.testing.assert_array_equal(consistency_matrix(src, tgt, 0.4, zero_diagonal=zd), want)
     want = consistency_full_reference(src, tgt, 0.4)
+    np.testing.assert_array_equal(consistency_matrix(src, tgt, 0.4), want)
     for lo, hi in [(0, n), (n - 1, n), (n // 2, n), (0, min(n, 300))]:
         np.testing.assert_array_equal(consistency_rows(src, tgt, 0.4, lo, hi), want[lo:hi])
         np.testing.assert_array_equal(consistency_row(src, tgt, lo, 0.4), want[lo])
@@ -201,8 +188,6 @@ def test_mirrored_consistency_matrix_matches_row_by_row_reference(n):
     got = consistency_matrix(src, tgt, 0.4)
     np.testing.assert_array_equal(got, want)
     assert 0.0 < got.mean() < 1.0
-    np.fill_diagonal(want, 0.0)
-    np.testing.assert_array_equal(consistency_matrix(src, tgt, 0.4, zero_diagonal=True), want)
 
 
 # -- pairwise differences as BLAS products ------------------------------------
@@ -247,9 +232,6 @@ def test_consistency_kernels_equal_the_broadcast_reference_on_adversarial_points
     sigma = ADVERSARIAL_SIGMA[kind]
     want = consistency_full_reference(src, tgt, sigma)
     assert_same_bits(consistency_matrix(src, tgt, sigma), want)
-    zeroed = want.copy()
-    np.fill_diagonal(zeroed, 0.0)
-    assert_same_bits(consistency_matrix(src, tgt, sigma, zero_diagonal=True), zeroed)
     for lo, hi in [(0, n), (n // 2, n), (n - 1, n)]:
         assert_same_bits(consistency_rows(src, tgt, sigma, lo, hi), want[lo:hi])
     rows = np.r_[rng.permutation(n)[:23], n - 1, 0, n - 1]
