@@ -98,9 +98,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.value.shape}{flag})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         # No gradient is ever written in place, so a C-ordered first one is kept
         # as given, shared or not, and later ones add into a new array.

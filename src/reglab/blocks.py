@@ -28,7 +28,7 @@ from .autodiff import Tensor, concat_cols, no_grad, recording
 from .errors import ConfigurationError, DegenerateInputError
 from .geometry import CorrespondenceSet
 from .nn import BatchNorm, InstanceNorm, Linear, named_parts
-from .nn import assign_parameters, load_parameters, save_parameters
+from .nn import assign_state, load_parameters, save_parameters
 
 POOLED_NORM_FLOOR = 1e-12  # below this, projection onto the pooled vector is a zero map
 
@@ -445,16 +445,8 @@ class GPINet:
     def parameters(self) -> dict[str, Tensor]:
         return {name: part for name, part in named_parts(self) if isinstance(part, Tensor)}
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        """The populated running statistics, by dotted name."""
-        return {f"{name}.{key}": value for name, layer in self.batch_norms().items()
-                for key, value in layer.buffers().items() if value is not None}
-
-    def batch_norms(self) -> dict[str, BatchNorm]:
-        return {name: part for name, part in named_parts(self) if isinstance(part, BatchNorm)}
-
     def save(self, path) -> None:
-        save_parameters(path, self.parameters(), self.buffers(), self.config.to_dict())
+        save_parameters(path, self, self.config.to_dict())
 
     @staticmethod
     def load(path) -> "GPINet":
@@ -464,10 +456,7 @@ class GPINet:
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
         model = GPINet(config, seed=0)
-        assign_parameters(model.parameters(), arrays)
-        for name, layer in model.batch_norms().items():
-            keys = {stat: f"{name}.{stat}" for stat in ("running_mean", "running_var")}
-            layer.load_buffers({stat: arrays[key] for stat, key in keys.items() if key in arrays})
+        assign_state(model, arrays, path)
         return model
 
 

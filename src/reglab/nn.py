@@ -2,9 +2,10 @@
 
 Layers are plain objects holding named Tensors. A parameter's name is the
 attribute path that holds it (``named_parts``), so a model's parameters
-form a flat ``{dotted.name: Tensor}`` mapping; that mapping round-trips
-through a single JSON document of ``name -> {shape, values}`` with
-row-major value arrays and exact shape validation on load.
+form a flat ``{dotted.name: Tensor}`` mapping. Those parameters and the
+batch-norm running statistics (``named_state``) round-trip through a single
+JSON document of ``name -> {shape, values}`` with row-major value arrays;
+loading checks the key set and every shape exactly.
 """
 
 from __future__ import annotations
@@ -119,15 +120,6 @@ class BatchNorm:
                 self.running_var = (1.0 - m) * self.running_var + m * batch_var
         return centered / (var + self.eps).sqrt() * self.scale + self.shift
 
-    def buffers(self) -> dict[str, np.ndarray | None]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-    def load_buffers(self, values: dict[str, np.ndarray]) -> None:
-        if "running_mean" in values:
-            self.running_mean = values["running_mean"].reshape(1, self.width).copy()
-        if "running_var" in values:
-            self.running_var = values["running_var"].reshape(1, self.width).copy()
-
 
 def named_parts(layer, prefix: str = ""):
     """(dotted attribute path, part) for every parameter and sub-layer under ``layer``.
@@ -158,20 +150,30 @@ def sgd_step(params: dict[str, Tensor], lr: float) -> None:
             t.grad = None
 
 
-def save_parameters(
-    path: str | Path,
-    params: dict[str, Tensor],
-    buffers: dict[str, np.ndarray] | None = None,
-    config: dict | None = None,
-) -> None:
-    """Write parameters (and populated stat buffers) to a single JSON doc."""
+def named_state(layer):
+    """(name, owner, attribute, shape) for every array a parameter file holds.
+
+    That is the ``value`` of each parameter ``named_parts`` finds, and the
+    ``running_mean`` and ``running_var`` of each BatchNorm, which stay None
+    until a train step sets them.
+    """
+    for name, part in named_parts(layer):
+        if isinstance(part, Tensor):
+            yield name, part, "value", part.value.shape
+        elif isinstance(part, BatchNorm):
+            for stat in ("running_mean", "running_var"):
+                yield f"{name}.{stat}", part, stat, (1, part.width)
+
+
+def save_parameters(path: str | Path, layer, config: dict | None = None) -> None:
+    """Write every populated array of ``named_state(layer)`` to a single JSON doc."""
     doc: dict = {"format": "reglab-parameters-v1"}
     if config is not None:
         doc["config"] = config
-    arrays = {name: t.value for name, t in params.items()} | (buffers or {})
+    arrays = {name: getattr(owner, attr) for name, owner, attr, _ in named_state(layer)}
     doc["parameters"] = {
         name: {"shape": list(arr.shape), "values": [float(v) for v in arr.reshape(-1)]}
-        for name, arr in arrays.items()
+        for name, arr in arrays.items() if arr is not None
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
@@ -189,28 +191,37 @@ def load_parameters(path: str | Path) -> tuple[dict | None, dict[str, np.ndarray
         try:
             shape = tuple(int(s) for s in entry["shape"])
             values = np.asarray(entry["values"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+            if values.size == int(np.prod(shape)):
+                arrays[name] = values.reshape(shape)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(
                 f"{path}: entry {name!r} is not a shape/values pair ({exc!r})"
             ) from exc
-        if values.size != int(np.prod(shape)):
+        if name not in arrays:
             raise ConfigurationError(
                 f"{path}: entry {name!r} has {values.size} values for shape {shape}"
             )
-        arrays[name] = values.reshape(shape)
     return doc.get("config"), arrays
 
 
-def assign_parameters(params: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into model tensors with exact shape validation."""
-    missing = sorted(set(params) - set(arrays))
-    if missing:
-        raise ConfigurationError(f"parameter document is missing entries: {missing}")
-    for name, t in params.items():
-        arr = arrays[name]
-        if arr.shape != t.value.shape:
-            raise ShapeError(
-                f"parameter {name!r}: stored shape {arr.shape} != model shape {t.value.shape}"
-            )
-        t.value = arr.copy()
-        t.grad = None
+def assign_state(layer, arrays: dict[str, np.ndarray], source) -> None:
+    """Copy a parameter file's arrays into ``layer``; refuse any mismatch.
+
+    Every key must be one of ``named_state(layer)`` and every shape must be
+    the model's. Every parameter must be present; a BatchNorm's two running
+    statistics may be left out together (a never-trained model), not singly.
+    """
+    state = {name: (owner, attr, shape) for name, owner, attr, shape in named_state(layer)}
+    unknown = sorted(set(arrays) - set(state))
+    if unknown:
+        raise ConfigurationError(f"{source}: unknown entries {unknown}")
+    for name, (owner, attr, shape) in state.items():
+        if name in arrays:
+            if arrays[name].shape != shape:
+                raise ConfigurationError(
+                    f"{source}: entry {name!r} has shape {arrays[name].shape}, "
+                    f"the model's is {shape}")
+            setattr(owner, attr, arrays[name].copy())
+        elif attr == "value" or any(key in arrays for key, (other, _, _) in state.items()
+                                    if other is owner):
+            raise ConfigurationError(f"{source}: entry {name!r} is missing")

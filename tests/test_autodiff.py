@@ -292,13 +292,11 @@ def test_scalar_coercion_and_python_numbers():
     assert abs(t.grad.reshape(()) - 1.5) < 1e-15
 
 
-def test_grad_accumulation_and_zero_grad():
+def test_grad_accumulation():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     t.sum().backward()
     t.sum().backward()
     assert np.array_equal(t.grad, 2.0 * np.ones((2, 2)))
-    t.zero_grad()
-    assert t.grad is None
 
 
 def test_non_2d_rejected():

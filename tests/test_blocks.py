@@ -499,19 +499,27 @@ def test_predict_deterministic_across_instances():
 
 def test_save_load_round_trip(tmp_path):
     c, _ = random_correspondences(make_rng(23), n=11, noise=0.05)
+    plain = ModelConfig(channels=16, granularities=2)
     finest = ModelConfig(channels=16, granularities=2, top_down_include_finest=True)
-    for cfg in (ModelConfig(channels=16, granularities=2), finest):
+    for cfg, trained in ((plain, False), (plain, True), (finest, True)):
         model = GPINet(cfg, seed=3)
-        model.forward(c, mode="train")  # populate batch-norm buffers
+        if trained:
+            model.forward(c, mode="train")  # populate the running statistics
 
         path = tmp_path / "params.json"
         model.save(path)
         clone = GPINet.load(path)
         assert clone.config == cfg
         assert clone.predict(c).tobytes() == model.predict(c).tobytes()
-        with_stats, _ = clone.forward(c, mode="eval")
-        want, _ = model.forward(c, mode="eval")
-        np.testing.assert_array_equal(with_stats.value, want.value)
+        if trained:
+            with_stats, _ = clone.forward(c, mode="eval")
+            want, _ = model.forward(c, mode="eval")
+            np.testing.assert_array_equal(with_stats.value, want.value)
+        else:
+            # a never-trained model's file holds no statistics, and its clone has none
+            assert set(load_parameters(path)[1]) == set(model.parameters())
+            with pytest.raises(UninitializedStatsError):
+                clone.forward(c, mode="eval")
         clone.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -520,7 +528,8 @@ def test_save_load_round_trip(tmp_path):
     assert {name for name in model.parameters() if name.startswith("dmg.")} == {
         f"dmg.{unit}.{leaf}" for unit in units
         for leaf in ("bnorm.scale", "bnorm.shift", "lin.weight", "lin.bias")}
-    assert set(model.batch_norms()) == {f"dmg.{unit}.bnorm" for unit in units}
+    assert {name for name, part in named_parts(model) if isinstance(part, BatchNorm)} == {
+        f"dmg.{unit}.bnorm" for unit in units}
     assert set(load_parameters(path)[1]) == set(model.parameters()) | {
         f"dmg.{unit}.bnorm.{stat}" for unit in units for stat in ("running_mean", "running_var")}
 

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, artifacts, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +213,14 @@ MALFORMED_INPUTS = {
     "params_shuffle_groups_negative": ("params.json",
                                        '{"config": {"shuffle_groups": -2}, "parameters": {}}',
                                        "--params"),
+    "params_shape_two_unknown_dims": (
+        "params.json", '{"parameters": {"a": {"shape": [-2, -3], "values": [1, 2, 3, 4, 5, 6]}}}',
+        "--params"),
+    "params_shape_overflows": ("params.json", '{"parameters": {"a": {"shape": [1e400], "values": []}}}',
+                               "--params"),
+    "params_shape_too_big": (
+        "params.json", '{"parameters": {"a": {"shape": [3000000000, 3000000000, 0], "values": []}}}',
+        "--params"),
 }
 
 
@@ -244,6 +253,46 @@ def test_register_malformed_input_exits_2(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and str(bad) in err
+
+
+BENCH_PARAMS = Path(__file__).resolve().parents[1] / "bench" / "model" / "params.json"
+
+# case -> (key the error must name, or None when the file loads; edit of the entries)
+PARAMS_MISMATCHES = {
+    "statistic_cut_to_31": ("dmg.bottom_up_1.bnorm.running_mean",
+                            lambda p, k: p[k].update(shape=[1, 31], values=p[k]["values"][:31])),
+    "unknown_entry": ("dmg.top_down_9.lin.weight",
+                      lambda p, k: p.update({k: p["dmg.top_down_1.lin.weight"]})),
+    "misspelled_statistic": ("dmg.bottom_up_1.bnorm.running_means",
+                             lambda p, k: p.update({k: p.pop(k[:-1])})),
+    "one_statistic_of_a_pair": ("dmg.fusion.bnorm.running_var", lambda p, k: p.pop(k)),
+    "parameter_of_wrong_shape": ("head.lin.weight",
+                                 lambda p, k: p[k].update(shape=p[k]["shape"][::-1])),
+    "both_statistics_left_out": (None, lambda p, k: [p.pop(f"dmg.fusion.bnorm.{stat}")
+                                                     for stat in ("running_mean", "running_var")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAMS_MISMATCHES))
+def test_register_loads_only_a_params_file_that_matches_the_model(case, tmp_path, capsys):
+    """Keys and shapes must be the model's; a layer's two statistics may be left out together."""
+    key, edit = PARAMS_MISMATCHES[case]
+    doc = json.loads(BENCH_PARAMS.read_text())
+    edit(doc["parameters"], key)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    code = main(["register", "--method", "gpinet", "--n", "100", "--params", str(path)])
+    err = capsys.readouterr().err
+    if key is not None:
+        assert code == 2
+        assert err.startswith("error: ") and str(path) in err and repr(key) in err
+        assert "Traceback" not in err
+        return
+    assert code == 0 and err == ""
+    model, full = GPINet.load(path), GPINet.load(BENCH_PARAMS)
+    assert model.dmg.fusion.bnorm.running_mean is None
+    c, _ = generate(SceneConfig(n=100, seed=4))
+    assert model.predict(c).tobytes() == full.predict(c).tobytes()
 
 
 # -- benchmark / ablate -------------------------------------------------------------

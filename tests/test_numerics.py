@@ -135,7 +135,7 @@ def test_batch_norm_eval_uses_running_stats():
     running_mean = np.array([[0.5, -0.5]])
     running_var = np.array([[4.0, 0.25]])
     bn = batch_norm(2, scale, shift)
-    bn.load_buffers({"running_mean": running_mean, "running_var": running_var})
+    bn.running_mean, bn.running_var = running_mean, running_var
     out = bn(Tensor(m), "eval").value
     expected = (m - running_mean) / np.sqrt(running_var + EPS_NORM) * scale + shift
     assert np.allclose(out, expected, atol=1e-12)
