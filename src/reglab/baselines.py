@@ -19,6 +19,7 @@ from .errors import (
 )
 from .geometry import (
     CorrespondenceSet,
+    RigidTransform,
     _kabsch,
     count_inliers,
     inlier_mask,
@@ -46,17 +47,17 @@ def ransac(
     iterations: int = 1000,
     delta: float = 0.10,
     seed: int = 0,
-    refit: bool = True,
 ) -> Hypothesis:
     """Minimal-sample consensus over rigid fits.
 
     Every iteration fits a transform to three distinct correspondences
     (unit weights) and scores it by strict inlier count at ``delta``; the
     earliest iteration achieving the best count wins (so selection equals
-    exhaustive rescoring of all sampled models). The winner is refit once
-    on its inliers. Geometrically degenerate triples are skipped; if all
-    of them degenerate, ``RegistrationFailure`` is raised. Deterministic
-    for a fixed seed.
+    exhaustive rescoring of all sampled models). The winner's own fit, the
+    one its count was scored with, is refit once on its inliers.
+    Geometrically degenerate triples are skipped; if all of them
+    degenerate, ``RegistrationFailure`` is raised. Deterministic for a
+    fixed seed.
     """
     n = len(c)
     if n < 3:
@@ -68,16 +69,15 @@ def ransac(
 
     rng = np.random.Generator(np.random.PCG64(seed))
     samples = minimal_samples(rng, n, iterations)
-    best_iter, _ = kernels.ransac_scan(c.source, c.target, samples, delta)
+    best_iter, _, rotation, translation = kernels.ransac_scan(c.source, c.target, samples, delta)
     if best_iter < 0:
         raise RegistrationFailure(
             f"ransac: all {iterations} minimal samples were degenerate"
         )
 
-    triple = samples[best_iter]
-    transform = _kabsch(c.source[triple], c.target[triple], np.ones(3))
+    transform = RigidTransform(rotation, translation)
     members = np.flatnonzero(inlier_mask(transform, c, delta)).astype(np.int64)
-    if refit and members.size >= 3:
+    if members.size >= 3:
         try:
             transform = _kabsch(c.source[members], c.target[members], np.ones(members.size))
             members = np.flatnonzero(inlier_mask(transform, c, delta)).astype(np.int64)
@@ -144,8 +144,6 @@ def spectral_matching(
     c: CorrespondenceSet,
     sigma_d: float = 0.10,
     tau: float = 0.5,
-    tol: float = 1e-9,
-    max_iterations: int = 1000,
 ) -> SpectralResult:
     """Length-consistency spectral relaxation.
 
@@ -160,7 +158,7 @@ def spectral_matching(
     m = kernels.consistency_matrix(c.source, c.target, sigma_d)
     np.fill_diagonal(m, 0.0)
     try:
-        v, eigenvalue, iterations, residual = power_iteration(m, tol, max_iterations)
+        v, eigenvalue, iterations, residual = power_iteration(m)
     except ConvergenceError:
         if np.any(m > 0.0):  # NaN entries, from distances that overflow, never converge
             raise
@@ -192,14 +190,9 @@ def spectral_matching(
     )
 
 
-def spectral_register(
-    c: CorrespondenceSet,
-    delta: float,
-    sigma_d: float | None = None,
-    tau: float = 0.5,
-) -> tuple[Hypothesis, SpectralResult]:
-    """Fit a transform to the spectral inlier set (confidence-weighted)."""
-    result = spectral_matching(c, sigma_d if sigma_d is not None else delta, tau)
+def spectral_register(c: CorrespondenceSet, delta: float) -> tuple[Hypothesis, SpectralResult]:
+    """Fit a transform to the spectral inlier set (confidence-weighted), sigma_d = delta."""
+    result = spectral_matching(c, delta)
     if result.selected.size < 3:
         raise RegistrationFailure(
             f"spectral_matching selected only {result.selected.size} correspondences"

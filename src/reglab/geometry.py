@@ -125,7 +125,7 @@ class CorrespondenceSet:
             )
         lab = self.labels
         if lab is not None:
-            lab = np.asarray(lab, dtype=bool).reshape(-1)
+            lab = np.array(lab, dtype=bool).reshape(-1)  # a copy, as the points are copied
             if lab.shape[0] != s.shape[0]:
                 raise ShapeError(
                     f"CorrespondenceSet: {lab.shape[0]} labels for {s.shape[0]} pairs"

@@ -310,8 +310,10 @@ def consistency_row(src: np.ndarray, tgt: np.ndarray, i: int, sigma: float) -> n
 #
 # ransac_scan fits each row of ``samples`` (three distinct correspondence
 # indices) and counts its strict inliers at ``delta``. It returns
-# (best_iteration, best_count); ties keep the earliest iteration and
-# degenerate triples count -1. best_iteration is -1 when every triple was
+# (best_iteration, best_count, rotation, translation): the winning sample
+# and the very fit its count was scored with, so a caller starts from the
+# transform that won. Ties keep the earliest iteration and degenerate
+# triples never win; it returns (-1, -1, None, None) when every triple was
 # degenerate (or there were no samples).
 
 _SCAN_BLOCK_ENTRIES = 1 << 16
@@ -360,27 +362,23 @@ def strict_inliers(src: np.ndarray, tgt: np.ndarray, rotations: np.ndarray,
 
 
 def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
-                delta: float) -> tuple[int, int]:
-    """Score every minimal sample; return (best_iteration, best_count)."""
+                delta: float) -> tuple[int, int, np.ndarray | None, np.ndarray | None]:
+    """Score every minimal sample; return (best_iteration, best_count, rotation, translation)."""
     src = np.ascontiguousarray(src, dtype=np.float64)
     tgt = np.ascontiguousarray(tgt, dtype=np.float64)
     samples = np.ascontiguousarray(samples, dtype=np.int64)
-    total = samples.shape[0]
-    if total == 0:
-        return -1, -1
     step = transforms_per_block(src.shape[0])
-    counts = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, step):
+    best = (-1, -1, None, None)
+    for lo in range(0, samples.shape[0], step):
         idx = samples[lo:lo + step]
         a, b = src[idx], tgt[idx]                       # (m, 3, 3)
         ca = (a[:, 0] + a[:, 1] + a[:, 2]) / 3.0        # a.mean(axis=1), bit for bit
         cb = (b[:, 0] + b[:, 1] + b[:, 2]) / 3.0
         h = (a - ca[:, None]).transpose(0, 2, 1) @ (b - cb[:, None])
         r, t, ok = rigid_fits(h, ca, cb)
-        block = strict_inliers(src, tgt, r, t, delta).sum(axis=0)
-        block[~ok] = -1
-        counts[lo:lo + step] = block
-    best = int(np.argmax(counts))
-    if counts[best] < 0:
-        return -1, -1
-    return best, int(counts[best])
+        counts = strict_inliers(src, tgt, r, t, delta).sum(axis=0)
+        counts[~ok] = -1
+        j = int(np.argmax(counts))
+        if counts[j] > best[1]:
+            best = (lo + j, int(counts[j]), r[j], t[j])
+    return best

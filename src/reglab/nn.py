@@ -47,6 +47,16 @@ class Linear:
         return x.matmul(self.weight) + self.bias
 
 
+def _standardize(x: Tensor, eps: float, who: str) -> tuple[Tensor, Tensor, Tensor]:
+    """(mean, variance, standardized x) per column over the rows; ``who`` starts the error."""
+    if x.shape[0] < 2:
+        raise DegenerateInputError(f"{who} needs >= 2 rows, got {x.shape[0]}")
+    mu = x.mean(axis=0)
+    centered = x - mu
+    var = (centered * centered).mean(axis=0)
+    return mu, var, centered / (var + eps).sqrt()
+
+
 class InstanceNorm:
     """Per-column standardization over the rows; no learnable parameters."""
 
@@ -54,14 +64,7 @@ class InstanceNorm:
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[0] < 2:
-            raise DegenerateInputError(
-                f"InstanceNorm: needs >= 2 rows, got {x.shape[0]}"
-            )
-        mu = x.mean(axis=0)
-        centered = x - mu
-        var = (centered * centered).mean(axis=0)
-        return centered / (var + self.eps).sqrt()
+        return _standardize(x, self.eps, "InstanceNorm:")[2]
 
 
 class BatchNorm:
@@ -100,13 +103,7 @@ class BatchNorm:
             return centered / Tensor(denom) * self.scale + self.shift
         if mode not in ("train", "frozen"):
             raise ConfigurationError(f"BatchNorm: unknown mode {mode!r}")
-        if x.shape[0] < 2:
-            raise DegenerateInputError(
-                f"BatchNorm: {mode} mode needs >= 2 rows, got {x.shape[0]}"
-            )
-        mu = x.mean(axis=0)
-        centered = x - mu
-        var = (centered * centered).mean(axis=0)
+        mu, var, out = _standardize(x, self.eps, f"BatchNorm: {mode} mode")
         if mode == "train":
             n = x.shape[0]
             batch_mean = mu.value.copy()
@@ -118,7 +115,7 @@ class BatchNorm:
                 m = self.momentum
                 self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean
                 self.running_var = (1.0 - m) * self.running_var + m * batch_var
-        return centered / (var + self.eps).sqrt() * self.scale + self.shift
+        return out * self.scale + self.shift
 
 
 def named_parts(layer, prefix: str = ""):
@@ -201,6 +198,8 @@ def load_parameters(path: str | Path) -> tuple[dict | None, dict[str, np.ndarray
             raise ConfigurationError(
                 f"{path}: entry {name!r} has {values.size} values for shape {shape}"
             )
+        if not np.isfinite(values).all():
+            raise ConfigurationError(f"{path}: entry {name!r} holds NaN or infinite values")
     return doc.get("config"), arrays
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
-from reglab import baselines
+from reglab import baselines, kernels
 from reglab.baselines import (
     minimal_samples,
     power_iteration,
@@ -80,12 +80,13 @@ def test_ransac_fields_are_consistent():
     assert hyp.inlier_count == hyp.consensus.size
 
 
-def test_ransac_without_refit_matches_winning_triple_fit():
+def test_ransac_scan_winner_matches_winning_triple_fit():
+    """The scan's returned fit is the winning triple's weighted_kabsch fit."""
     c, _ = generate(SceneConfig(n=80, outlier_ratio=0.4, noise_sigma=0.01, seed=6))
-    hyp = ransac(c, iterations=200, delta=0.10, seed=9, refit=False)
+    samples = minimal_samples(make_rng(9), len(c), 200)
+    best_iter, best_count, rotation, translation = kernels.ransac_scan(
+        c.source, c.target, samples, 0.10)
 
-    rng = make_rng(9)
-    samples = minimal_samples(rng, len(c), 200)
     counts = []
     for triple in samples:
         sub = CorrespondenceSet(c.source[triple], c.target[triple])
@@ -96,10 +97,23 @@ def test_ransac_without_refit_matches_winning_triple_fit():
             continue
         counts.append(count_inliers(fit, c, 0.10))
     best = int(np.argmax(counts))  # argmax keeps the earliest tie
+    assert (best_iter, best_count) == (best, counts[best])
     sub = CorrespondenceSet(c.source[samples[best]], c.target[samples[best]])
     want = weighted_kabsch(sub, np.ones(3))
-    np.testing.assert_allclose(hyp.transform.rotation, want.rotation, atol=1e-9)
-    np.testing.assert_allclose(hyp.transform.translation, want.translation, atol=1e-9)
+    np.testing.assert_allclose(rotation, want.rotation, atol=1e-9)
+    np.testing.assert_allclose(translation, want.translation, atol=1e-9)
+
+
+def test_ransac_keeps_the_fit_its_scan_scored():
+    """With one strict inlier nothing is refit, so the hypothesis is the scan's winner."""
+    rng = make_rng(5)  # 40 unrelated pairs
+    c = CorrespondenceSet(rng.uniform(-1, 1, size=(40, 3)), rng.uniform(-1, 1, size=(40, 3)))
+    samples = minimal_samples(make_rng(3), len(c), 300)  # the samples ransac(seed=3) draws
+    _, best_count, rotation, translation = kernels.ransac_scan(c.source, c.target, samples, 0.05)
+    hyp = ransac(c, iterations=300, delta=0.05, seed=3)
+    assert best_count == 1 and hyp.inlier_count == best_count
+    assert hyp.transform.rotation.tobytes() == rotation.tobytes()
+    assert hyp.transform.translation.tobytes() == translation.tobytes()
 
 
 def test_ransac_is_deterministic_per_seed():

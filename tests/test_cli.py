@@ -268,6 +268,10 @@ PARAMS_MISMATCHES = {
     "one_statistic_of_a_pair": ("dmg.fusion.bnorm.running_var", lambda p, k: p.pop(k)),
     "parameter_of_wrong_shape": ("head.lin.weight",
                                  lambda p, k: p[k].update(shape=p[k]["shape"][::-1])),
+    "nan_value": ("head.lin.bias", lambda p, k: p[k]["values"].__setitem__(0, float("nan"))),
+    "infinite_value": ("head.lin.weight", lambda p, k: p[k]["values"].__setitem__(3, float("inf"))),
+    "negative_infinite_statistic": ("dmg.fusion.bnorm.running_var",
+                                    lambda p, k: p[k]["values"].__setitem__(0, float("-inf"))),
     "both_statistics_left_out": (None, lambda p, k: [p.pop(f"dmg.fusion.bnorm.{stat}")
                                                      for stat in ("running_mean", "running_var")]),
 }
@@ -275,7 +279,8 @@ PARAMS_MISMATCHES = {
 
 @pytest.mark.parametrize("case", sorted(PARAMS_MISMATCHES))
 def test_register_loads_only_a_params_file_that_matches_the_model(case, tmp_path, capsys):
-    """Keys and shapes must be the model's; a layer's two statistics may be left out together."""
+    """Keys and shapes must be the model's and values finite; a layer's two statistics may
+    be left out together."""
     key, edit = PARAMS_MISMATCHES[case]
     doc = json.loads(BENCH_PARAMS.read_text())
     edit(doc["parameters"], key)

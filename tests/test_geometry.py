@@ -101,12 +101,16 @@ def test_correspondence_set_validation():
         CorrespondenceSet(good, np.zeros((4, 3)))
     with pytest.raises(ShapeError):
         CorrespondenceSet(good, good, labels=np.ones(4, dtype=bool))
-    c = CorrespondenceSet(good, good, labels=np.ones(5, dtype=bool))
+    labels = np.ones(5, dtype=bool)
+    c = CorrespondenceSet(good, good, labels=labels)
     assert len(c) == 5
     with pytest.raises(ValueError):
         c.source[0, 0] = 1.0
     with pytest.raises(ValueError):
         c.labels[0] = False
+    labels[0] = False  # the caller's array is copied, as the points are
+    good[0, 0] = 1.0
+    assert c.labels.all() and c.source[0, 0] == 0.0
 
 
 # -- residuals / inlier counting --------------------------------------------

@@ -56,7 +56,7 @@ def _scan_doc() -> bytes:
     """(best_iter, best_count) of a 1000-sample scan on an outdoor N=2000 scene."""
     c, _ = generate(SceneConfig(n=2000, outlier_ratio=0.8, scene="outdoor", seed=11))
     samples = minimal_samples(np.random.Generator(np.random.PCG64(5)), len(c), 1000)
-    best_iter, best_count = ransac_scan(c.source, c.target, samples, 0.6)
+    best_iter, best_count, _, _ = ransac_scan(c.source, c.target, samples, 0.6)
     return (json.dumps({"best_iter": best_iter, "best_count": best_count}) + "\n").encode()
 
 

@@ -64,6 +64,22 @@ def triple_fit_oracle(a, b):
     return r, cb - r @ ca
 
 
+def scan(src, tgt, samples, delta):
+    """ransac_scan's (best_iter, best_count), once its returned fit is checked.
+
+    The fit is the winning triple's, within 1e-12 of triple_fit_oracle, and
+    None with (-1, -1).
+    """
+    best_iter, best_count, rotation, translation = ransac_scan(src, tgt, samples, delta)
+    if best_iter < 0:
+        assert rotation is None and translation is None
+    else:
+        r, t = triple_fit_oracle(src[samples[best_iter]], tgt[samples[best_iter]])
+        np.testing.assert_allclose(rotation, r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(translation, t, rtol=0, atol=1e-12)
+    return best_iter, best_count
+
+
 def scan_oracle(src, tgt, samples, delta):
     """Re-score every sample independently; first-wins on count ties."""
     best_iter, best_count = -1, -1
@@ -382,7 +398,7 @@ def test_backend_parity_ransac_scan_exact(seed):
     tf = random_transform(rng)
     tgt = tf.apply(src) + rng.normal(scale=0.05, size=(n, 3))
     samples = rng.integers(0, n, size=(30, 3)).astype(np.int64)
-    got = ransac_scan(src, tgt, samples, 0.15)
+    got = scan(src, tgt, samples, 0.15)
     assert got == scan_oracle(src, tgt, samples, 0.15)
 
 
@@ -398,7 +414,7 @@ def test_ransac_scan_matches_rescoring_oracle(seed):
     samples = np.stack(
         [rng.choice(n, size=3, replace=False) for _ in range(40)]
     ).astype(np.int64)
-    got = ransac_scan(src, tgt, samples, 0.1)
+    got = scan(src, tgt, samples, 0.1)
     assert got == scan_oracle(src, tgt, samples, 0.1)
     assert got[1] >= 1  # a correct triple scores at least its own members
 
@@ -412,15 +428,14 @@ def test_ransac_scan_tie_keeps_earliest_iteration():
     src[0], src[1], src[2] = [0, 0, 0], [1, 0, 0], [2, 0, 0]
     tgt[:3] = tf.apply(src[:3])
     samples = np.array([[0, 1, 2], [3, 4, 5], [3, 4, 5]], dtype=np.int64)
-    best_iter, best_count = ransac_scan(src, tgt, samples, 0.1)
-    assert (best_iter, best_count) == (1, 12)
+    assert scan(src, tgt, samples, 0.1) == (1, 12)
 
 
 def test_ransac_scan_all_degenerate_returns_minus_one():
     src = np.array([[float(i), 0.0, 0.0] for i in range(6)])
     tgt = src.copy()
     samples = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4]], dtype=np.int64)
-    assert ransac_scan(src, tgt, samples, 0.1) == (-1, -1)
+    assert ransac_scan(src, tgt, samples, 0.1) == (-1, -1, None, None)
 
 
 # -- scans that span several blocks ---------------------------------------------
@@ -521,7 +536,7 @@ BLOCK_CASES = {
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_ransac_scan_across_blocks_matches_oracle(case):
     src, tgt, samples, want_iter = BLOCK_CASES[case]()
-    got = ransac_scan(src, tgt, samples, 0.1)
+    got = scan(src, tgt, samples, 0.1)
     assert got == scan_oracle(src, tgt, samples, 0.1)
     if want_iter is not None:
         assert got[0] == want_iter
