@@ -21,6 +21,7 @@ from .geometry import (
     CorrespondenceSet,
     RigidTransform,
     _kabsch,
+    check_delta,
     count_inliers,
     inlier_mask,
     weighted_kabsch,
@@ -64,8 +65,7 @@ def ransac(
         raise DegenerateInputError(f"ransac: needs N >= 3, got {n}")
     if iterations < 1:
         raise ContractError(f"ransac: iterations must be >= 1, got {iterations}")
-    if delta <= 0.0:
-        raise ContractError(f"ransac: delta must be positive, got {delta}")
+    check_delta(delta, "ransac")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     samples = minimal_samples(rng, n, iterations)
@@ -76,11 +76,11 @@ def ransac(
         )
 
     transform = RigidTransform(rotation, translation)
-    members = np.flatnonzero(inlier_mask(transform, c, delta)).astype(np.int64)
+    members = np.flatnonzero(inlier_mask(transform, c, delta))
     if members.size >= 3:
         try:
             transform = _kabsch(c.source[members], c.target[members], np.ones(members.size))
-            members = np.flatnonzero(inlier_mask(transform, c, delta)).astype(np.int64)
+            members = np.flatnonzero(inlier_mask(transform, c, delta))
         except DegenerateInputError:
             pass  # keep the minimal-sample fit
     return Hypothesis(

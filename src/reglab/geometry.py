@@ -29,6 +29,14 @@ DEFAULT_DELTA = {"indoor": 0.10, "outdoor": 0.60}
 _ROT_TOL = 1e-9
 
 
+def check_delta(delta: float, caller: str) -> None:
+    """Refuse, naming ``caller``, an inlier radius that is not positive, is not
+    finite, or whose square underflows to 0."""
+    if not (0.0 < delta < np.inf and delta * delta > 0.0):
+        raise ContractError(
+            f"{caller}: delta must be positive and finite with a nonzero square, got {delta}")
+
+
 def check_scene(scene: str) -> str:
     if scene not in SCENES:
         raise ContractError(f"unknown scene kind {scene!r}, expected one of {SCENES}")
@@ -147,10 +155,15 @@ def apply_transform(transform: RigidTransform, points: Points) -> Points:
     return points @ transform.rotation.T + transform.translation
 
 
+def _point_columns(c: CorrespondenceSet) -> tuple[NDArray[F64], NDArray[F64]]:
+    """c's source and target as C-contiguous (3, N) arrays, as kernels.squared_residuals takes them."""
+    return np.ascontiguousarray(c.source.T), np.ascontiguousarray(c.target.T)
+
+
 def _squared_residuals(transform: RigidTransform, c: CorrespondenceSet) -> NDArray[F64]:
     """||R p_s + t - p_t||^2 per pair; c's points were validated on construction."""
-    return kernels.squared_residuals(c.source, c.target, transform.rotation[None],
-                                     transform.translation[None])[:, 0]
+    return kernels.squared_residuals(*_point_columns(c), transform.rotation[None],
+                                     transform.translation[None])[0]
 
 
 def residuals(transform: RigidTransform, c: CorrespondenceSet) -> NDArray[F64]:
@@ -160,13 +173,13 @@ def residuals(transform: RigidTransform, c: CorrespondenceSet) -> NDArray[F64]:
 
 def count_inliers(transform: RigidTransform, c: CorrespondenceSet, delta: float) -> int:
     """Number of pairs with ||R p_s + t - p_t|| strictly below delta."""
-    if delta <= 0.0:
-        raise ContractError(f"count_inliers: delta must be positive, got {delta}")
+    check_delta(delta, "count_inliers")
     return int((_squared_residuals(transform, c) < delta * delta).sum())
 
 
 def inlier_mask(transform: RigidTransform, c: CorrespondenceSet, delta: float) -> NDArray[np.bool_]:
     """Strict inliers: ||R p_s + t - p_t||^2 < delta^2 (the one inlier predicate)."""
+    check_delta(delta, "inlier_mask")
     return _squared_residuals(transform, c) < delta * delta
 
 
@@ -254,24 +267,25 @@ def select_best_transform(
     dropping every repeat after the first changes neither the choice nor
     its count.
     """
+    check_delta(delta, "select_best_transform")
     if len(candidates) == 0:
         raise DegenerateInputError("select_best_transform: empty candidate list")
     best: tuple[int, float, int] | None = None  # (-count, mean_res, index) minimized
     counts: list[int] = []
     step = kernels.transforms_per_block(len(c))
+    cols = _point_columns(c)
     for lo in range(0, len(candidates), step):
         block = candidates[lo:lo + step]
-        sq = kernels.squared_residuals(c.source, c.target,
-                                       np.stack([t.rotation for t in block]),
+        sq = kernels.squared_residuals(*cols, np.stack([t.rotation for t in block]),
                                        np.stack([t.translation for t in block]))
         hits = sq < delta * delta
-        block_counts = hits.sum(axis=0)
+        block_counts = hits.sum(axis=1)
         counts += block_counts.tolist()
         top = int(block_counts.max())
         if best is not None and -top > best[0]:
             continue  # no candidate of this block reaches the best count
         for j in np.flatnonzero(block_counts == top):
-            mean_res = float(np.sqrt(sq[hits[:, j], j]).mean()) if top > 0 else np.inf
+            mean_res = float(np.sqrt(sq[j, hits[j]]).mean()) if top > 0 else np.inf
             key = (-top, mean_res, lo + int(j))
             if best is None or key < best:
                 best = key

@@ -298,15 +298,18 @@ def consistency_row(src: np.ndarray, tgt: np.ndarray, i: int, sigma: float) -> n
 # LAPACK and BLAS on a stack one matrix at a time, so each fit has the bits
 # of the one-matrix calls (tests/test_geometry.py).
 #
-# squared_residuals scores m transforms at once: one matmul
-# ``src @ [R_1^T ... R_m^T]``, and the squared components added x, y, z in
-# turn, the adds of (d * d).sum(axis=1) without numpy's slow length-3
-# reduce. Callers take m from transforms_per_block: about
-# _SCAN_BLOCK_ENTRIES residual entries (N x 3 per transform), so scratch
-# stays at a few MB, and at most _MAX_STACK transforms (192 columns).
-# OpenBLAS 0.3.31 on an AVX-512 Xeon rounds each column of a product of up
-# to 195 columns as the one-transform product does; it splits wider ones
-# and rounds some columns differently (tests/test_kernels.py).
+# squared_residuals scores m transforms at once, transform-major: one
+# product ``[R_1; ...; R_m] @ src_t`` of (3m, 3) rotations and (3, N)
+# sources into (m, 3, N); then the translations, the (3, N) targets and the
+# squares added x, y, z in turn, the adds of (d * d).sum(axis=1), every pass
+# over contiguous rows. Callers transpose the points once per call and take
+# m from transforms_per_block: about _SCAN_BLOCK_ENTRIES entries (3 x N per
+# transform), at most _MAX_STACK. So a product takes 9 m N <= 10^6
+# multiply-adds, which OpenBLAS 0.3.31 on an AVX-512 Xeon runs in its
+# one-thread small-matrix kernels, where each row keeps the one-transform
+# bits at any BLAS thread count (tests/test_kernels.py). Past that bound
+# the tiled kernels round some entries differently (N = 1999, m >= 56:
+# columns 1992-1995).
 #
 # ransac_scan fits each row of ``samples`` (three distinct correspondence
 # indices) and counts its strict inliers at ``delta``. It returns
@@ -341,24 +344,24 @@ def rigid_fits(h: np.ndarray, mu_src: np.ndarray,
     return r, t, (s[:, 1] > 1e-9 * s[:, 0]) & (d != 0.0)
 
 
-def squared_residuals(src: np.ndarray, tgt: np.ndarray, rotations: np.ndarray,
+def squared_residuals(src_t: np.ndarray, tgt_t: np.ndarray, rotations: np.ndarray,
                       translations: np.ndarray) -> np.ndarray:
-    """(N, m) ||R_j src_i + t_j - tgt_i||^2 for (m, 3, 3) rotations and (m, 3) translations."""
-    n = src.shape[0]
-    res = (src @ rotations.transpose(2, 0, 1).reshape(3, -1)).reshape(n, -1, 3)
-    res += translations
-    for axis in range(3):                               # length-m inner loops, not length 3
-        res[:, :, axis] -= tgt[:, axis, None]
+    """(m, N) ||R_j src_i + t_j - tgt_i||^2 for (3, N) C-contiguous points,
+    (m, 3, 3) rotations and (m, 3) translations."""
+    m, n = rotations.shape[0], src_t.shape[1]
+    res = (rotations.reshape(3 * m, 3) @ src_t).reshape(m, 3, n)
+    res += translations[:, :, None]
+    res -= tgt_t
     res *= res
-    sq = res[:, :, 0] + res[:, :, 1]
-    sq += res[:, :, 2]
+    sq = res[:, 0] + res[:, 1]
+    sq += res[:, 2]
     return sq
 
 
-def strict_inliers(src: np.ndarray, tgt: np.ndarray, rotations: np.ndarray,
+def strict_inliers(src_t: np.ndarray, tgt_t: np.ndarray, rotations: np.ndarray,
                    translations: np.ndarray, delta: float) -> np.ndarray:
-    """(N, m) mask: ||R_j src_i + t_j - tgt_i||^2 < delta^2 for m stacked transforms."""
-    return squared_residuals(src, tgt, rotations, translations) < delta * delta
+    """(m, N) mask: ||R_j src_i + t_j - tgt_i||^2 < delta^2, as squared_residuals."""
+    return squared_residuals(src_t, tgt_t, rotations, translations) < delta * delta
 
 
 def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
@@ -366,6 +369,7 @@ def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
     """Score every minimal sample; return (best_iteration, best_count, rotation, translation)."""
     src = np.ascontiguousarray(src, dtype=np.float64)
     tgt = np.ascontiguousarray(tgt, dtype=np.float64)
+    src_t, tgt_t = np.ascontiguousarray(src.T), np.ascontiguousarray(tgt.T)
     samples = np.ascontiguousarray(samples, dtype=np.int64)
     step = transforms_per_block(src.shape[0])
     best = (-1, -1, None, None)
@@ -376,7 +380,7 @@ def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
         cb = (b[:, 0] + b[:, 1] + b[:, 2]) / 3.0
         h = (a - ca[:, None]).transpose(0, 2, 1) @ (b - cb[:, None])
         r, t, ok = rigid_fits(h, ca, cb)
-        counts = strict_inliers(src, tgt, r, t, delta).sum(axis=0)
+        counts = strict_inliers(src_t, tgt_t, r, t, delta).sum(axis=1)
         counts[~ok] = -1
         j = int(np.argmax(counts))
         if counts[j] > best[1]:

@@ -29,6 +29,7 @@ from .geometry import (
     check_scene,
     count_inliers,
     _kabsch_stack,
+    _point_columns,
     select_best_transform,
 )
 
@@ -178,22 +179,18 @@ def _seed_consensus(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The seeds' consistency rows, and the indices where each row reaches tau.
 
-    The seed itself is always a member (its self-consistency is 1).
+    For tau <= 1 the seed itself is always a member: its self-consistency
+    is exactly 1, since both of its distances are an exact 0.
     """
     rows = kernels.consistency_rows(c.source, c.target, sigma_d, seeds)
-    sets = []
-    for seed, row in zip(seeds, rows):
-        members = np.flatnonzero(row >= tau)
-        if not row[seed] >= tau:  # pragma: no cover - tau <= 1 keeps the seed
-            members = np.sort(np.append(members, seed))
-        sets.append(members.astype(np.int64))
-    return rows, sets
+    return rows, [np.flatnonzero(row >= tau) for row in rows]
 
 
 def _two_stage_block(
     rows: np.ndarray,
     consensus: list[np.ndarray],
     c: CorrespondenceSet,
+    cols: tuple[np.ndarray, np.ndarray],
     probs: np.ndarray,
     delta: float,
     fits: list[tuple[RigidTransform, np.ndarray]],
@@ -201,12 +198,13 @@ def _two_stage_block(
 ) -> list[int | None]:
     """Two-stage fits of a block of seeds, given their rows and consensus sets.
 
-    Appends each new final (transform, members) to ``fits``, in seed
-    order, and returns each seed's index into it; None marks a degenerate
-    stage-1 consensus. ``refits`` maps every strict-inlier set met so far
-    to its stage-2 entry, or to None when that refit is impossible (a thin
-    set of fewer than 3 pairs, or a degenerate one): such a seed keeps its
-    stage-1 transform and consensus as an entry of its own.
+    ``cols`` is _point_columns(c). Appends each new final (transform,
+    members) to ``fits``, in seed order, and returns each seed's index into
+    it; None marks a degenerate stage-1 consensus. ``refits`` maps every
+    strict-inlier set met so far to its stage-2 entry, or to None when that
+    refit is impossible (a thin set of fewer than 3 pairs, or a degenerate
+    one): such a seed keeps its stage-1 transform and consensus as an entry
+    of its own.
     """
     stage1 = [
         None if isinstance(fit, RegLabError) else fit
@@ -217,19 +215,15 @@ def _two_stage_block(
     fitted = [t for t in stage1 if t is not None]
     if not fitted:
         return [None] * len(stage1)
-    masks = iter(np.ascontiguousarray(kernels.strict_inliers(
-        c.source, c.target,
-        np.stack([t.rotation for t in fitted]),
-        np.stack([t.translation for t in fitted]),
-        delta,
-    ).T))
+    masks = iter(kernels.strict_inliers(*cols, np.stack([t.rotation for t in fitted]),
+                                        np.stack([t.translation for t in fitted]), delta))
     keys: list[bytes | None] = []
     new: dict[bytes, np.ndarray] = {}  # strict-inlier sets first met in this block
     for transform in stage1:
         mask = None if transform is None else next(masks)
         keys.append(None if mask is None else mask.tobytes())
         if mask is not None and keys[-1] not in refits and keys[-1] not in new:
-            new[keys[-1]] = np.flatnonzero(mask).astype(np.int64)
+            new[keys[-1]] = np.flatnonzero(mask)
     thick = [key for key, idx in new.items() if idx.size >= 3]
     stage2 = dict(zip(thick, _kabsch_stack([(c.source[new[key]], c.target[new[key]],
                                               probs[new[key]]) for key in thick])))
@@ -260,7 +254,7 @@ def build_consensus(
 ) -> np.ndarray:
     """Indices whose length consistency with the seed reaches tau.
 
-    The seed itself is always a member (its self-consistency is 1).
+    For tau <= 1 the seed itself is always a member (its self-consistency is 1).
     """
     return _seed_consensus(np.array([seed]), c, sigma_d, tau)[1][0]
 
@@ -285,7 +279,7 @@ def two_stage_estimate(
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
     rows = kernels.consistency_rows(c.source, c.target, sigma_d, np.array([seed]))
     fits: list[tuple[RigidTransform, np.ndarray]] = []
-    (pick,) = _two_stage_block(rows, [consensus], c, probs, delta, fits, {})
+    (pick,) = _two_stage_block(rows, [consensus], c, _point_columns(c), probs, delta, fits, {})
     if pick is None:
         return None
     transform, members = fits[pick]
@@ -342,10 +336,11 @@ def register(
     refits: dict[bytes, int | None] = {}
     picks: list[int | None] = []  # per seed, its entry in fits
     sizes: list[int] = []
+    cols = _point_columns(c)
     step = kernels.transforms_per_block(n)
     for lo in range(0, len(seeds), step):
         rows, consensus = _seed_consensus(seeds.indices[lo:lo + step], c, sigma_d, cfg.tau)
-        picks += _two_stage_block(rows, consensus, c, probs, delta, fits, refits)
+        picks += _two_stage_block(rows, consensus, c, cols, probs, delta, fits, refits)
         sizes += [members.size for members in consensus]
     t2 = time.perf_counter()
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_correspondences, random_rotation, random_transform
+from conftest import (make_rng, random_correspondences, random_rotation, random_transform,
+                      smallest_sigma_with_nonzero_square)
 from reglab.errors import ContractError, DegenerateInputError, ShapeError
 from reglab import kernels
 from reglab.geometry import (
@@ -25,7 +26,8 @@ from reglab.geometry import (
     translation_error,
     weighted_kabsch,
 )
-from reglab.synth import rotation_from_axis_angle
+from reglab.baselines import ransac
+from reglab.synth import SceneConfig, generate, rotation_from_axis_angle
 
 
 def weighted_cost(transform, c, weights):
@@ -146,6 +148,41 @@ def test_count_inliers_rejects_nonpositive_delta():
     for bad in (0.0, -1.0):
         with pytest.raises(ContractError):
             count_inliers(RigidTransform.identity(), c, bad)
+
+
+INLIER_TESTS = {  # each returns its inlier count
+    "count_inliers": lambda c, delta: count_inliers(RigidTransform.identity(), c, delta),
+    "inlier_mask": lambda c, delta: int(inlier_mask(RigidTransform.identity(), c, delta).sum()),
+    "select_best_transform": lambda c, delta: select_best_transform(
+        [RigidTransform.identity()], c, delta).inlier_count,
+    "ransac": lambda c, delta: ransac(c, 10, delta).inlier_count,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INLIER_TESTS))
+@pytest.mark.parametrize("delta", [-0.1, -0.0, np.nan, np.inf, -np.inf, "underflows"])
+def test_inlier_tests_refuse_a_delta_that_is_not_a_usable_radius(name, delta):
+    """One check: a delta <= 0, NaN, infinite or with a square that underflows to 0.
+
+    Unchecked, -0.1 read as +0.1 (inlier_mask of the true motion found all 50 inliers
+    of this scene), NaN counted no inliers and ransac at +inf counted all 100 pairs."""
+    if delta == "underflows":
+        delta = float(np.nextafter(smallest_sigma_with_nonzero_square(), 0.0))
+        assert delta > 0.0 and delta * delta == 0.0
+    c, _ = generate(SceneConfig(n=100, outlier_ratio=0.5, seed=1))
+    with pytest.raises(ContractError, match=f"^{name}: delta must be positive and finite"):
+        INLIER_TESTS[name](c, delta)
+
+
+@pytest.mark.parametrize("name", sorted(INLIER_TESTS))
+def test_inlier_tests_accept_the_smallest_delta_with_a_nonzero_square(name):
+    src = make_rng(8).uniform(-1, 1, size=(5, 3))
+    c = CorrespondenceSet(src, src)  # every residual under the identity is exactly 0
+    count = INLIER_TESTS[name](c, smallest_sigma_with_nonzero_square())
+    if name == "ransac":  # its fitted triples round, so no residual need be 0
+        assert 0 <= count <= 5
+    else:
+        assert count == 5
 
 
 @settings(max_examples=40, deadline=None)

@@ -32,7 +32,8 @@ from reglab.kernels import (
 )
 from reglab.autodiff import Tensor
 from reglab.blocks import GPINet, _attend
-from reglab.geometry import CorrespondenceSet, RigidTransform, _squared_residuals, inlier_mask
+from reglab.geometry import (CorrespondenceSet, RigidTransform, _point_columns, _squared_residuals,
+                             inlier_mask)
 from reglab.synth import SceneConfig, generate
 
 BENCH_PARAMS = Path(__file__).resolve().parents[1] / "bench" / "model" / "params.json"
@@ -545,7 +546,8 @@ def test_ransac_scan_across_blocks_matches_oracle(case):
 @pytest.mark.parametrize("n", [1, 7, 250, 2003])
 @pytest.mark.parametrize("m", [1, 5, 31])
 def test_strict_inliers_columns_equal_inlier_mask(n, m):
-    """Each column is inlier_mask of its transform, bit for bit, at any stack width."""
+    """Each row of the (m, N) mask is inlier_mask of its transform, bit for bit, at any
+    stack width."""
     rng = make_rng(700 + n + m)
     src = rng.uniform(-2, 2, size=(n, 3))
     gt = random_transform(rng)
@@ -555,10 +557,10 @@ def test_strict_inliers_columns_equal_inlier_mask(n, m):
     transforms = [gt if j % 2 else random_transform(rng) for j in range(m)]
     rotations = np.stack([t.rotation for t in transforms])
     translations = np.stack([t.translation for t in transforms])
-    got = strict_inliers(c.source, c.target, rotations, translations, 0.1)
-    assert got.shape == (n, m)
+    got = strict_inliers(*_point_columns(c), rotations, translations, 0.1)
+    assert got.shape == (m, n)
     for j, t in enumerate(transforms):
-        assert np.array_equal(got[:, j], inlier_mask(t, c, 0.1))
+        assert np.array_equal(got[j], inlier_mask(t, c, 0.1))
     assert transforms_per_block(2000) == 10 and transforms_per_block(10**6) == 1
 
 
@@ -591,23 +593,23 @@ def boundary_scene(rng, n, delta):
 @pytest.mark.parametrize("n", [1, 7, 250, 2003])
 @pytest.mark.parametrize("m", [1, 5, 31])
 def test_squared_residuals_equal_one_transform_residuals_bit_for_bit(n, m):
-    """Each column is the one-transform residual, squared, in every bit, delta^2 included."""
+    """Each row is the one-transform residual, squared, in every bit, delta^2 included."""
     rng = make_rng(900 + n + m)
     c, gt, shift = boundary_scene(rng, n, 0.5)
     transforms = [(gt, shift)[j % 2] if j % 3 else random_transform(rng) for j in range(m)]
-    got = squared_residuals(c.source, c.target, np.stack([t.rotation for t in transforms]),
+    got = squared_residuals(*_point_columns(c), np.stack([t.rotation for t in transforms]),
                             np.stack([t.translation for t in transforms]))
-    assert got.shape == (n, m)
+    assert got.shape == (m, n)
     for j, t in enumerate(transforms):
         want = literal_squared_residuals(t, c.source, c.target)
-        assert np.array_equal(got[:, j], want)
+        assert np.array_equal(got[j], want)
         assert np.array_equal(_squared_residuals(t, c), want)
     if m > 1:
-        sq = got[:, 1]  # the shift: the last pairs sit at delta^2, the ones before just inside
+        sq = got[1]  # the shift: the last pairs sit at delta^2, the ones before just inside
         edge = max(1, n // 10)
         assert np.all(sq[-edge:] == 0.25) and not strict_inliers(
-            c.source[-edge:], c.target[-edge:], shift.rotation[None],
-            shift.translation[None], 0.5).any()
+            np.ascontiguousarray(c.source[-edge:].T), np.ascontiguousarray(c.target[-edge:].T),
+            shift.rotation[None], shift.translation[None], 0.5).any()
         if n >= 2 * edge:
             assert np.all(sq[-2 * edge:-edge] < 0.25)
 
@@ -620,12 +622,72 @@ def test_stacks_up_to_max_stack_keep_one_transform_bits(n):
     transforms = [random_transform(rng) for _ in range(_MAX_STACK)]
     rotations = np.stack([t.rotation for t in transforms])
     translations = np.stack([t.translation for t in transforms])
-    single = np.stack([literal_squared_residuals(t, c.source, c.target) for t in transforms], axis=1)
+    single = np.stack([literal_squared_residuals(t, c.source, c.target) for t in transforms])
+    cols = _point_columns(c)
     for m in range(1, _MAX_STACK + 1):
-        assert np.array_equal(squared_residuals(c.source, c.target, rotations[:m],
-                                                translations[:m]), single[:, :m])
+        assert np.array_equal(squared_residuals(*cols, rotations[:m], translations[:m]),
+                              single[:m])
     assert transforms_per_block(n) <= _MAX_STACK
     assert transforms_per_block(1) == _MAX_STACK
+
+
+# N from 1 to 40 (every small-matrix edge case), around 96 and 256, where
+# transforms_per_block leaves 64 (N = 341, 342), and the sizes the scans run at
+BIT_DOMAIN_N = [*range(1, 41), 95, 96, 97, *range(250, 258), 341, 342, 1000, 1001, 1999,
+                2000, 2003, 5001]
+
+
+def test_squared_residuals_rows_keep_one_transform_bits_at_one_and_two_blas_threads():
+    """For every N above and every m <= transforms_per_block(N), each row of the stack
+    equals literal_squared_residuals of its transform, with 1 BLAS thread and with 2."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import numpy as np\n"
+        "from reglab.geometry import CorrespondenceSet, _point_columns\n"
+        "from reglab.kernels import squared_residuals, transforms_per_block\n"
+        "from reglab.synth import rotation_from_axis_angle\n"
+        f"for n in {BIT_DOMAIN_N}:\n"
+        "    rng = np.random.Generator(np.random.PCG64(n))\n"
+        "    c = CorrespondenceSet(rng.uniform(-3, 3, size=(n, 3)), rng.uniform(-3, 3, size=(n, 3)))\n"
+        "    k = transforms_per_block(n)\n"
+        "    axes = rng.normal(size=(k, 3))\n"
+        "    r = np.stack([rotation_from_axis_angle(a / np.linalg.norm(a), rng.uniform(0, np.pi))\n"
+        "                  for a in axes])\n"
+        "    t = rng.uniform(-2, 2, size=(k, 3))\n"
+        "    d = [c.source @ r[j].T + t[j] - c.target for j in range(k)]\n"
+        "    want = np.stack([(e * e).sum(axis=1) for e in d])  # literal_squared_residuals\n"
+        "    cols = _point_columns(c)\n"
+        "    for m in range(1, k + 1):\n"
+        "        got = squared_residuals(*cols, r[:m], t[:m])\n"
+        "        bad = np.argwhere(got != want[:m])\n"
+        "        print(n, m, len(bad), *bad[:1].tolist())\n"
+    )
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.kernels.__file__)))
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, "OPENBLAS_NUM_THREADS": threads,
+                 "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads},
+            check=False,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = [line.split() for line in out.stdout.splitlines()]
+        assert len(lines) == sum(transforms_per_block(n) for n in BIT_DOMAIN_N)
+        assert [line for line in lines if line[2] != "0"] == [], threads
+
+
+def test_scan_blocks_stay_within_the_small_matrix_bound():
+    """Each block's product, (3m x 3) times (3 x N), takes 9 m N <= 10^6 multiply-adds,
+    the largest that OpenBLAS sends to its small-matrix kernels."""
+    n = np.arange(1, 10**5 + 1)
+    m = np.array([transforms_per_block(int(k)) for k in n])
+    assert m.min() >= 1 and m.max() == _MAX_STACK
+    assert (9 * m * n).max() <= 10**6
 
 
 def test_triple_centroid_adds_equal_numpy_mean():

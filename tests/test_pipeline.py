@@ -24,6 +24,7 @@ from reglab.pipeline import (
     DEFAULT_NMS_RADIUS,
     Hypothesis,
     RegistrationConfig,
+    _seed_consensus,
     build_consensus,
     register,
     select_seeds,
@@ -187,6 +188,23 @@ def test_build_consensus_excludes_inconsistent_pairs():
     c = CorrespondenceSet(src, tgt)
     members = build_consensus(0, c, 0.1, 0.5)
     assert members.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("extent, sigma_d", [(2.0, 0.4), (1e100, 0.4), (1.0, "smallest")])
+def test_every_seed_is_in_its_own_consensus_at_tau_one(extent, sigma_d):
+    """sc(i, i) is exactly 1, since both of its distances are an exact 0: at tau = 1
+    every seed still reaches its own consensus, at any scale and any sigma."""
+    if sigma_d == "smallest":
+        sigma_d = smallest_sigma_with_nonzero_square()
+    rng = make_rng(70)
+    c = CorrespondenceSet(rng.uniform(-extent, extent, size=(300, 3)),
+                          rng.uniform(-extent, extent, size=(300, 3)))
+    seeds = np.arange(300)
+    with np.errstate(over="ignore"):  # gap^2 / sigma^2 overflows off the diagonal
+        rows, sets = _seed_consensus(seeds, c, sigma_d, 1.0)
+    assert np.all(rows[seeds, seeds] == 1.0)
+    for seed, members in zip(seeds, sets):
+        assert seed in members and members.dtype == np.int64
 
 
 # -- two-stage estimation -----------------------------------------------------------
