@@ -1,10 +1,14 @@
 """Minimal reverse-mode automatic differentiation over float64 matrices.
 
 A ``Tensor`` wraps a 2-D numpy array plus a gradient slot and a backward
-closure. Operations record their parents; ``Tensor.backward()`` on a
-scalar result walks the graph in reverse topological order and
-accumulates gradients into every tensor created with
-``requires_grad=True``.
+closure. Operations record their parents and a closure that maps the
+output's gradient to one gradient per parent, and does nothing else.
+``Tensor.backward()`` on a scalar result walks the graph in reverse
+topological order and is the only code that adds gradients: it adds each
+node's returned gradients into the parents that track gradients, last
+parent first. The order decides the bits of a tensor that reaches one
+node through two parents and already holds a gradient (GFA's cross
+attention passes one tensor as k and v).
 
 The operation set is exactly the closure needed by the network blocks:
 matmul, transpose, broadcast add/sub/mul/div, relu, sigmoid, log, sqrt,
@@ -108,6 +112,12 @@ class Tensor:
 
     @staticmethod
     def _make(value: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+        """The result of an op on ``parents``; it records ``backward`` if it tracks gradients.
+
+        ``backward(g)`` takes the gradient of ``value`` and returns a tuple with
+        one gradient per parent, in parent order, and has no other effect. It
+        may return one for a parent that tracks no gradient; that one is dropped.
+        """
         out = Tensor.__new__(Tensor)
         out.value = value
         out.grad = None
@@ -124,28 +134,14 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-        value = a.value + b.value
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
-
-        return Tensor._make(value, (a, b), backward)
+        a, b = self, Tensor._coerce(other)
+        return Tensor._make(a.value + b.value, (a, b), lambda g: (
+            _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(-g)
-
-        return Tensor._make(-a.value, (a,), backward)
+        return Tensor._make(-self.value, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-Tensor._coerce(other))
@@ -154,118 +150,59 @@ class Tensor:
         return Tensor._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-        value = a.value * b.value
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.value, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.value, b.shape))
-
-        return Tensor._make(value, (a, b), backward)
+        a, b = self, Tensor._coerce(other)
+        return Tensor._make(a.value * b.value, (a, b), lambda g: (
+            _unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-        value = a.value / b.value
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.value, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.value / (b.value * b.value), b.shape))
-
-        return Tensor._make(value, (a, b), backward)
+        a, b = self, Tensor._coerce(other)
+        return Tensor._make(a.value / b.value, (a, b), lambda g: (
+            _unbroadcast(g / b.value, a.shape),
+            _unbroadcast(-g * a.value / (b.value * b.value), b.shape)))
 
     def __rtruediv__(self, other):
         return Tensor._coerce(other) / self
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        other = Tensor._coerce(other)
-        a, b = self, other
+        a, b = self, Tensor._coerce(other)
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: inner dimensions differ, lhs {a.shape} vs rhs {b.shape}")
-        value = a.value @ b.value
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g @ b.value.T)
-            if b.requires_grad:
-                b._accumulate(a.value.T @ g)
-
-        return Tensor._make(value, (a, b), backward)
+        return Tensor._make(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
 
     __matmul__ = matmul
 
     @property
     def T(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g.T)
-
-        return Tensor._make(a.value.T.copy(), (a,), backward)
+        return Tensor._make(self.value.T.copy(), (self,), lambda g: (g.T,))
 
     # -- elementwise nonlinearities -------------------------------------------
 
     def relu(self) -> "Tensor":
-        a = self
-        mask = a.value > 0.0
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * mask)
-
-        return Tensor._make(np.where(mask, a.value, 0.0), (a,), backward)
+        mask = self.value > 0.0
+        return Tensor._make(np.where(mask, self.value, 0.0), (self,), lambda g: (g * mask,))
 
     def sigmoid(self) -> "Tensor":
-        a = self
-        v = a.value
+        v = self.value
         y = np.empty_like(v)
         pos = v >= 0
         y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
         e = np.exp(v[~pos])
         y[~pos] = e / (1.0 + e)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * y * (1.0 - y))
-
-        return Tensor._make(y, (a,), backward)
+        return Tensor._make(y, (self,), lambda g: (g * y * (1.0 - y),))
 
     def log(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g / a.value)
-
-        return Tensor._make(np.log(a.value), (a,), backward)
+        v = self.value
+        return Tensor._make(np.log(v), (self,), lambda g: (g / v,))
 
     def sqrt(self) -> "Tensor":
-        a = self
-        y = np.sqrt(a.value)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * 0.5 / y)
-
-        return Tensor._make(y, (a,), backward)
+        y = np.sqrt(self.value)
+        return Tensor._make(y, (self,), lambda g: (g * 0.5 / y,))
 
     def clip(self, lo: float, hi: float) -> "Tensor":
-        a = self
-        inside = (a.value > lo) & (a.value < hi)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * inside)
-
-        return Tensor._make(np.clip(a.value, lo, hi), (a,), backward)
+        inside = (self.value > lo) & (self.value < hi)
+        return Tensor._make(np.clip(self.value, lo, hi), (self,), lambda g: (g * inside,))
 
     # -- structured ops --------------------------------------------------------
 
@@ -275,28 +212,16 @@ class Tensor:
             value = np.array([[a.value.sum()]])
         else:
             value = a.value.sum(axis=axis, keepdims=True)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(np.broadcast_to(g, a.shape).copy())
-
-        return Tensor._make(value, (a,), backward)
+        return Tensor._make(value, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
     def mean(self, axis: int | None = None) -> "Tensor":
-        a = self
-        count = a.value.size if axis is None else a.shape[axis]
+        count = self.value.size if axis is None else self.shape[axis]
         return self.sum(axis) * (1.0 / count)
 
     def channel_shuffle(self, groups: int = 2) -> "Tensor":
-        a = self
-        perm = shuffle_permutation(a.shape[1], groups)
+        perm = shuffle_permutation(self.shape[1], groups)
         inv = np.argsort(perm)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g[:, inv])
-
-        return Tensor._make(a.value[:, perm], (a,), backward)
+        return Tensor._make(self.value[:, perm], (self,), lambda g: (g[:, inv],))
 
     # -- graph traversal ---------------------------------------------------------
 
@@ -323,8 +248,11 @@ class Tensor:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.value))
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is not None:  # it tracks, so its consumers gave it a gradient
+                grads = node._backward(node.grad)
+                for parent, g in zip(node._parents[::-1], grads[::-1], strict=True):
+                    if parent.requires_grad:
+                        parent._accumulate(g)
 
 
 def concat_cols(tensors: list[Tensor] | tuple[Tensor, ...]) -> Tensor:
@@ -338,12 +266,6 @@ def concat_cols(tensors: list[Tensor] | tuple[Tensor, ...]) -> Tensor:
                 f"concat_cols: row counts differ, {t.shape} vs ({rows}, *)"
             )
     value = np.concatenate([t.value for t in tensors], axis=1)
-    parents = tuple(tensors)
     offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
-
-    def backward(g):
-        for t, lo, hi in zip(parents, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[:, lo:hi])
-
-    return Tensor._make(value, parents, backward)
+    return Tensor._make(value, tuple(tensors), lambda g: tuple(
+        g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])))

@@ -192,6 +192,7 @@ def spectral_matching(
 
 def spectral_register(c: CorrespondenceSet, delta: float) -> tuple[Hypothesis, SpectralResult]:
     """Fit a transform to the spectral inlier set (confidence-weighted), sigma_d = delta."""
+    check_delta(delta, "spectral_register")
     result = spectral_matching(c, delta)
     if result.selected.size < 3:
         raise RegistrationFailure(

@@ -232,12 +232,7 @@ def _consistency_mix(c: CorrespondenceSet, sigma: float, feats: Tensor) -> Tenso
                 out[hi:] += below @ x[lo:hi]
         return out
 
-    mixed = triangle_product(feats.value)
-
-    def backward(g):
-        feats._accumulate(triangle_product(g))
-
-    return Tensor._make(mixed, (feats,), backward)
+    return Tensor._make(triangle_product(feats.value), (feats,), lambda g: (triangle_product(g),))
 
 
 def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
@@ -280,11 +275,9 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tens
             else:
                 dv += p.T @ g[lo:hi]
                 dkt += q.value[lo:hi].T @ ds
-        # v, then q, then k, as the graph formula added them: the order of the sums
-        # decides the bits of a tensor that also feeds other ops (GFA's at_rows)
-        v._accumulate(dv)
-        q._accumulate(dq)
-        k._accumulate(dkt.T)
+        # Tensor.backward adds v's share before k's, as the graph formula does: the
+        # order decides the bits of a tensor passed as both (GFA's cross attention)
+        return dq, dkt.T, dv
 
     return Tensor._make(out, (q, k, v), backward)
 

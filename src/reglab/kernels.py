@@ -211,9 +211,9 @@ def _distance_rows(left: np.ndarray, right: np.ndarray, out: np.ndarray,
 def _consistency_block(src: np.ndarray, tgt: np.ndarray, sigma: float,
                        rows: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
     """sc(i, j) for i in ``rows`` and j >= ``first``, written into ``out``."""
-    if not (sigma > 0.0 and sigma * sigma > 0.0):
+    if not (0.0 < sigma < np.inf and sigma * sigma > 0.0):
         raise ConfigurationError(
-            f"consistency_rows: sigma must be positive with a nonzero square, got {sigma}")
+            f"consistency_rows: sigma must be positive and finite with a nonzero square, got {sigma}")
     src_left, src_right = _difference_factors(np.asarray(src, dtype=np.float64), rows, first)
     tgt_left, tgt_right = _difference_factors(np.asarray(tgt, dtype=np.float64), rows, first)
     width = src_right.shape[2]

@@ -262,6 +262,22 @@ def test_a_gradient_shared_by_two_tensors_stays_theirs():
         assert np.array_equal(b.grad, np.full((2, 3), 2.0))
 
 
+def test_backward_adds_each_nodes_gradients_last_parent_first():
+    """A node's backward only returns one gradient per parent; Tensor.backward adds
+    them, last parent first, and only into parents that track gradients. With b
+    passed twice and already holding g0, b.grad is (g0 + third) + second: GFA's
+    cross attention passes one tensor as k and v and keeps its bits by this order."""
+    g0, second, third = np.array([[1.0]]), np.array([[2.0 ** -53]]), np.array([[-1.0]])
+    assert not np.array_equal((g0 + third) + second, (g0 + second) + third)
+    a = Tensor(np.zeros((1, 1)))
+    b = Tensor(np.zeros((1, 1)), requires_grad=True)
+    b.grad = g0
+    out = Tensor._make(np.zeros((1, 1)), (a, b, b), lambda g: (g, g * second, g * third))
+    out.backward()
+    assert np.array_equal(b.grad, (g0 + third) + second)
+    assert a.grad is None
+
+
 def test_backward_requires_scalar_root():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):

@@ -26,7 +26,7 @@ from reglab.geometry import (
     translation_error,
     weighted_kabsch,
 )
-from reglab.baselines import ransac
+from reglab.baselines import ransac, spectral_register
 from reglab.synth import SceneConfig, generate, rotation_from_axis_angle
 
 
@@ -156,6 +156,7 @@ INLIER_TESTS = {  # each returns its inlier count
     "select_best_transform": lambda c, delta: select_best_transform(
         [RigidTransform.identity()], c, delta).inlier_count,
     "ransac": lambda c, delta: ransac(c, 10, delta).inlier_count,
+    "spectral_register": lambda c, delta: spectral_register(c, delta)[0].inlier_count,
 }
 
 
@@ -165,7 +166,9 @@ def test_inlier_tests_refuse_a_delta_that_is_not_a_usable_radius(name, delta):
     """One check: a delta <= 0, NaN, infinite or with a square that underflows to 0.
 
     Unchecked, -0.1 read as +0.1 (inlier_mask of the true motion found all 50 inliers
-    of this scene), NaN counted no inliers and ransac at +inf counted all 100 pairs."""
+    of this scene), NaN counted no inliers and ransac at +inf counted all 100 pairs.
+    spectral_register at +inf built and fitted the whole N x N matrix before a refusal
+    that named count_inliers, and at -0.1 its refusal named consistency_rows."""
     if delta == "underflows":
         delta = float(np.nextafter(smallest_sigma_with_nonzero_square(), 0.0))
         assert delta > 0.0 and delta * delta == 0.0
@@ -179,7 +182,7 @@ def test_inlier_tests_accept_the_smallest_delta_with_a_nonzero_square(name):
     src = make_rng(8).uniform(-1, 1, size=(5, 3))
     c = CorrespondenceSet(src, src)  # every residual under the identity is exactly 0
     count = INLIER_TESTS[name](c, smallest_sigma_with_nonzero_square())
-    if name == "ransac":  # its fitted triples round, so no residual need be 0
+    if name in ("ransac", "spectral_register"):  # their fits round, so no residual need be 0
         assert 0 <= count <= 5
     else:
         assert count == 5

@@ -1,5 +1,7 @@
 """Package surface: the public names the package exports."""
 
+from pathlib import Path
+
 import reglab
 
 
@@ -20,8 +22,6 @@ def test_top_level_surface_is_the_documented_api():
 def test_the_package_writes_nothing_to_stdout(capfd):
     """The last stdout line of bench/run.py is its result, so library calls
     must leave stdout alone, at the file-descriptor level too."""
-    from pathlib import Path
-
     from reglab.evaluate import TrainConfig, train_toy
 
     params = Path(__file__).resolve().parents[1] / "bench" / "model" / "params.json"
@@ -34,3 +34,12 @@ def test_the_package_writes_nothing_to_stdout(capfd):
     train_toy(TrainConfig(iterations=5))
     out, _ = capfd.readouterr()
     assert out == ""
+
+
+def test_only_autodiff_adds_gradients():
+    """Autodiff nodes return their gradients and Tensor.backward alone adds them, so
+    no other module reaches the gradient slot through Tensor._accumulate."""
+    package = Path(reglab.__file__).parent
+    users = [p.name for p in sorted(package.glob("*.py"))
+             if p.name != "autodiff.py" and "_accumulate" in p.read_text()]
+    assert users == []
