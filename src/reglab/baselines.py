@@ -65,6 +65,7 @@ def ransac(
         raise DegenerateInputError(f"ransac: needs N >= 3, got {n}")
     if iterations < 1:
         raise ContractError(f"ransac: iterations must be >= 1, got {iterations}")
+    kernels.check_array_bytes("ransac: iterations", iterations, 24 * iterations)  # the samples
     check_delta(delta, "ransac")
 
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -51,10 +51,11 @@ class ModelConfig:
         d, t = self.channels, self.granularities
         if t < 1:
             raise ConfigurationError(f"ModelConfig: granularities must be >= 1, got {t}")
-        if d < 2 or d % (2 ** t) != 0:
+        if d < 2 or t >= d.bit_length() or d % (2 ** t) != 0:  # 2^t > d: not divisible
             raise ConfigurationError(
-                f"ModelConfig: channels {d} not divisible by 2^granularities = {2 ** t}"
+                f"ModelConfig: channels {d} not divisible by 2^granularities = 2^{t}"
             )
+        kernels.check_array_bytes("ModelConfig: channels", d, 8 * d * d)  # one d x d weight
         for name in ("bottleneck_ratio", "shuffle_groups"):
             if getattr(self, name) < 1 or d % getattr(self, name) != 0:
                 raise ConfigurationError(

@@ -28,7 +28,7 @@ from .evaluate import (
     ExperimentConfig,
     TrainConfig,
     build_model,
-    classification_metrics,
+    grade,
     run_experiment,
     solve,
     train_toy,
@@ -42,13 +42,7 @@ from .formats import (
     save_transform,
     transform_doc,
 )
-from .geometry import (
-    SCENES,
-    CorrespondenceSet,
-    registration_success,
-    rotation_error,
-    translation_error,
-)
+from .geometry import SCENES, CorrespondenceSet
 from .pipeline import RegistrationConfig
 from .reports import FORMATS, emit_reports, merge_reports, report_from_json
 from .synth import SceneConfig, generate
@@ -160,17 +154,7 @@ def cmd_register(args) -> int:
         doc["reason"] = sol.reason
     if sol.ok:
         doc["transform"] = transform_doc(sol.transform)
-        if gt is not None:
-            re = rotation_error(gt, sol.transform)
-            te = translation_error(gt, sol.transform)
-            doc["re_deg"] = re
-            doc["te_cm"] = te
-            doc["success"] = registration_success(re, te, args.scene)
-    if c.labels is not None and sol.probabilities is not None:
-        cm = classification_metrics(sol.probabilities, c.labels)
-        doc["precision"] = cm.precision
-        doc["recall"] = cm.recall
-        doc["f1"] = cm.f1
+    doc.update(grade(sol, c, gt, args.scene))
     _print(doc)
     if args.out:
         out = Path(args.out)

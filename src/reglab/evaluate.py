@@ -10,7 +10,7 @@ tagged with a fixed constant.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,9 @@ _MODEL_STREAM = 999331     # tags fresh-model initialization
 _TRAIN_INIT_STREAM = 31337
 _TRAIN_SCENE_STREAM = 77
 
+THRESHOLD = 0.5  # a correspondence scored at or above this is a predicted inlier
+
+
 def derive_seed(*parts: int) -> int:
     """Collapse integer parts into one 64-bit seed via SeedSequence."""
     ss = np.random.SeedSequence([int(p) for p in parts])
@@ -55,20 +58,18 @@ def ratio_key(ratio: float) -> int:
 class ClassificationMetrics:
     """Inlier precision / recall / F1 at a probability threshold.
 
-    Zero-denominator cases report 0.0 and list the affected metric names
-    in ``undefined``.
+    A metric whose denominator is zero reports 0.0.
     """
 
     precision: float
     recall: float
     f1: float
-    undefined: tuple[str, ...] = ()
 
 
 def classification_metrics(
     probs: np.ndarray,
     labels: np.ndarray,
-    threshold: float = 0.5,
+    threshold: float = THRESHOLD,
 ) -> ClassificationMetrics:
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels, dtype=bool).reshape(-1)
@@ -81,23 +82,10 @@ def classification_metrics(
     tp = int((predicted & labels).sum())
     fp = int((predicted & ~labels).sum())
     fn = int((~predicted & labels).sum())
-    undefined: list[str] = []
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision = 0.0
-        undefined.append("precision")
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall = 0.0
-        undefined.append("recall")
-    if precision + recall > 0.0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        undefined.append("f1")
-    return ClassificationMetrics(precision, recall, f1, tuple(undefined))
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0.0 else 0.0
+    return ClassificationMetrics(precision, recall, f1)
 
 
 # -- sweep configuration --------------------------------------------------------
@@ -112,7 +100,6 @@ class ExperimentConfig:
     noise_sigma: float = 0.01
     scene: str = "indoor"
     delta: float | None = None
-    threshold: float = 0.5
     ransac_iterations: int = 1000
     master_seed: int = 0
     params_path: str | None = None
@@ -147,23 +134,8 @@ class ExperimentConfig:
         _registration_config(self)  # rejects a bad delta before any scene is drawn
 
     def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "n_values": list(self.n_values),
-            "outlier_ratios": list(self.outlier_ratios),
-            "trials": self.trials,
-            "noise_sigma": self.noise_sigma,
-            "scene": self.scene,
-            "delta": self.delta,
-            "threshold": self.threshold,
-            "ransac_iterations": self.ransac_iterations,
-            "master_seed": self.master_seed,
-            "params_path": self.params_path,
-            "ablation": list(self.ablation.disabled()),
-            "model_channels": self.model_channels,
-            "model_granularities": self.model_granularities,
-            "gpinet_label": self.gpinet_label,
-        }
+        return {**asdict(self), "ablation": list(self.ablation.disabled()),
+                "threshold": THRESHOLD}
 
 
 @dataclass(frozen=True)
@@ -197,7 +169,6 @@ class CellAggregate:
     mean_precision: float
     mean_recall: float
     mean_f1: float
-    mean_wall_time_s: float
 
 
 @dataclass(frozen=True)
@@ -284,6 +255,31 @@ def solve(
     return Solution(True, hyp.transform, probs, hyp.inlier_count, details=details)
 
 
+def grade(sol: Solution, c: CorrespondenceSet, gt: RigidTransform | None,
+          scene: str) -> dict:
+    """The paper's scores of one solution, each only where it is defined.
+
+    ``re_deg``, ``te_cm`` and ``success`` (under the scene's gates) when the
+    method found a transform and the ground truth ``gt`` is known;
+    ``precision``, ``recall`` and ``f1`` at ``THRESHOLD`` when ``c`` is
+    labeled and the method produced probabilities.
+    """
+    scores: dict = {}
+    if sol.ok and gt is not None:
+        re = rotation_error(gt, sol.transform)
+        te = translation_error(gt, sol.transform)
+        scores.update(re_deg=re, te_cm=te, success=registration_success(re, te, scene))
+    if c.labels is not None and sol.probabilities is not None:
+        scores.update(asdict(classification_metrics(sol.probabilities, c.labels)))
+    return scores
+
+
+# A trial's scores where grade defines none: a failed method scores as if
+# every probability were 0.
+_UNGRADED = {"success": False, "re_deg": None, "te_cm": None,
+             "precision": 0.0, "recall": 0.0, "f1": 0.0}
+
+
 def run_trial(
     method: str,
     c: CorrespondenceSet,
@@ -302,35 +298,16 @@ def run_trial(
         ransac_iterations=cfg.ransac_iterations,
     )
     wall = time.perf_counter() - start
-
-    if sol.ok:
-        re = rotation_error(gt, sol.transform)
-        te = translation_error(gt, sol.transform)
-        success = registration_success(re, te, cfg.scene)
-    else:
-        re = te = None
-        success = False
-    probs = sol.probabilities if sol.probabilities is not None else np.zeros(len(c))
-    if c.labels is not None:
-        cm = classification_metrics(probs, c.labels, cfg.threshold)
-    else:  # pragma: no cover - synthetic scenes always carry labels
-        cm = ClassificationMetrics(0.0, 0.0, 0.0, ("precision", "recall", "f1"))
-    label = cfg.gpinet_label if method == "gpinet" else method
     return TrialRecord(
-        method=label,
+        method=cfg.gpinet_label if method == "gpinet" else method,
         n=n,
         outlier_ratio=rkey / 1_000_000,
         trial=trial,
         scene_seed=scene_seed,
         ok=sol.ok,
-        success=success,
-        re_deg=re,
-        te_cm=te,
-        precision=cm.precision,
-        recall=cm.recall,
-        f1=cm.f1,
         inlier_count=sol.inlier_count,
         wall_time_s=wall,
+        **{**_UNGRADED, **grade(sol, c, gt, cfg.scene)},
     )
 
 
@@ -354,7 +331,6 @@ def _aggregate(records: list[TrialRecord]) -> list[CellAggregate]:
                 mean_precision=float(np.mean([r.precision for r in recs])),
                 mean_recall=float(np.mean([r.recall for r in recs])),
                 mean_f1=float(np.mean([r.f1 for r in recs])),
-                mean_wall_time_s=float(np.mean([r.wall_time_s for r in recs])),
             )
         )
     return out

@@ -138,12 +138,25 @@ def attend_rows(s: np.ndarray, v: np.ndarray, scale: float | None = None) -> np.
 # consistency_triangle hands the blocks to the embedding's mix, which uses
 # the triangle alone. The full matrix is the only N x N allocation in the
 # package; it is refused before allocation when its 8 N^2 bytes exceed
-# _MATRIX_BYTES_LIMIT.
+# _ARRAY_BYTES_LIMIT (see check_array_bytes).
 
 _ROW_BLOCK = 240                # rows per block, a multiple of _ROW_TILE
 _ROW_TILE = 24
 _MIN_BLOCK_PRODUCT = 1 << 21    # multiply-adds
-_MATRIX_BYTES_LIMIT = 2 << 30   # 2 GiB, i.e. N <= 16384
+_ARRAY_BYTES_LIMIT = 2 << 30    # 2 GiB, e.g. N <= 16384 for an N x N matrix
+
+
+def check_array_bytes(what: str, value: int, nbytes: int) -> None:
+    """Refuse the size ``value`` of ``what`` when the largest array it sizes
+    takes ``nbytes`` > 2 GiB.
+
+    Callers check before they allocate anything, so a size numpy could not
+    even index (it raises ValueError there) is a ConfigurationError too.
+    """
+    if nbytes > _ARRAY_BYTES_LIMIT:
+        raise ConfigurationError(
+            f"{what} = {value} sizes an array of {nbytes} bytes, over the "
+            f"{_ARRAY_BYTES_LIMIT >> 30} GiB limit of one array")
 
 
 def row_blocks(n: int, row_cost: int = 0):
@@ -270,11 +283,7 @@ def consistency_matrix(src: np.ndarray, tgt: np.ndarray, sigma: float) -> np.nda
     the reshape raise, not overwrite rows.
     """
     n = len(src)
-    if 8 * n * n > _MATRIX_BYTES_LIMIT:
-        raise ConfigurationError(
-            f"consistency_matrix: N = {n} needs {8 * n * n / 2**30:.1f} GiB, over the "
-            f"{_MATRIX_BYTES_LIMIT / 2**30:g} GiB limit of one N x N matrix"
-        )
+    check_array_bytes("consistency_matrix: N", n, 8 * n * n)
     m = np.empty((n, n))
     for lo, hi in reversed(list(row_blocks(n))):
         h = hi - lo

@@ -65,11 +65,7 @@ def report_to_json(report: MetricsReport) -> str:
         rec = asdict(r)
         rec.pop("wall_time_s")  # nondeterministic; lives in timings.csv
         records.append(rec)
-    cells = []
-    for c in report.cells:
-        cell = asdict(c)
-        cell.pop("mean_wall_time_s")
-        cells.append(cell)
+    cells = [asdict(c) for c in report.cells]
     doc = {"config": report.config, "records": records, "cells": cells}
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
@@ -86,7 +82,7 @@ def report_from_json(text: str, source: str = "report") -> MetricsReport:
             for i, rec in enumerate(doc["records"])
         )
         cells = tuple(
-            _entry(CellAggregate, cell, f"{source}: cells[{i}]", mean_wall_time_s=0.0)
+            _entry(CellAggregate, cell, f"{source}: cells[{i}]")
             for i, cell in enumerate(doc["cells"])
         )
         return MetricsReport(config=doc["config"], records=records, cells=cells)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import CorrespondenceSet, RigidTransform, check_scene
+from .kernels import check_array_bytes
 
 SCENE_EXTENT = {"indoor": 3.0, "outdoor": 30.0}
 
@@ -39,6 +40,7 @@ class SceneConfig:
         check_scene(self.scene)
         if self.n < 1:
             raise ConfigurationError(f"SceneConfig: n must be >= 1, got {self.n}")
+        check_array_bytes("SceneConfig: n", self.n, 24 * self.n)  # (n, 3) float64 points
         if not (0.0 <= self.outlier_ratio <= 1.0):
             raise ConfigurationError(
                 f"SceneConfig: outlier_ratio must lie in [0, 1], got {self.outlier_ratio}"

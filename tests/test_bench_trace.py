@@ -2,8 +2,11 @@
 
 ``bench/run.py --trace 1`` wraps package functions by dotted path and drops
 a metric when a span source it reads has no target, so removing or renaming
-a wrap target silently shortens its result. This test resolves the wrap
-list against the package in a child interpreter, because importing
+a wrap target silently shortens its result. It also reads return values of
+the package beyond the wrap targets (``RegistrationResult.timings``, the
+seed and hypothesis counts, ``power_iteration``'s iterations, ...), so a
+change to one of those ends the traced run in an exception. These tests
+run ``bench/run.py``'s code in a child interpreter, because importing
 ``run.py`` sets the BLAS thread count for the whole process; the child
 writes no bytecode under ``bench/``.
 """
@@ -37,14 +40,43 @@ print(json.dumps({name: name in run.PER_LAYER and all(src in installed
 """
 
 
-def test_every_declared_per_layer_metric_has_its_wrap_targets():
+TRACED_CHILD = """
+import json, math, sys
+sys.path.insert(0, sys.argv[1])
+import run
+
+r = run.setup(run.Workload("indoor", 64, 0.5, 2, None, 1), 7)
+run.run_train = lambda r, k, tally, tracer: r.model  # skip the seconds-long training call
+metrics, _, problems, _ = run.traced(r)
+declared = [m["name"] for m in json.load(open(sys.argv[2]))["per_layer"]]
+print(json.dumps({
+    "missing": [name for name in declared if name not in metrics],
+    "not_finite": [name for name in declared
+                   if name in metrics and not math.isfinite(metrics[name][0])],
+    "problems": problems,
+}))
+"""
+
+
+def run_child(script: str) -> dict:
     package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.__file__)))
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ROOT / "bench"), str(ROOT / "BENCHMARK.json")],
+        [sys.executable, "-c", script, str(ROOT / "bench"), str(ROOT / "BENCHMARK.json")],
         capture_output=True, text=True, check=False, timeout=120,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert out.returncode == 0, out.stderr
-    reported = json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_every_declared_per_layer_metric_has_its_wrap_targets():
+    reported = run_child(CHILD)
     assert reported
     assert [name for name, ok in reported.items() if not ok] == []
+
+
+def test_a_small_traced_run_reads_every_declared_metric_from_the_package():
+    """One 64-pair scene through the traced run's three passes: every per-layer
+    metric present and finite, and no check failed. Training is stubbed out,
+    so its per-step metrics read 0."""
+    assert run_child(TRACED_CHILD) == {"missing": [], "not_finite": [], "problems": []}

@@ -77,6 +77,10 @@ def test_model_config_validation():
         ModelConfig(granularities=0)
     with pytest.raises(ConfigurationError):
         ModelConfig(channels=12, granularities=3)  # 12 not divisible by 8
+    ModelConfig(channels=32, granularities=5)  # 2^5 divides 32
+    for t in (6, 10 ** 6):  # 2^t > 32; the check does not compute 2^t
+        with pytest.raises(ConfigurationError, match=f"2\\^granularities = 2\\^{t}$"):
+            ModelConfig(channels=32, granularities=t)
     with pytest.raises(ConfigurationError):
         ModelConfig(channels=32, bottleneck_ratio=5)
     with pytest.raises(ConfigurationError):

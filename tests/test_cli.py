@@ -10,8 +10,13 @@ import reglab.evaluate
 from reglab.autodiff import Tensor
 from reglab.blocks import GPINet
 from reglab.cli import main
-from reglab.formats import load_correspondences, load_transform, save_correspondences
-from reglab.geometry import CorrespondenceSet
+from reglab.formats import (
+    load_correspondences,
+    load_transform,
+    save_correspondences,
+    save_transform,
+)
+from reglab.geometry import CorrespondenceSet, RigidTransform
 from reglab.synth import SceneConfig, generate
 
 
@@ -167,6 +172,33 @@ def test_register_exit_3_when_ransac_fails(tmp_path, capsys):
     assert code == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False and "degenerate" in doc["reason"]
+
+
+FAILED_REGISTER_KEYS = {"delta", "method", "n", "ok", "reason", "scene"}
+PIPELINE_KEYS = {"seed_count", "hypothesis_count"}
+CLASSIFICATION_KEYS = {"precision", "recall", "f1"}
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("oracle", PIPELINE_KEYS | CLASSIFICATION_KEYS),
+    ("gpinet", PIPELINE_KEYS | CLASSIFICATION_KEYS),
+    ("ransac", set()),
+    ("sm", set()),
+])
+def test_register_failure_on_a_labeled_scene_grades_only_what_exists(method, extra, tmp_path,
+                                                                    capsys):
+    """No transform, so no errors against the ground truth; the pipeline methods
+    still have probabilities, so they get precision, recall and F1."""
+    pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
+    csv = tmp_path / "line.csv"
+    save_correspondences(csv, CorrespondenceSet(pts, pts, np.ones(4, dtype=bool)))
+    gt = tmp_path / "gt.json"
+    save_transform(gt, RigidTransform.identity())
+    code = main(["register", "--method", method, "--channels", "8", "--granularities", "1",
+                 "--input", str(csv), "--gt", str(gt)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3 and doc["ok"] is False
+    assert set(doc) == FAILED_REGISTER_KEYS | extra
 
 
 def test_unknown_flag_exits_2_via_argparse(capsys):
@@ -541,3 +573,46 @@ def test_non_finite_float_flag_exits_2(case, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+# -- oversized integer flags -------------------------------------------------------------
+
+# Every size here is one numpy refuses without allocating (a dimension past
+# int64, or an array past its byte range); never list a size numpy would
+# try to allocate.
+BEYOND_INT64 = "99999999999999999999"
+ARRAY_TOO_BIG = str(2 ** 62)   # (2^62, 3) float64 or int64 entries
+CHANNELS_2_70 = str(2 ** 70)   # divisible by 2^3, so only its size is wrong
+
+OVERSIZED_FLAGS = {
+    "generate_n": (["generate", "--n", BEYOND_INT64], "SceneConfig: n"),
+    "generate_n_array_too_big": (["generate", "--n", ARRAY_TOO_BIG], "SceneConfig: n"),
+    "register_n": (["register", "--method", "oracle", "--n", BEYOND_INT64], "SceneConfig: n"),
+    "train_n": (["train", "--n", BEYOND_INT64], "SceneConfig: n"),
+    "benchmark_n": (["benchmark", "--method", "oracle", "--trials", "1", "--n", BEYOND_INT64],
+                    "SceneConfig: n"),
+    "register_ransac_iterations": (
+        ["register", "--method", "ransac", "--n", "50", "--ransac-iterations", BEYOND_INT64],
+        "ransac: iterations"),
+    "register_ransac_iterations_array_too_big": (
+        ["register", "--method", "ransac", "--n", "50", "--ransac-iterations", ARRAY_TOO_BIG],
+        "ransac: iterations"),
+    "benchmark_ransac_iterations": (
+        ["benchmark", "--method", "ransac", "--n", "20", "--trials", "1",
+         "--ransac-iterations", BEYOND_INT64], "ransac: iterations"),
+    "register_channels": (["register", "--method", "gpinet", "--n", "50",
+                           "--channels", CHANNELS_2_70], "ModelConfig: channels"),
+    "train_channels": (["train", "--n", "16", "--channels", CHANNELS_2_70],
+                       "ModelConfig: channels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_FLAGS))
+def test_oversized_count_flag_exits_2_naming_the_field(case, tmp_path, capsys):
+    argv, field = OVERSIZED_FLAGS[case]
+    if argv[0] != "register":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} = ") and "GiB limit of one array" in err
+    assert not (tmp_path / "out").exists()

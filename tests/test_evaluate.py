@@ -1,5 +1,8 @@
 """Experiment harness: seed derivation, metrics, sweeps, toy training."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -52,7 +55,7 @@ def test_classification_metrics_perfect():
     labels = np.array([True, False, True, False])
     probs = np.array([0.9, 0.1, 0.8, 0.2])
     m = classification_metrics(probs, labels)
-    assert m == ClassificationMetrics(1.0, 1.0, 1.0, ())
+    assert m == ClassificationMetrics(1.0, 1.0, 1.0)
 
 
 def test_classification_metrics_threshold_is_inclusive():
@@ -63,16 +66,13 @@ def test_classification_metrics_threshold_is_inclusive():
 
 def test_classification_metrics_zero_denominators():
     none_predicted = classification_metrics(np.zeros(4), np.array([True] * 4))
-    assert none_predicted.precision == 0.0
-    assert none_predicted.recall == 0.0
-    assert none_predicted.undefined == ("precision", "f1")
+    assert none_predicted == ClassificationMetrics(0.0, 0.0, 0.0)
 
     no_positives = classification_metrics(np.zeros(4), np.zeros(4, dtype=bool))
-    assert no_positives.undefined == ("precision", "recall", "f1")
+    assert no_positives == ClassificationMetrics(0.0, 0.0, 0.0)
 
     all_wrong = classification_metrics(np.ones(4), np.zeros(4, dtype=bool))
-    assert all_wrong.precision == 0.0
-    assert all_wrong.undefined == ("recall", "f1")
+    assert all_wrong == ClassificationMetrics(0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -128,11 +128,13 @@ def test_experiment_config_validation(tmp_path):
 
 def test_experiment_config_to_dict_round_trips_values():
     cfg = ExperimentConfig(methods=("oracle", "ransac"), n_values=(100,), trials=2)
-    doc = cfg.to_dict()
+    doc = json.loads(json.dumps(cfg.to_dict()))  # as report.json holds it
     assert doc["methods"] == ["oracle", "ransac"]
     assert doc["n_values"] == [100]
     assert doc["trials"] == 2
     assert doc["ablation"] == []
+    assert doc["threshold"] == evaluate.THRESHOLD == 0.5
+    assert set(doc) == {f.name for f in fields(ExperimentConfig)} | {"threshold"}
 
 
 # -- single trials ------------------------------------------------------------------
@@ -199,6 +201,7 @@ def test_run_trial_registration_failure_is_not_ok():
     assert not rec.ok and not rec.success
     assert rec.re_deg is None and rec.te_cm is None
     assert rec.inlier_count is None
+    assert (rec.precision, rec.recall, rec.f1) == (0.0, 0.0, 0.0)
 
 
 def test_solve_records_per_method():

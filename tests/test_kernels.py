@@ -9,16 +9,17 @@ import reglab.kernels
 from conftest import make_rng, random_transform, smallest_sigma_with_nonzero_square
 from reglab.errors import ConfigurationError
 from reglab.kernels import (
+    _ARRAY_BYTES_LIMIT,
     _CACHE_ENTRIES,
     _EXP_ZERO_BELOW,
     _LEAD_ROWS,
-    _MATRIX_BYTES_LIMIT,
     _MIN_BLOCK_PRODUCT,
     _ROW_BLOCK,
     _MAX_STACK,
     _ROW_TILE,
     _SCAN_BLOCK_ENTRIES,
     attend_rows,
+    check_array_bytes,
     consistency_matrix,
     consistency_row,
     consistency_rows,
@@ -31,7 +32,7 @@ from reglab.kernels import (
     transforms_per_block,
 )
 from reglab.autodiff import Tensor
-from reglab.blocks import GPINet, _attend
+from reglab.blocks import GPINet, ModelConfig, _attend
 from reglab.geometry import (CorrespondenceSet, RigidTransform, _point_columns, _squared_residuals,
                              inlier_mask)
 from reglab.synth import SceneConfig, generate
@@ -357,7 +358,7 @@ def test_row_blocks_cover_rows_on_tile_boundaries(n, row_cost):
 def test_consistency_matrix_refuses_n_over_the_limit_before_allocating(monkeypatch):
     """A fake (N, 3) view of N = 17000 rows: 8 N^2 is 2.15 GiB, over the limit."""
     n = 17000
-    assert 8 * n * n > _MATRIX_BYTES_LIMIT
+    assert 8 * n * n > _ARRAY_BYTES_LIMIT
     pts = np.broadcast_to(np.zeros(3), (n, 3))
 
     def no_block(*args, **kwargs):
@@ -366,6 +367,21 @@ def test_consistency_matrix_refuses_n_over_the_limit_before_allocating(monkeypat
     monkeypatch.setattr(reglab.kernels, "consistency_rows", no_block)
     with pytest.raises(ConfigurationError, match="17000"):
         consistency_matrix(pts, pts, 0.1)
+
+
+def test_one_size_rule_at_both_sides_of_the_limit():
+    """Each config refuses a size whose largest array passes 2 GiB; building a
+    config allocates nothing, so both sides of the bound are safe to build."""
+    check_array_bytes("x", 1, _ARRAY_BYTES_LIMIT)
+    with pytest.raises(ConfigurationError, match="^x = 1 sizes an array of 2147483649 bytes"):
+        check_array_bytes("x", 1, _ARRAY_BYTES_LIMIT + 1)
+    most = _ARRAY_BYTES_LIMIT // 24  # (n, 3) float64 points
+    SceneConfig(n=most)
+    with pytest.raises(ConfigurationError, match=f"^SceneConfig: n = {most + 1} "):
+        SceneConfig(n=most + 1)
+    ModelConfig(channels=16384)  # 8 * 16384^2 bytes is exactly 2 GiB
+    with pytest.raises(ConfigurationError, match="^ModelConfig: channels = 16392 "):
+        ModelConfig(channels=16392)
 
 
 @pytest.mark.parametrize("seed", range(5))

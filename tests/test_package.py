@@ -1,5 +1,6 @@
 """Package surface: the public names the package exports."""
 
+import ast
 from pathlib import Path
 
 import reglab
@@ -43,3 +44,20 @@ def test_only_autodiff_adds_gradients():
     users = [p.name for p in sorted(package.glob("*.py"))
              if p.name != "autodiff.py" and "_accumulate" in p.read_text()]
     assert users == []
+
+
+GRADERS = {"classification_metrics", "rotation_error", "translation_error",
+           "registration_success"}
+
+
+def test_only_evaluate_grade_scores_a_solution():
+    """`reglab register` and the harness grade a solution through evaluate.grade,
+    so no other code computes registration errors or precision, recall and F1."""
+    callers = set()
+    for path in sorted(Path(reglab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) in GRADERS:
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("evaluate.py", "grade")}

@@ -33,7 +33,6 @@ def make_cell(method="oracle", n=100, ratio=0.5, rr=100.0, re=0.01, te=0.5):
         mean_precision=1.0,
         mean_recall=1.0,
         mean_f1=1.0,
-        mean_wall_time_s=0.125,
     )
 
 
