@@ -201,48 +201,75 @@ def weighted_kabsch(c: CorrespondenceSet, weights) -> RigidTransform:
 
 def _kabsch(src: Points, tgt: Points, weights: NDArray[F64]) -> RigidTransform:
     """weighted_kabsch on finite (N, 3) arrays and N float64 weights, unwrapped."""
-    (fit,) = _kabsch_stack([(src, tgt, weights)])
+    n = src.shape[0]
+    (fit,) = _kabsch_segments(src.T, tgt.T, np.arange(n), [n], weights)
     if isinstance(fit, RegLabError):
         raise fit
     return fit
 
 
-def _kabsch_stack(problems) -> list[RigidTransform | RegLabError]:
-    """_kabsch of each (src, tgt, weights) problem, solved in one kernels.rigid_fits call.
+def _kabsch_segments(src_t: NDArray[F64], tgt_t: NDArray[F64], idx: NDArray[np.intp], sizes,
+                     weights: NDArray[F64]) -> list[RigidTransform | RegLabError]:
+    """weighted_kabsch of every segment of ``idx``, solved in one kernels.rigid_fits call.
 
-    A problem that _kabsch rejects gets the error _kabsch raises for it.
+    ``src_t`` and ``tgt_t`` are (3, N) point columns; ``idx`` holds each
+    segment's pair indices in turn, ``sizes`` the segment lengths and
+    ``weights`` one weight per entry of ``idx``. A segment that
+    weighted_kabsch rejects gets the error it raises for it. Each segment's
+    sums run over its own entries only, so its bits do not depend on its
+    neighbours.
     """
-    fits: list = [None] * len(problems)
-    live, hs, mu_s, mu_t = [], [], [], []
-    for i, (src, tgt, weights) in enumerate(problems):
-        total = weights.sum()
-        if np.any(weights < 0.0):
-            fits[i] = ContractError("weighted_kabsch: negative weights")
-        elif not (total > 0.0):
-            fits[i] = ContractError("weighted_kabsch: all weights are zero")
-        elif int((weights > 0.0).sum()) < 3:
-            fits[i] = DegenerateInputError("weighted_kabsch: fewer than 3 pairs with positive weight")
+    sizes = np.asarray(sizes, dtype=np.intp)
+    weights = np.asarray(weights, dtype=np.float64)
+    # sums over the non-empty segments only: reduceat gives an empty one its
+    # start entry, not 0. A rejected segment's sums may be inf or NaN, and it
+    # is not solved.
+    live = sizes > 0
+    starts, lengths = (np.cumsum(sizes) - sizes)[live], sizes[live]
+    points = np.concatenate([src_t.take(idx, axis=1), tgt_t.take(idx, axis=1)])  # (6, K)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        total = np.add.reduceat(weights, starts)
+        w = weights / np.repeat(total, lengths)
+        mu = np.add.reduceat(points * w, starts, axis=1)  # centroids, (6, live)
+        points -= np.repeat(mu, lengths, axis=1)
+        points[:3] *= w
+        h = np.add.reduceat((points[:3, None] * points[None, 3:]).reshape(9, -1), starts, axis=1)
+    stats = zip(total.tolist(), np.fmin.reduceat(weights, starts).tolist(),  # fmin skips NaN
+                np.add.reduceat(weights > 0.0, starts, dtype=np.intp).tolist(),
+                np.isfinite(h).all(axis=0).tolist())  # a non-finite centroid spoils h too
+    fits: list = []
+    solve, columns = [], []  # each segment to solve, and its column of h and mu
+    column = -1
+    for size in sizes.tolist():
+        column += size > 0
+        tot, lowest, positive, finite = next(stats) if size else (0.0, 0.0, 0, True)
+        if lowest < 0.0:
+            fits.append(ContractError("weighted_kabsch: negative weights"))
+        elif not (tot > 0.0):
+            fits.append(ContractError("weighted_kabsch: all weights are zero"))
+        elif positive < 3:
+            fits.append(DegenerateInputError(
+                "weighted_kabsch: fewer than 3 pairs with positive weight"))
+        elif not finite:  # an infinite weight, say
+            fits.append(ContractError("weighted_kabsch: weights give a non-finite covariance"))
         else:
-            w = weights / total
-            mu_s.append(w @ src)
-            mu_t.append(w @ tgt)
-            hs.append(((src - mu_s[-1]) * w[:, None]).T @ (tgt - mu_t[-1]))
-            live.append(i)
-    if not live:
-        return fits
-    r, t, ok = kernels.rigid_fits(np.array(hs), np.array(mu_s), np.array(mu_t))
-    finite, ortho, det = _rigid_checks(r, t)
-    valid = finite & (ortho < _ROT_TOL) & (np.abs(det - 1.0) < _ROT_TOL)
+            solve.append(len(fits))
+            columns.append(column)
+            fits.append(None)
+    mu = mu.T[columns]
+    r, t, ok = kernels.rigid_fits(h.T[columns].reshape(-1, 3, 3), mu[:, :3], mu[:, 3:])
+    good, ortho, det = _rigid_checks(r, t)
+    valid = good & (ortho < _ROT_TOL) & (np.abs(det - 1.0) < _ROT_TOL)
     r.flags.writeable = False
     t.flags.writeable = False
-    for k, i in enumerate(live):
-        if not ok[k]:
+    for i, rank, checked, rotation, translation in zip(solve, ok.tolist(), valid.tolist(), r, t):
+        if not rank:
             fits[i] = DegenerateInputError("weighted_kabsch: weighted covariance is rank-"
                                            "deficient (collinear or coincident support)")
-        elif not valid[k]:
+        elif not checked:
             fits[i] = ContractError("weighted_kabsch: fit fails the RigidTransform checks")
         else:
-            fits[i] = RigidTransform._checked(r[k], t[k])
+            fits[i] = RigidTransform._checked(rotation, translation)
     return fits
 
 

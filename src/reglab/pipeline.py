@@ -28,7 +28,7 @@ from .geometry import (
     RigidTransform,
     check_scene,
     count_inliers,
-    _kabsch_stack,
+    _kabsch_segments,
     _point_columns,
     select_best_transform,
 )
@@ -162,13 +162,15 @@ def select_seeds(
 #
 # register runs the seeds in blocks of kernels.transforms_per_block(N): one
 # consistency_rows call gives a block's seed rows, which yield both the
-# consensus sets and the stage-1 weights; one geometry._kabsch_stack call
-# fits the block's stage-1 transforms, and one kernels.strict_inliers call
-# gives all of their strict inliers. Stage 2 depends only on that inlier
-# set (and the probabilities), so it runs once per distinct set, again as
-# one stacked fit per block, and selection scores each distinct final
-# transform once. Working memory is O(block * N) whatever the seed count.
-# build_consensus and two_stage_estimate are the one-seed case.
+# consensus sets and the stage-1 weights. The sets are concatenated into one
+# index array and the weights are one flat gather of the rows at it; one
+# geometry._kabsch_segments call fits the block's stage-1 transforms, and
+# one kernels.strict_inliers call gives all of their strict inliers. Stage 2
+# depends only on that inlier set (and the probabilities), so it runs once
+# per distinct set, again as one segment solve per block, and selection
+# scores each distinct final transform once. Working memory is O(block * N)
+# whatever the seed count. build_consensus and two_stage_estimate are the
+# one-seed case.
 
 
 def _seed_consensus(
@@ -189,7 +191,6 @@ def _seed_consensus(
 def _two_stage_block(
     rows: np.ndarray,
     consensus: list[np.ndarray],
-    c: CorrespondenceSet,
     cols: tuple[np.ndarray, np.ndarray],
     probs: np.ndarray,
     delta: float,
@@ -206,11 +207,12 @@ def _two_stage_block(
     one): such a seed keeps its stage-1 transform and consensus as an entry
     of its own.
     """
+    sizes = [members.size for members in consensus]
+    joined = np.concatenate(consensus)
+    weights = probs[joined] * rows[np.repeat(np.arange(len(rows)), sizes), joined]
     stage1 = [
         None if isinstance(fit, RegLabError) else fit
-        for fit in _kabsch_stack([(c.source[members], c.target[members],
-                                   probs[members] * row[members])
-                                  for row, members in zip(rows, consensus)])
+        for fit in _kabsch_segments(*cols, joined, sizes, weights)
     ]
     fitted = [t for t in stage1 if t is not None]
     if not fitted:
@@ -225,8 +227,11 @@ def _two_stage_block(
         if mask is not None and keys[-1] not in refits and keys[-1] not in new:
             new[keys[-1]] = np.flatnonzero(mask)
     thick = [key for key, idx in new.items() if idx.size >= 3]
-    stage2 = dict(zip(thick, _kabsch_stack([(c.source[new[key]], c.target[new[key]],
-                                              probs[new[key]]) for key in thick])))
+    stage2 = {}
+    if thick:
+        inliers = np.concatenate([new[key] for key in thick])
+        stage2 = dict(zip(thick, _kabsch_segments(*cols, inliers, [new[key].size for key in thick],
+                                                  probs[inliers])))
     picks: list[int | None] = []
     for transform, members, key in zip(stage1, consensus, keys):
         if transform is None:
@@ -279,7 +284,8 @@ def two_stage_estimate(
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
     rows = kernels.consistency_rows(c.source, c.target, sigma_d, np.array([seed]))
     fits: list[tuple[RigidTransform, np.ndarray]] = []
-    (pick,) = _two_stage_block(rows, [consensus], c, _point_columns(c), probs, delta, fits, {})
+    (pick,) = _two_stage_block(rows, [np.asarray(consensus)], _point_columns(c), probs, delta,
+                               fits, {})
     if pick is None:
         return None
     transform, members = fits[pick]
@@ -340,7 +346,7 @@ def register(
     step = kernels.transforms_per_block(n)
     for lo in range(0, len(seeds), step):
         rows, consensus = _seed_consensus(seeds.indices[lo:lo + step], c, sigma_d, cfg.tau)
-        picks += _two_stage_block(rows, consensus, c, cols, probs, delta, fits, refits)
+        picks += _two_stage_block(rows, consensus, cols, probs, delta, fits, refits)
         sizes += [members.size for members in consensus]
     t2 = time.perf_counter()
 

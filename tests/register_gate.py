@@ -16,6 +16,14 @@ every scene of a fixed corpus:
 case with the code as it is, then again with each (target, name,
 reference) of ``swaps`` patched in, and checks the gate. Any fast path
 can reuse it: only the swaps name what is compared.
+
+``solve_gate(case, method, monkeypatch, swaps, probability_tol)`` does the
+same through ``evaluate.solve``, the dispatch that the CLI and the harness
+share, for any of the four methods. Every method must give the same ``ok``,
+``reason``, ``inlier_count`` and ``details``, and transforms within
+TRANSFORM_TOL; ransac and sm must give bit-equal probabilities (1 on the
+consensus, 0 elsewhere), and oracle and gpinet must pass ``check_gate`` on
+the ``RegistrationResult`` behind their solution.
 """
 
 from __future__ import annotations
@@ -24,8 +32,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from reglab import evaluate
 from reglab.blocks import GPINet
+from reglab.evaluate import METHODS, Solution
+from reglab.geometry import RigidTransform
 from reglab.pipeline import RegistrationConfig, RegistrationResult, register
 from reglab.synth import SceneConfig, generate
 
@@ -64,12 +76,47 @@ CORPUS = tuple(
     for seed in seeds
 )
 
+# Each method on every scene of CORPUS: gpinet with both networks, the other
+# methods, which take no network, once per scene.
+METHOD_CORPUS = tuple((method, case) for method in METHODS for case in CORPUS
+                      if method == "gpinet" or case.model == "bench")
 
-def register_case(case: Case) -> RegistrationResult:
+
+def _scene(case: Case):
     c, _ = generate(SceneConfig(n=case.n, outlier_ratio=case.outlier_ratio, scene=case.scene,
                                 seed=case.seed))
-    model = GPINet.load(PARAMS) if case.model == "bench" else GPINet(seed=0)
-    return register(c, RegistrationConfig(scene=case.scene), model=model)
+    return c
+
+
+def _model(case: Case) -> GPINet:
+    return GPINet.load(PARAMS) if case.model == "bench" else GPINet(seed=0)
+
+
+def register_case(case: Case) -> RegistrationResult:
+    return register(_scene(case), RegistrationConfig(scene=case.scene), model=_model(case))
+
+
+def solve_case(case: Case, method: str) -> tuple[Solution, RegistrationResult | None]:
+    """``evaluate.solve`` of ``method`` on the case's scene (ransac seeded with
+    the case's seed), and for oracle and gpinet the result it was made from."""
+    seen: list[RegistrationResult] = []
+    real = evaluate.register
+
+    def recorded(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate, "register", recorded)
+        sol = evaluate.solve(method, _scene(case), RegistrationConfig(scene=case.scene),
+                             _model(case) if method == "gpinet" else None, ransac_seed=case.seed)
+    return sol, (seen[0] if seen else None)
+
+
+def _transform_gap(a: RigidTransform, b: RigidTransform) -> float:
+    """The largest absolute entry of the rotations' and translations' differences."""
+    return max(float(np.abs(b.rotation - a.rotation).max()),
+               float(np.abs(b.translation - a.translation).max()))
 
 
 def check_gate(want: RegistrationResult, got: RegistrationResult,
@@ -87,12 +134,30 @@ def check_gate(want: RegistrationResult, got: RegistrationResult,
     assert b.seed_index == a.seed_index, f"selected seed {b.seed_index}, want {a.seed_index}"
     assert b.inlier_count == a.inlier_count, (a.inlier_count, b.inlier_count)
     assert np.array_equal(b.consensus, a.consensus)
-    transform_gap = max(
-        float(np.abs(b.transform.rotation - a.transform.rotation).max()),
-        float(np.abs(b.transform.translation - a.transform.translation).max()),
-    )
+    transform_gap = _transform_gap(a.transform, b.transform)
     assert transform_gap <= TRANSFORM_TOL, f"transforms differ by {transform_gap:.3g}"
     return transform_gap, prob_gap
+
+
+def check_solution_gate(method: str, want: tuple[Solution, RegistrationResult | None],
+                        got: tuple[Solution, RegistrationResult | None],
+                        probability_tol: float) -> float:
+    """Assert the gate for one method's (solution, result) pair ``got`` against the
+    reference ``want``, as solve_case returns them; returns the transform difference."""
+    (a, result_a), (b, result_b) = want, got
+    assert (b.ok, b.reason) == (a.ok, a.reason), ((a.ok, a.reason), (b.ok, b.reason))
+    assert b.inlier_count == a.inlier_count, f"inlier count {b.inlier_count}, want {a.inlier_count}"
+    assert b.details == a.details, f"details {b.details}, want {a.details}"
+    if method in ("oracle", "gpinet"):
+        return check_gate(result_a, result_b, probability_tol)[0]  # its transform is b's
+    same = (None if a.probabilities is None else a.probabilities.tobytes()) == \
+        (None if b.probabilities is None else b.probabilities.tobytes())
+    assert same, "probabilities differ"
+    if not a.ok:
+        return 0.0
+    gap = _transform_gap(a.transform, b.transform)
+    assert gap <= TRANSFORM_TOL, f"transforms differ by {gap:.3g}"
+    return gap
 
 
 def register_gate(case: Case, monkeypatch, swaps, probability_tol: float):
@@ -104,3 +169,14 @@ def register_gate(case: Case, monkeypatch, swaps, probability_tol: float):
             patch.setattr(target, name, reference)
         want = register_case(case)
     return (got, want, *check_gate(want, got, probability_tol))
+
+
+def solve_gate(case: Case, method: str, monkeypatch, swaps, probability_tol: float):
+    """Solve ``case`` with ``method`` with the code as it is and with ``swaps``
+    patched in; check the gate and return (got, want, transform gap)."""
+    got = solve_case(case, method)
+    with monkeypatch.context() as patch:
+        for target, name, reference in swaps:
+            patch.setattr(target, name, reference)
+        want = solve_case(case, method)
+    return got, want, check_solution_gate(method, want, got, probability_tol)

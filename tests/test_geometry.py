@@ -1,5 +1,7 @@
 """Exact geometric core: constructors, Kabsch fit, selection, error metrics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from reglab import kernels
 from reglab.geometry import (
     DEFAULT_DELTA,
     _kabsch,
-    _kabsch_stack,
+    _kabsch_segments,
     SUCCESS_GATES,
     CorrespondenceSet,
     RigidTransform,
@@ -28,6 +30,7 @@ from reglab.geometry import (
 )
 from reglab.baselines import ransac, spectral_register
 from reglab.synth import SceneConfig, generate, rotation_from_axis_angle
+from register_gate import TRANSFORM_TOL
 
 
 def weighted_cost(transform, c, weights):
@@ -311,26 +314,43 @@ def test_unwrapped_kabsch_core_equals_weighted_kabsch_on_index_subsets(seed):
 
 
 def reference_kabsch(src, tgt, weights):
-    """The one-problem weighted Kabsch fit as written before the stacked solve."""
+    """The one-problem weighted Kabsch fit as written before the segment solve,
+    with the errors the fit raised then."""
     if np.any(weights < 0.0):
-        raise ContractError("negative weights")
+        raise ContractError("weighted_kabsch: negative weights")
     total = weights.sum()
     if not (total > 0.0):
-        raise ContractError("all weights are zero")
+        raise ContractError("weighted_kabsch: all weights are zero")
     if int((weights > 0.0).sum()) < 3:
-        raise DegenerateInputError("fewer than 3 pairs with positive weight")
+        raise DegenerateInputError("weighted_kabsch: fewer than 3 pairs with positive weight")
     w = weights / total
     mu_s = w @ src
     mu_t = w @ tgt
     h = ((src - mu_s) * w[:, None]).T @ (tgt - mu_t)
     u, s, vt = np.linalg.svd(h)
-    if s[0] <= 0.0 or s[1] <= 1e-9 * s[0]:
-        raise DegenerateInputError("rank-deficient")
     d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        raise DegenerateInputError("singular alignment")
+    if s[0] <= 0.0 or s[1] <= 1e-9 * s[0] or d == 0.0:  # rank-deficient, or a singular alignment
+        raise DegenerateInputError("weighted_kabsch: weighted covariance is rank-deficient "
+                                   "(collinear or coincident support)")
     rotation = (vt.T * np.array([1.0, 1.0, d])) @ u.T
-    return RigidTransform(rotation, mu_t - rotation @ mu_s)
+    try:
+        return RigidTransform(rotation, mu_t - rotation @ mu_s)
+    except ContractError:
+        raise ContractError("weighted_kabsch: fit fails the RigidTransform checks") from None
+
+
+def reference_segments(src_t, tgt_t, idx, sizes, weights):
+    """geometry._kabsch_segments with each segment fitted alone by reference_kabsch:
+    the swap under which the register gate compares the segment solve."""
+    fits, lo = [], 0
+    for size in sizes:
+        members, part = idx[lo:lo + size], weights[lo:lo + size]
+        try:
+            fits.append(reference_kabsch(src_t[:, members].T, tgt_t[:, members].T, part))
+        except (ContractError, DegenerateInputError) as exc:
+            fits.append(exc)
+        lo += size
+    return fits
 
 
 def fit_outcome(fit, *problem):
@@ -340,16 +360,22 @@ def fit_outcome(fit, *problem):
         return type(exc)
 
 
-def assert_same_outcome(got, want):
+def assert_same_outcome(got, want, tol=0.0):
+    """The same failure class, or transforms whose entries differ by at most ``tol``."""
     if isinstance(want, type):
         assert isinstance(got, want) or got is want
-    else:
+    elif tol == 0.0:
         assert np.array_equal(got.rotation, want.rotation)
         assert np.array_equal(got.translation, want.translation)
+    else:
+        assert isinstance(got, RigidTransform), got
+        assert np.abs(got.rotation - want.rotation).max() <= tol
+        assert np.abs(got.translation - want.translation).max() <= tol
 
 
 def fit_problems(seed):
-    """Probability-weighted subsets of a noisy scene, and one problem per failure outcome."""
+    """Probability-weighted subsets of a noisy scene, and failing problems between them:
+    one per failure outcome, an empty problem first, between and last, and NaN weights."""
     rng = make_rng(seed)
     c, _ = random_correspondences(rng, n=200, noise=0.05)
     probs = rng.uniform(0.0, 1.0, size=200)
@@ -359,35 +385,107 @@ def fit_problems(seed):
         problems.append((c.source[idx], c.target[idx], probs[idx] * rng.uniform(0, 1, idx.size)))
     line = np.stack([[float(i), 2.0 * i, 0.0] for i in range(6)])
     two = np.r_[1.0, 1.0, np.zeros(8)]
+    empty = (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
     failures = [
         (c.source[:10], c.target[:10], np.zeros(10)),                 # zero weight total
         (c.source[:10], c.target[:10], -probs[:10]),                  # negative weights
         (c.source[:10], c.target[:10], two),                          # < 3 positive weights
         (line, line + 1.0, np.ones(6)),                               # collinear support
         (np.zeros((5, 3)), np.zeros((5, 3)), np.ones(5)),             # coincident support
+        empty,                                                        # no pairs
+        (c.source[:10], c.target[:10], np.r_[np.nan, probs[1:10]]),   # a NaN weight
+        (c.source[:10], c.target[:10], np.r_[np.nan, -1.0, probs[2:10]]),  # NaN and negative
     ]
     for k, bad in enumerate(failures):
-        problems.insert(7 * k + 3, bad)
-    return problems
+        problems.insert(5 * k + 3, bad)
+    return [empty, *problems, empty]
+
+
+def as_segments(problems, seed=0):
+    """The problems' points pooled in a shuffled order, and the segment solve's
+    (src_t, tgt_t, idx, sizes, weights) that fits each problem as one segment."""
+    src = np.concatenate([p[0] for p in problems])
+    tgt = np.concatenate([p[1] for p in problems])
+    order = make_rng(seed).permutation(len(src))
+    slot = np.argsort(order)  # pooled pair i sits at column slot[i]
+    return (np.ascontiguousarray(src[order].T), np.ascontiguousarray(tgt[order].T), slot,
+            [len(p[0]) for p in problems], np.concatenate([p[2] for p in problems]))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_stacked_fits_equal_one_problem_fits_bit_for_bit(seed):
+    """Each segment of one solve equals its one-segment fit, failing problems between them."""
     problems = fit_problems(4600 + seed)
-    got = _kabsch_stack(problems)
+    got = _kabsch_segments(*as_segments(problems, seed))
+    assert len(got) == len(problems)
     outcomes = set()
     for problem, fit in zip(problems, got):
-        want = fit_outcome(reference_kabsch, *problem)
+        want = fit_outcome(_kabsch, *problem)
         assert_same_outcome(fit, want)
-        assert_same_outcome(fit_outcome(_kabsch, *problem), want)
+        if isinstance(want, type):
+            with pytest.raises(want, match=f"^{re.escape(str(fit))}$"):
+                _kabsch(*problem)
         outcomes.add(want if isinstance(want, type) else RigidTransform)
     assert outcomes == {RigidTransform, ContractError, DegenerateInputError}
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_segment_fits_match_the_one_problem_reference(seed):
+    """Against the formula before the segment solve: the same outcome class, and
+    transforms within the register gate's tolerance."""
+    problems = fit_problems(4650 + seed)
+    segments = as_segments(problems, seed)
+    got = _kabsch_segments(*segments)
+    for fit, want in zip(got, reference_segments(*segments), strict=True):
+        if isinstance(want, Exception):
+            assert type(fit) is type(want) and str(fit) == str(want)
+        else:
+            assert_same_outcome(fit, want, TRANSFORM_TOL)
+
+
+def test_empty_and_nan_weighted_problems_fail_as_before():
+    """reduceat gives an empty segment its start entry, not 0: an empty problem still
+    has a zero total. A NaN weight makes the total NaN, which is not positive."""
+    rng = make_rng(4660)
+    c, _ = random_correspondences(rng, n=10, noise=0.05)
+    with pytest.raises(ContractError, match="all weights are zero"):
+        weighted_kabsch(CorrespondenceSet(np.zeros((0, 3)), np.zeros((0, 3))), np.zeros(0))
+    with pytest.raises(ContractError, match="all weights are zero"):
+        _kabsch(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+    nan = np.r_[1.0, np.nan, np.ones(8)]
+    with pytest.raises(ContractError, match="all weights are zero"):
+        weighted_kabsch(c, nan)
+    with pytest.raises(ContractError, match="negative weights"):
+        weighted_kabsch(c, np.r_[nan[:9], -1.0])
+    cols = (np.ascontiguousarray(c.source.T), np.ascontiguousarray(c.target.T))
+    good = np.arange(10)
+    fits = _kabsch_segments(*cols, np.r_[good, good, good], [0, 10, 0, 10, 10, 0],
+                            np.r_[np.ones(10), nan, np.ones(10)])
+    want = weighted_kabsch(c, np.ones(10))
+    for k in (1, 4):
+        assert_same_outcome(fits[k], want)
+    for k in (0, 2, 3, 5):
+        assert isinstance(fits[k], ContractError) and "all weights are zero" in str(fits[k])
+
+
+def test_a_non_finite_covariance_is_a_contract_error():
+    """An infinite weight gives NaN normalised weights; the fit is refused by name
+    and does not reach the stacked SVD, so its neighbours are still solved."""
+    rng = make_rng(4670)
+    c, _ = random_correspondences(rng, n=10, noise=0.05)
+    cols = (np.ascontiguousarray(c.source.T), np.ascontiguousarray(c.target.T))
+    good = np.arange(10)
+    fits = _kabsch_segments(*cols, np.r_[good, good, good], [10, 10, 10],
+                            np.r_[np.ones(10), np.inf, np.ones(19)])
+    assert isinstance(fits[1], ContractError) and "non-finite" in str(fits[1])
+    assert_same_outcome(fits[0], weighted_kabsch(c, np.ones(10)))
+    assert_same_outcome(fits[2], fits[0])
+
+
 def test_stacked_fits_report_a_singular_alignment(monkeypatch):
-    """sign(det(V U^T)) == 0 marks that problem degenerate, as the one-problem fit does."""
-    problems = fit_problems(4700)[:6]
-    marked = reference_kabsch(*problems[4]).rotation  # V U^T itself when no flip was needed
+    """sign(det(V U^T)) == 0 marks that problem degenerate, in one solve or alone."""
+    problems = fit_problems(4700)[1:7]
+    marked = _kabsch(*problems[4]).rotation  # V U^T itself when no flip was needed
     real_det = np.linalg.det
 
     def det(a):
@@ -396,19 +494,19 @@ def test_stacked_fits_report_a_singular_alignment(monkeypatch):
         return np.where(hit, 0.0, out)[()]
 
     monkeypatch.setattr(np.linalg, "det", det)
-    got = _kabsch_stack(problems)
+    got = _kabsch_segments(*as_segments(problems))
     for k, problem in enumerate(problems):
-        want = fit_outcome(reference_kabsch, *problem)
+        want = fit_outcome(_kabsch, *problem)
         assert (want is DegenerateInputError) == (k == 4)
         assert_same_outcome(got[k], want)
-        assert_same_outcome(fit_outcome(_kabsch, *problem), want)
 
 
 def test_stacked_fits_report_a_failed_transform_check(monkeypatch):
-    """A fit failing RigidTransform's checks is a ContractError, stacked or alone."""
-    problems = fit_problems(4800)[:3]
+    """A fit failing RigidTransform's checks is a ContractError, in one solve or alone."""
+    problems = fit_problems(4800)[1:4]
     src, _, weights = problems[1]
-    marked = (weights / weights.sum()) @ src  # its source centroid, as the fit forms it
+    # its source centroid, as the segment solve forms it
+    marked = np.add.reduceat(src.T * (weights / np.add.reduceat(weights, [0])), [0], axis=1)[:, 0]
     real = kernels.rigid_fits
 
     def skewed(h, mu_src, mu_tgt):
@@ -417,13 +515,14 @@ def test_stacked_fits_report_a_failed_transform_check(monkeypatch):
         r[hit] = r[hit] @ np.array([[1.0, 1e-6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         return r, t, ok  # a shear keeps det(R) = 1 but breaks orthonormality
 
+    clean = [_kabsch(*problem) for problem in problems]
     monkeypatch.setattr(kernels, "rigid_fits", skewed)
-    got = _kabsch_stack(problems)
+    got = _kabsch_segments(*as_segments(problems))
     assert isinstance(got[1], ContractError)
     with pytest.raises(ContractError):
         _kabsch(*problems[1])
     for k in (0, 2):
-        assert_same_outcome(got[k], reference_kabsch(*problems[k]))
+        assert_same_outcome(got[k], clean[k])
 
 
 # -- select_best_transform ----------------------------------------------------

@@ -61,3 +61,19 @@ def test_only_evaluate_grade_scores_a_solution():
                 if getattr(func, "id", getattr(func, "attr", None)) in GRADERS:
                     callers.add((path.name, getattr(top, "name", None)))
     assert callers == {("evaluate.py", "grade")}
+
+
+def test_one_weighted_fit_and_one_triple_fit_solve_rotations():
+    """Every weighted fit (the pipeline's stages, weighted_kabsch, sm's final fit and
+    ransac's refit) goes through geometry._kabsch_segments, and the RANSAC triples
+    through kernels.ransac_scan: no other code calls kernels.rigid_fits."""
+    callers, names = set(), set()
+    for path in sorted(Path(reglab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            names.add(getattr(top, "name", None))
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) == "rigid_fits":
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("geometry.py", "_kabsch_segments"), ("kernels.py", "ransac_scan")}
+    assert "_kabsch_stack" not in names

@@ -1,14 +1,20 @@
-"""The embedding's triangle consistency mix under the register-level gate."""
+"""Fast paths under the register-level gate: the embedding's triangle consistency
+mix, and the weighted fits as one segment solve."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import graph_reference
-from reglab import blocks
+from reglab import blocks, geometry, pipeline
+from reglab.evaluate import METHODS
 from reglab.geometry import RigidTransform
 from reglab.kernels import row_blocks
-from register_gate import CORPUS, TRANSFORM_TOL, Case, check_gate, register_case, register_gate
+from register_gate import (CORPUS, METHOD_CORPUS, TRANSFORM_TOL, Case, check_gate,
+                           check_solution_gate, register_case, register_gate, solve_case,
+                           solve_gate)
+from test_geometry import reference_segments
 
 MIX_PROBABILITY_TOL = 1e-12
 MIX_SWAP = [(blocks, "_consistency_mix", graph_reference.consistency_mix)]
@@ -61,3 +67,82 @@ def test_gate_fails_on_a_probability_past_its_bound(small_result):
     probs[7] += 2e-12
     with pytest.raises(AssertionError, match="probabilities differ"):
         check_gate(small_result, replace(small_result, probabilities=probs), 1e-12)
+
+
+FIT_SWAP = [(geometry, "_kabsch_segments", reference_segments),
+            (pipeline, "_kabsch_segments", reference_segments)]
+
+
+@pytest.mark.parametrize("method, case", METHOD_CORPUS,
+                         ids=lambda item: item if isinstance(item, str) else item.id)
+def test_segment_fits_pass_the_register_gate(method, case, monkeypatch):
+    """Every weighted fit as one segment solve, against each segment fitted alone
+    with the one-problem formula (every method's fits go through it)."""
+    solve_gate(case, method, monkeypatch, FIT_SWAP, 0.0)
+
+
+@pytest.fixture(scope="module")
+def small_solutions():
+    case = Case("indoor", 250, 0.5, 1, "bench")
+    return {method: solve_case(case, method) for method in METHODS}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_solution_gate_passes_each_method_against_itself(small_solutions, method):
+    assert small_solutions[method][0].ok
+    assert check_solution_gate(method, small_solutions[method], small_solutions[method],
+                               0.0) == 0.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_solution_gate_fails_on_a_different_inlier_count(small_solutions, method):
+    sol, result = small_solutions[method]
+    moved = replace(sol, inlier_count=sol.inlier_count + 1)
+    with pytest.raises(AssertionError, match="inlier count"):
+        check_solution_gate(method, (sol, result), (moved, result), 0.0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_solution_gate_fails_on_different_details(small_solutions, method):
+    sol, result = small_solutions[method]
+    moved = replace(sol, details={**sol.details, "extra": 1})
+    with pytest.raises(AssertionError, match="details"):
+        check_solution_gate(method, (sol, result), (moved, result), 0.0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_solution_gate_fails_on_a_different_outcome(small_solutions, method):
+    sol, result = small_solutions[method]
+    failed = replace(sol, ok=False, transform=None, reason="failed")
+    with pytest.raises(AssertionError):
+        check_solution_gate(method, (sol, result), (failed, result), 0.0)
+
+
+@pytest.mark.parametrize("method", ["ransac", "sm"])
+def test_solution_gate_fails_on_a_baseline_transform_perturbation(small_solutions, method):
+    sol, result = small_solutions[method]
+    translation = sol.transform.translation.copy()
+    translation[0] += 10 * TRANSFORM_TOL
+    moved = replace(sol, transform=RigidTransform(sol.transform.rotation, translation))
+    with pytest.raises(AssertionError, match="transforms differ"):
+        check_solution_gate(method, (sol, result), (moved, result), 0.0)
+
+
+@pytest.mark.parametrize("method", ["ransac", "sm"])
+def test_solution_gate_fails_on_a_baseline_probability_bit(small_solutions, method):
+    sol, result = small_solutions[method]
+    probs = sol.probabilities.copy()
+    probs[int(np.argmax(probs))] = np.nextafter(1.0, 0.0)
+    with pytest.raises(AssertionError, match="probabilities differ"):
+        check_solution_gate(method, (sol, result), (replace(sol, probabilities=probs), result),
+                            0.0)
+
+
+@pytest.mark.parametrize("method", ["oracle", "gpinet"])
+def test_solution_gate_checks_the_pipeline_result(small_solutions, method):
+    sol, result = small_solutions[method]
+    hyp = result.hypothesis
+    other = next(d["seed"] for d in result.seed_diagnostics if d["seed"] != hyp.seed_index)
+    moved = replace(result, hypothesis=replace(hyp, seed_index=other))
+    with pytest.raises(AssertionError, match="selected seed"):
+        check_solution_gate(method, (sol, result), (sol, moved), 0.0)
