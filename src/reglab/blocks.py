@@ -239,10 +239,14 @@ def _consistency_mix(c: CorrespondenceSet, sigma: float, feats: Tensor) -> Tenso
 def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
     """softmax_rows(q k^T [* scale]) v, one block of query rows at a time.
 
-    The map is never stored. The forward hands each block of unscaled
-    scores and the scale to kernels.attend_rows, which scales only a block
-    that it cannot gather. The backward scores the block again, recomputes
-    its softmax P and takes the block's share of every gradient:
+    The map is never stored. When kernels.screen_operands engages, the
+    forward first scores each block in float32, and a block whose rows
+    kernels.certified_columns certifies as one-live is gathered as
+    attend_rows would gather it, with no float64 product. Every other
+    block's unscaled float64 scores and the scale go to
+    kernels.attend_rows, which scales only a block that it cannot gather.
+    The backward scores the block again in float64, recomputes its softmax
+    P and takes the block's share of every gradient:
     dV += P^T g, dS = P * (dP - rowsum(dP * P)) with dP = g V^T, then
     dQ = dS K and dK^T += Q^T dS (FlashAttention's backward; a whole key
     row fits in the block, so no online rescaling). Softmax is per row,
@@ -258,8 +262,13 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tens
         return s
 
     out = np.empty((q.shape[0], v.shape[1]))
+    screen = kernels.screen_operands(q.value, kt, v.value, scale, blocks[0][1] if blocks else 0)
     for lo, hi in blocks:
-        out[lo:hi] = kernels.attend_rows(q.value[lo:hi] @ kt, v.value, scale)
+        hot = screen and kernels.certified_columns(screen, lo, hi, scale)
+        if hot is None:
+            out[lo:hi] = kernels.attend_rows(q.value[lo:hi] @ kt, v.value, scale)
+        else:
+            out[lo:hi] = v.value[hot] + 0.0
 
     def backward(g):
         dq = np.empty(q.shape)

@@ -2,13 +2,16 @@
 
 Subcommands: generate, register, benchmark, ablate, train, report.
 Exit codes: 0 success, 2 configuration error (argparse uses the same
-code), 3 registration failure, 4 numeric fault.
+code), 3 registration failure, 4 numeric fault, 141 standard output closed
+by its reader (a broken pipe, e.g. ``| head -1``: 128 + SIGPIPE, as a shell
+reports a process that SIGPIPE ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -364,7 +367,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is left unwritten goes to devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (
         ConfigurationError,
         ContractError,

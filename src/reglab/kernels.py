@@ -120,6 +120,123 @@ def attend_rows(s: np.ndarray, v: np.ndarray, scale: float | None = None) -> np.
     return softmax_rows(s) @ v
 
 
+# -- certified float32 screen for gathered attention blocks ------------------
+#
+# A block that attend_rows gathers costs its float64 score product and the
+# one-live check, yet its output v[j] + 0.0 needs only two facts per row:
+# j is the float64 argmax, and the scaled gap to the runner-up is below
+# _EXP_ZERO_BELOW. certified_columns proves both from float32 scores, at
+# about half the product's cost.
+#
+# Centred keys. Subtracting the keys' mean m from every key shifts row i of
+# the map by c_i = q_i . m, which moves neither its argmax nor its gaps,
+# and shrinks the key norms that the error bound scales with (2 to 125
+# times on the bench model's maps). So the float32 scores are
+# t_il = fl32(q_i) . fl32(k_l - m), and t_il + c_i is compared with the
+# float64 score s_il of the block product.
+#
+# The bound. Let u = 2^-24, gamma = d u / (1 - d u), g64 the same for
+# u = 2^-53, and K = ||m|| + max_l ||k_l - m||, which bounds every ||k_l||.
+# - The float32 dot product of the cast vectors, summed in any order, FMA
+#   or not, is within (2u + u^2 + gamma (1 + u)^2) ||q_i|| ||k_l - m|| of
+#   q_i . (k_l - m) (Higham, Accuracy and Stability of Numerical
+#   Algorithms, 2002, sec. 3.1, with Cauchy-Schwarz); the float64 rounding
+#   of k_l - m adds u64 ||q_i|| ||k_l - m||.
+# - s_il and the float64 c_i are each within g64 ||q_i|| K of their exact
+#   values, and each other float64 step below rounds a value at most
+#   4 ||q_i|| K, which 2^-45 ||q_i|| K covers. 1 + 2^-20 covers the
+#   rounding of the norms and of the bound itself (d < 2^20).
+# - Underflow, gradual, flushed or read as zero, adds at most 2^-126 per
+#   float32 operation: with ||q_i|| and K at most _SCREEN_NORM_LIMIT, less
+#   than ``absolute`` = (d + 1) 2^-62 in all.
+# ``key_err`` holds, per key, the factor of ||q_i|| in that bound, and
+# ``key_err_max`` its largest value. So a row's float64 top is at least
+# L = top + c_i - err(top), and each of its other float64 scores at most
+# H = second + c_i + err(runner-up). fl(x * scale) and fl(a - b) are
+# monotone, so when fl(fl(H * scale) - fl(L * scale)) < _EXP_ZERO_BELOW,
+# _live_columns passes that row of the float64 block with the same j. The
+# norm limit keeps every float32 cast, product and partial sum finite and
+# every float64 score below 2^121; the scale limit keeps the scaled top
+# finite. A block that is not certified takes the float64 path unchanged.
+#
+# The screen engages when one block's product has at least
+# _MIN_SCREEN_PRODUCT multiply-adds. Below that, its fixed cost (the casts,
+# the norms, a second product for a block that fails) outweighs the half
+# product it saves (predict at N = 250 to 300 was 3-5% slower with it).
+# At d = 32 the N <= 256 maps and the (d, d) channel map for N < 4096 stay
+# on the float64 path.
+
+_MIN_SCREEN_PRODUCT = 1 << 22   # multiply-adds of one block's score product
+_SCREEN_NORM_LIMIT = 2.0 ** 60
+_SCREEN_SCALE_LIMIT = 2.0 ** 800
+
+
+def screen_operands(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float | None,
+                    rows: int):
+    """What certified_columns needs for softmax_rows(q @ kt [* scale]) @ v, or
+    None where the screen does not engage: a block of ``rows`` rows below
+    _MIN_SCREEN_PRODUCT, a norm of q or k past _SCREEN_NORM_LIMIT or not
+    finite (NaN and infinities included), a value of v that is not finite,
+    or a scale outside (0, _SCREEN_SCALE_LIMIT)."""
+    d, n = kt.shape
+    if rows * n * d < _MIN_SCREEN_PRODUCT or d >= 1 << 20:
+        return None
+    if scale is not None and not 0.0 < scale < _SCREEN_SCALE_LIMIT:
+        return None
+    with np.errstate(all="ignore"):
+        q_norms = np.sqrt(np.einsum("ij,ij->i", q, q))
+        mean = kt.mean(axis=1)
+        centred = kt - mean[:, None]
+        centred_norms = np.sqrt(np.einsum("ij,ij->j", centred, centred))
+        k_bound = np.sqrt(mean @ mean) + centred_norms.max()
+        if not (q_norms.max() <= _SCREEN_NORM_LIMIT and k_bound <= _SCREEN_NORM_LIMIT
+                and np.isfinite(v).all()):
+            return None
+    u, u64 = 2.0 ** -24, 2.0 ** -53
+    gamma, gamma64 = d * u / (1.0 - d * u), d * u64 / (1.0 - d * u64)
+    c32 = (2 * u + u * u + gamma * (1 + u) ** 2 + u64) * (1 + 2.0 ** -20)
+    slack = (2 * gamma64 + 2.0 ** -45) * (1 + 2.0 ** -20) * k_bound
+    return (q.astype(np.float32), centred.astype(np.float32), q @ mean, q_norms,
+            centred_norms * c32 + slack, centred_norms.max() * c32 + slack,
+            (d + 1) * 2.0 ** -62)
+
+
+def certified_columns(screen, lo: int, hi: int, scale: float | None) -> np.ndarray | None:
+    """The column of each row's one live entry in rows [lo, hi) of
+    softmax_rows(q @ kt [* scale]), as _live_columns finds it on the float64
+    block, or None if the float32 scores do not certify every row.
+
+    ``screen`` is screen_operands' tuple. The first _LEAD_ROWS rows are
+    scored on their own, so a dense block stops there.
+    """
+    q32, kt32, shift, q_norms, key_err, key_err_max, absolute = screen
+    hot = np.empty(hi - lo, dtype=np.intp)
+    with np.errstate(all="ignore"):
+        for a, b in ((lo, min(lo + _LEAD_ROWS, hi)), (lo + _LEAD_ROWS, hi)):
+            if a >= b:
+                break
+            s = q32[a:b] @ kt32
+            j = s.argmax(axis=1)
+            flat = s.reshape(-1)
+            at = np.arange(0, s.size, s.shape[1])
+            at += j
+            top = flat[at].astype(np.float64)
+            flat[at] = -np.inf
+            second = s.max(axis=1).astype(np.float64)
+            top += shift[a:b]
+            top -= q_norms[a:b] * key_err[j] + absolute
+            second += shift[a:b]
+            second += q_norms[a:b] * key_err_max + absolute
+            if scale is not None:
+                top *= scale
+                second *= scale
+            second -= top
+            if not (second < _EXP_ZERO_BELOW).all():
+                return None
+            hot[a - lo:b - lo] = j
+    return hot
+
+
 # -- pairwise length-consistency matrix ------------------------------------
 #
 # sc(i, j) = max(0, 1 - (||ps_i - ps_j|| - ||pt_i - pt_j||)^2 / sigma^2)

@@ -17,6 +17,11 @@ case with the code as it is, then again with each (target, name,
 reference) of ``swaps`` patched in, and checks the gate. Any fast path
 can reuse it: only the swaps name what is compared.
 
+``scan_gate(case, monkeypatch, swaps)`` checks RANSAC's sample scan on
+acceptance criterion 7's scenes: ``kernels.ransac_scan``, as
+``baselines.ransac`` calls it there, must return the same best iteration
+and the same best count with the swaps patched in.
+
 ``solve_gate(case, method, monkeypatch, swaps, probability_tol)`` does the
 same through ``evaluate.solve``, the dispatch that the CLI and the harness
 share, for any of the four methods. Every method must give the same ``ok``,
@@ -34,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reglab import evaluate
+from reglab import baselines, evaluate, kernels
 from reglab.blocks import GPINet
 from reglab.evaluate import METHODS, Solution
 from reglab.geometry import RigidTransform
@@ -80,6 +85,21 @@ CORPUS = tuple(
 # methods, which take no network, once per scene.
 METHOD_CORPUS = tuple((method, case) for method in METHODS for case in CORPUS
                       if method == "gpinet" or case.model == "bench")
+
+
+@dataclass(frozen=True)
+class ScanCase:
+    """Trial i of acceptance criterion 7: an indoor N=500 scene at 60% outliers
+    and 1 cm noise, and its 10 000-iteration RANSAC at delta = 10 cm."""
+
+    trial: int
+
+    @property
+    def id(self) -> str:
+        return f"criterion7-trial{self.trial}"
+
+
+SCAN_CORPUS = tuple(ScanCase(i) for i in range(3))
 
 
 def _scene(case: Case):
@@ -180,3 +200,39 @@ def solve_gate(case: Case, method: str, monkeypatch, swaps, probability_tol: flo
             patch.setattr(target, name, reference)
         want = solve_case(case, method)
     return got, want, check_solution_gate(method, want, got, probability_tol)
+
+
+def scan_case(case: ScanCase) -> tuple[int, int]:
+    """(best_iteration, best_count) of the ``kernels.ransac_scan`` call that
+    ``baselines.ransac`` makes on the case, with the scan as it is patched now."""
+    c, _ = generate(SceneConfig(n=500, outlier_ratio=0.6, noise_sigma=0.01,
+                                seed=70_000 + case.trial))
+    seen = []
+    real = kernels.ransac_scan
+
+    def recorded(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "ransac_scan", recorded)
+        baselines.ransac(c, iterations=10_000, delta=0.10, seed=90_000 + case.trial)
+    return seen[0][:2]
+
+
+def check_scan_gate(want: tuple[int, int], got: tuple[int, int]) -> None:
+    """Assert the same best iteration and best count as the reference ``want``."""
+    assert got[0] == want[0], f"best iteration {got[0]}, want {want[0]}"
+    assert got[1] == want[1], f"best count {got[1]}, want {want[1]}"
+
+
+def scan_gate(case: ScanCase, monkeypatch, swaps) -> tuple[int, int]:
+    """Scan ``case`` with the code as it is and with ``swaps`` patched in; check
+    the gate and return the scan's (best_iteration, best_count)."""
+    got = scan_case(case)
+    with monkeypatch.context() as patch:
+        for target, name, reference in swaps:
+            patch.setattr(target, name, reference)
+        want = scan_case(case)
+    check_scan_gate(want, got)
+    return got

@@ -57,6 +57,23 @@ print(json.dumps({
 }))
 """
 
+TRAINING_CHILD = """
+import functools, json, math, sys
+sys.path.insert(0, sys.argv[1])
+import run
+
+r = run.setup(run.Workload("indoor", 64, 0.5, 2, None, 1), 7)
+# the real training call, cut to 2 steps: too few to halve the pool loss
+r.evaluate.TrainConfig = functools.partial(r.evaluate.TrainConfig, iterations=2)
+metrics, _, problems, _ = run.traced(r)
+names = ("autodiff.forward_train_s", "autodiff.backward_s", "nn.sgd_step_s")
+print(json.dumps({
+    "positive": {name: name in metrics and math.isfinite(metrics[name][0]) and metrics[name][0] > 0
+                 for name in names},
+    "problems": problems,
+}))
+"""
+
 
 def run_child(script: str) -> dict:
     package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.__file__)))
@@ -80,3 +97,14 @@ def test_a_small_traced_run_reads_every_declared_metric_from_the_package():
     metric present and finite, and no check failed. Training is stubbed out,
     so its per-step metrics read 0."""
     assert run_child(TRACED_CHILD) == {"missing": [], "not_finite": [], "problems": []}
+
+
+def test_a_traced_run_with_two_training_steps_reads_the_training_metrics():
+    """The same run with the real training call at 2 iterations: every per-step
+    training metric present, finite and positive, and the one problem is the
+    halving check's, which 2 steps cannot pass."""
+    reported = run_child(TRAINING_CHILD)
+    assert reported["positive"] == {"autodiff.forward_train_s": True, "autodiff.backward_s": True,
+                                    "nn.sgd_step_s": True}
+    [problem] = reported["problems"]
+    assert problem.startswith("train 0: final pool loss ") and " is not below half the " in problem

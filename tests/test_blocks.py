@@ -806,6 +806,34 @@ def test_forward_with_grad_matches_predict_with_two_blas_threads():
     assert lines == ["517 True", "1001 True", "2003 True"]
 
 
+def test_float32_screen_keeps_predict_bytes_with_two_blas_threads():
+    """sgemm may round differently with two threads; the screen's certificate holds
+    for any float32 summation order, so predict keeps the bytes of the float64
+    path. The child counts the blocks the screen certified, so it is not idle."""
+    code = (
+        "import reglab.kernels as kernels\n"
+        "from pathlib import Path\n"
+        "from reglab.blocks import GPINet\n"
+        "from reglab.synth import SceneConfig, generate\n"
+        "model = GPINet.load(Path(kernels.__file__).parents[2] / 'bench/model/params.json')\n"
+        "real, size, certified = kernels.certified_columns, kernels._MIN_SCREEN_PRODUCT, []\n"
+        "def counted(*args):\n"
+        "    hot = real(*args)\n"
+        "    certified.append(hot is not None)\n"
+        "    return hot\n"
+        "kernels.certified_columns = counted\n"
+        "for n in (1001, 2003):\n"
+        "    c, _ = generate(SceneConfig(n=n, outlier_ratio=0.8, scene='outdoor', seed=n))\n"
+        "    on = model.predict(c).tobytes()\n"
+        "    kernels._MIN_SCREEN_PRODUCT = 1 << 62\n"
+        "    off = model.predict(c).tobytes()\n"
+        "    kernels._MIN_SCREEN_PRODUCT = size\n"
+        "    print(n, on == off, sum(certified) > 0)\n"
+        "    certified.clear()\n"
+    )
+    assert run_child(code, threads=2) == ["1001 True True", "2003 True True"]
+
+
 def test_training_step_memory_stays_far_below_n_squared():
     """At N=1000 a training step stored every N x N map and peaked near 187 MB."""
     import tracemalloc

@@ -616,3 +616,26 @@ def test_oversized_count_flag_exits_2_naming_the_field(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} = ") and "GiB limit of one array" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_stdout_closed_by_its_reader_exits_141_without_a_traceback(tmp_path):
+    """``reglab generate ... | head -1`` with head gone before the first write:
+    the scene is still written, and the CLI exits 141 with nothing on stderr.
+    The read end is closed before the child starts, so every write fails."""
+    import os
+    import subprocess
+    import sys
+
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.evaluate.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "reglab.cli", "generate", "--n", "50", "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, check=False, timeout=120,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir},
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (141, "")
+    assert len(load_correspondences(tmp_path / "correspondences.csv")) == 50

@@ -1,5 +1,6 @@
 """Hot kernels: brute-force oracles and invariants."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -724,13 +725,17 @@ def softmax_reference(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
+SCREEN_OFF = 1 << 62                    # a _MIN_SCREEN_PRODUCT that no block reaches
+
+
 def bench_model_attention(monkeypatch, n: int, scene: str = "outdoor", outlier_ratio: float = 0.8,
                           seed: int = 2) -> list[tuple[np.ndarray, np.ndarray, float | None]]:
     """The (scores, v, scale) blocks that predict attends with under the bench model.
 
     These are GFA's row attention and its two cross attentions, N wide and
     one call per row block each, and its (32, 32) channel map in one call.
-    The scores are unscaled; the two cross attentions pass 1/sqrt(32).
+    The scores are unscaled; the two cross attentions pass 1/sqrt(32). The
+    float32 screen is off, so every block reaches attend_rows.
     """
     blocks = []
 
@@ -742,6 +747,7 @@ def bench_model_attention(monkeypatch, n: int, scene: str = "outdoor", outlier_r
     c, _ = generate(SceneConfig(n=n, outlier_ratio=outlier_ratio, scene=scene, seed=seed))
     with monkeypatch.context() as patch:
         patch.setattr(reglab.kernels, "attend_rows", record)
+        patch.setattr(reglab.kernels, "_MIN_SCREEN_PRODUCT", SCREEN_OFF)
         model.predict(c)
     assert len(blocks) == 3 * len(list(row_blocks(n, 32 * n))) + 1
     assert [s.shape for s, _, _ in blocks].count((32, 32)) == 1
@@ -1075,3 +1081,241 @@ def test_attend_rows_on_bench_model_attention(monkeypatch):
              for name, blocks in (("indoor", indoor), ("outdoor", outdoor))}
     assert all(paths["outdoor"])
     assert any(paths["indoor"]) and not all(paths["indoor"])
+
+
+# -- certified float32 screen -----------------------------------------------------
+
+
+def screened_attend(q, k, v, scale=None) -> int:
+    """_attend's forward of (q, k, v) with the float32 screen forced on at every
+    size and with it off: the same bytes, and no floating-point warning from the
+    screen that the float64 path did not raise. Returns how many blocks the
+    screen certified."""
+    certified = []
+    real = reglab.kernels.certified_columns
+
+    def counted(*args):
+        hot = real(*args)
+        certified.append(hot is not None)
+        return hot
+
+    out, warned = {}, {}
+    for name, size in (("off", SCREEN_OFF), ("on", 0)):
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            patch.setattr(reglab.kernels, "_MIN_SCREEN_PRODUCT", size)
+            patch.setattr(reglab.kernels, "certified_columns", counted)
+            out[name] = _attend(*(Tensor(np.array(a, dtype=np.float64)) for a in (q, k, v)),
+                                scale).value
+        warned[name] = {(w.category, str(w.message)) for w in seen}
+    assert out["on"].shape == out["off"].shape and out["on"].tobytes() == out["off"].tobytes()
+    assert warned["on"] <= warned["off"], warned
+    return sum(certified)
+
+
+def score_operands(scores):
+    """(q, k) with q @ k.T == scores exactly: q is the identity, k the scores' transpose."""
+    return np.eye(scores.shape[0]), scores.T.copy()
+
+
+def one_live_operands(rng, m, n, d=32, size=1.0):
+    """(q, k) of m random rows of norm ``size`` and n keys, the first m of them the
+    query rows: each of those rows scores its own key size^2 and the rest at most
+    about 0.7 size^2."""
+    q = rng.normal(size=(m, d))
+    q *= size / np.linalg.norm(q, axis=1, keepdims=True)
+    k = np.concatenate([q, rng.normal(size=(n - m, d)) * (size / np.sqrt(d) / 3)])
+    return q, k
+
+
+@pytest.mark.parametrize("scale", [None, SCALE, 2.0], ids=["unscaled", "scaled", "scale2"])
+def test_screen_gathers_one_live_blocks_with_the_float64_bits(scale):
+    rng = make_rng(60)
+    q, k = one_live_operands(rng, 300, 310, size=300.0)
+    blocks = len(list(row_blocks(300, 310 * 32)))
+    assert screened_attend(q, k, awkward_values(rng, 310, 32), scale) == blocks
+
+
+def test_screen_on_near_ties_at_the_argmax():
+    """A row whose own key has a twin within float32's error: the row is dense in
+    float64, and the screen certifies no block that holds such a row."""
+    rng = make_rng(61)
+    q, k = one_live_operands(rng, 600, 600, size=300.0)
+    v = awkward_values(rng, 600, 32)
+    assert [hi - lo for lo, hi in row_blocks(600, 600 * 32)] == [240, 240, 120]
+    own = k[591].copy()
+    for row, eps in ((5, 2.0 ** -30), (300, -(2.0 ** -30)), (590, 2.0 ** -52)):
+        k[row + 1] = k[row] * (1.0 + eps)
+    assert screened_attend(q, k, v) == 0
+    k[591] = own
+    assert screened_attend(q, k, v) == 1
+
+
+def boundary_rows(scale):
+    """(gap, top, second) with fl(fl(second * scale) - fl(top * scale)) == gap, for gaps
+    of -746 and three ulps either side of it."""
+    c = 1.0 if scale is None else scale
+    gaps = [_EXP_ZERO_BELOW]
+    for _ in range(3):
+        gaps = [float(np.nextafter(gaps[0], np.inf)), *gaps, float(np.nextafter(gaps[-1], -np.inf))]
+    found = {}
+    for top in np.linspace(0.0, 3.0, 301):
+        second = (top * c + _EXP_ZERO_BELOW) / c
+        for _ in range(12):
+            second = np.nextafter(second, -np.inf)
+        for _ in range(25):
+            gap = float(second * c - top * c)
+            if gap in gaps and gap not in found:
+                found[gap] = (float(top), float(second))
+            second = np.nextafter(second, np.inf)
+    assert sorted(found) == sorted(gaps)
+    return [(gap, *found[gap]) for gap in gaps]
+
+
+@pytest.mark.parametrize("scale", [None, SCALE], ids=["unscaled", "scaled"])
+def test_screen_at_the_underflow_boundary(scale):
+    """A row whose scaled gap is -746 or a few ulps from it: only the float64 path
+    decides it. Far below the floor the screen certifies."""
+    rng = make_rng(62)
+    v = awkward_values(rng, 7)
+    for gap, top, second in boundary_rows(scale):
+        scores = one_hot_scores(rng, 9, 7, scale)
+        scores[4] = -1e4 if scale is None else -1e4 / scale
+        scores[4, 2], scores[4, 5] = top, second
+        assert screened_attend(*score_operands(scores), v, scale) == 0
+        scores[4, 5] = second - 10.0 / (1.0 if scale is None else scale)
+        assert screened_attend(*score_operands(scores), v, scale) == 1
+
+
+@pytest.mark.parametrize("scale", [None, SCALE], ids=["unscaled", "scaled"])
+def test_screen_on_scores_that_cancel_below_float32s_resolution(scale):
+    """q_i = A (1, -(1 + eps)) with eps = 0.6 * 2^-23 and keys B_l (1, 1): each score
+    is -A eps B_l, and float32, which rounds 1 + eps to 1 + 2^-23, reads every gap
+    about 1/0.6 times too wide. A scaled gap of -700 is live in float64 and reads
+    about -1170 in float32: only the error bound keeps the screen off it."""
+    c = 1.0 if scale is None else scale
+    a, eps = 2.0 ** 20, 0.6 * 2.0 ** -23
+    q = np.tile([a, -a * (1.0 + eps)], (9, 1))
+    b = np.array([-1.0, -0.2, 0.1, 0.5, 0.9, -0.05, 0.3])
+    b *= 700.0 / (a * eps * 0.8 * c)                   # every row: gap (b[0] - b[1]) a eps c = -700
+    k = b[:, None] * np.ones((1, 2))
+    scores = q @ k.T
+    gap = (scores[0, 1] - scores[0, 0]) * c
+    assert -710.0 < gap < -690.0 and (scores.argmax(axis=1) == 0).all()
+    assert screened_attend(q, k, awkward_values(make_rng(68), 7), scale) == 0
+
+
+@pytest.mark.parametrize("size, certified", [(1e15, True), (5e17, True), (1e18, False),
+                                             (1e19, False), (1e20, False), (1e39, False),
+                                             (1e160, False)])
+def test_screen_on_norms_near_and_past_float32_range(size, certified):
+    """Norms of 5e17 still certify. Past _SCREEN_NORM_LIMIT (about 1.15e18, with
+    the keys' mean) the screen stays off before a float32 product or cast could
+    overflow (float32's range ends at 3.4e38); at 1e160 the float64 scores
+    overflow too."""
+    rng = make_rng(63)
+    q, k = one_live_operands(rng, 40, 50, size=size)
+    assert screened_attend(q, k, awkward_values(rng, 50)) == certified
+    assert screened_attend(q, k, awkward_values(rng, 50), SCALE) == certified
+
+
+@pytest.mark.parametrize("size", [1e-20, 1e-40, 1e-200])
+def test_screen_on_entries_below_float32s_normal_range(size):
+    """Scores that underflow in float32 are dense in float64 and never certify; a
+    one-live row with float32-subnormal components in q and k still does."""
+    rng = make_rng(64)
+    q, k = one_live_operands(rng, 40, 50, size=size)
+    assert screened_attend(q, k, awkward_values(rng, 50)) == 0
+    q, k = one_live_operands(rng, 40, 50, size=100.0)
+    q[:, :4] = size * rng.normal(size=(40, 4))
+    k[:, 4:8] = size * rng.normal(size=(50, 4))
+    assert screened_attend(q, k, awkward_values(rng, 50)) == 1
+
+
+@pytest.mark.parametrize("where", ["q", "k", "v"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_screen_leaves_non_finite_operands_to_the_float64_path(where, value):
+    rng = make_rng(65)
+    q, k = one_live_operands(rng, 300, 310, size=100.0)
+    v = awkward_values(rng, 310)
+    {"q": q, "k": k, "v": v}[where][7, 3] = value
+    assert screened_attend(q, k, v) == 0
+    assert screened_attend(q, k, v, SCALE) == 0
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, 1e300, np.inf])
+def test_screen_leaves_other_scales_to_the_float64_path(scale):
+    rng = make_rng(66)
+    q, k = one_live_operands(rng, 40, 50, size=100.0)
+    assert screened_attend(q, k, awkward_values(rng, 50), scale) == 0
+
+
+def test_screen_on_width_one_rows():
+    """One key: every finite row is one-live, in float64 and in the screen."""
+    rng = make_rng(67)
+    q, k = rng.normal(size=(30, 4)) * 1e3, rng.normal(size=(1, 4))
+    v = awkward_values(rng, 1)
+    assert screened_attend(q, k, v) == 1 and screened_attend(q, k, v, SCALE) == 1
+
+
+def predict_screened(model, c) -> bytes:
+    """predict's bytes with the screen forced on at every size; asserts them equal
+    to the bytes with it off."""
+    out = {}
+    for size in (0, SCREEN_OFF):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reglab.kernels, "_MIN_SCREEN_PRODUCT", size)
+            out[size] = model.predict(c).tobytes()
+    assert out[0] == out[SCREEN_OFF]
+    return out[0]
+
+
+def test_screen_keeps_predict_bits_on_every_map():
+    """The bench model's dense indoor maps, its channel map, a tiny-coordinate
+    scene and an untrained model's dense maps, with the screen forced on."""
+    bench, untrained = GPINet.load(BENCH_PARAMS), GPINet(seed=0)
+    indoor, _ = generate(SceneConfig(n=256, outlier_ratio=0.5, scene="indoor", seed=5))
+    outdoor, _ = generate(SceneConfig(n=600, outlier_ratio=0.8, scene="outdoor", seed=2))
+    tiny = CorrespondenceSet(outdoor.source * 1e-200, outdoor.target * 1e-200)
+    for model, c in ((bench, indoor), (bench, outdoor), (bench, tiny), (untrained, outdoor)):
+        predict_screened(model, c)
+
+
+def test_screen_certifies_most_bench_model_blocks_at_n_2000(monkeypatch):
+    """At least 80% of the N x N blocks of the bench model's three N-wide maps on
+    outdoor N=2000 scenes skip the float64 product (all of them when this was
+    written); a looser bound or a lost engagement shows here as a slowdown."""
+    n, certified = 2000, []
+    real = reglab.kernels.certified_columns
+
+    def counted(screen, lo, hi, scale):
+        hot = real(screen, lo, hi, scale)
+        certified.append(screen[1].shape[1] == n and hot is not None)
+        return hot
+
+    monkeypatch.setattr(reglab.kernels, "certified_columns", counted)
+    model = GPINet.load(BENCH_PARAMS)
+    for seed in (1, 2):
+        model.predict(generate(SceneConfig(n=n, outlier_ratio=0.8, scene="outdoor",
+                                           seed=seed))[0])
+    assert sum(certified) >= 0.8 * 2 * 3 * len(list(row_blocks(n, 32 * n)))
+
+
+def test_screen_engages_only_on_large_maps(monkeypatch):
+    """At d = 32 the N <= 256 maps (register_small's and train_toy's scenes, and
+    every training step) and the (d, d) channel map stay on the float64 path;
+    outdoor N=500's row and cross attentions take the screen."""
+    engaged = []
+    real = reglab.kernels.screen_operands
+
+    def recorded(q, kt, v, scale, rows):
+        screen = real(q, kt, v, scale, rows)
+        engaged.append((kt.shape[1], screen is not None))
+        return screen
+
+    monkeypatch.setattr(reglab.kernels, "screen_operands", recorded)
+    model = GPINet.load(BENCH_PARAMS)
+    for n, scene, ratio in ((250, "indoor", 0.5), (256, "indoor", 0.5), (500, "outdoor", 0.8)):
+        engaged.clear()
+        model.predict(generate(SceneConfig(n=n, outlier_ratio=ratio, scene=scene, seed=3))[0])
+        assert sorted(engaged) == [(32, False)] + [(n, n == 500)] * 3

@@ -1,5 +1,5 @@
 """Fast paths under the register-level gate: the embedding's triangle consistency
-mix, and the weighted fits as one segment solve."""
+mix, the weighted fits as one segment solve, and RANSAC's stacked sample scan."""
 
 from dataclasses import replace
 
@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import graph_reference
-from reglab import blocks, geometry, pipeline
+from reglab import blocks, geometry, kernels, pipeline
 from reglab.evaluate import METHODS
 from reglab.geometry import RigidTransform
 from reglab.kernels import row_blocks
-from register_gate import (CORPUS, METHOD_CORPUS, TRANSFORM_TOL, Case, check_gate,
-                           check_solution_gate, register_case, register_gate, solve_case,
-                           solve_gate)
+from register_gate import (CORPUS, METHOD_CORPUS, SCAN_CORPUS, TRANSFORM_TOL, Case, ScanCase,
+                           check_gate, check_scan_gate, check_solution_gate, register_case,
+                           register_gate, scan_case, scan_gate, solve_case, solve_gate)
 from test_geometry import reference_segments
 
 MIX_PROBABILITY_TOL = 1e-12
@@ -146,3 +146,32 @@ def test_solution_gate_checks_the_pipeline_result(small_solutions, method):
     moved = replace(result, hypothesis=replace(hyp, seed_index=other))
     with pytest.raises(AssertionError, match="selected seed"):
         check_solution_gate(method, (sol, result), (sol, moved), 0.0)
+
+
+@pytest.mark.parametrize("case", SCAN_CORPUS, ids=lambda case: case.id)
+def test_stacked_ransac_scan_passes_the_scan_gate(case, monkeypatch):
+    """Each block of transforms_per_block(N) samples, against each sample scored alone."""
+    best_iteration, best_count = scan_gate(case, monkeypatch,
+                                           [(kernels, "transforms_per_block", lambda n: 1)])
+    assert 0 <= best_iteration < 10_000 and best_count >= 150  # 200 inliers per scene
+
+
+@pytest.fixture(scope="module")
+def criterion_7_scan():
+    return scan_case(ScanCase(0))
+
+
+def test_scan_gate_passes_a_scan_against_itself(criterion_7_scan):
+    check_scan_gate(criterion_7_scan, criterion_7_scan)
+
+
+def test_scan_gate_fails_on_a_different_best_iteration(criterion_7_scan):
+    best_iteration, best_count = criterion_7_scan
+    with pytest.raises(AssertionError, match="best iteration"):
+        check_scan_gate(criterion_7_scan, (best_iteration + 1, best_count))
+
+
+def test_scan_gate_fails_on_a_different_best_count(criterion_7_scan):
+    best_iteration, best_count = criterion_7_scan
+    with pytest.raises(AssertionError, match="best count"):
+        check_scan_gate(criterion_7_scan, (best_iteration, best_count - 1))
