@@ -26,7 +26,7 @@ from .geometry import (
     inlier_mask,
     weighted_kabsch,
 )
-from .pipeline import Hypothesis
+from .pipeline import TAU, Hypothesis
 
 
 def minimal_samples(rng: np.random.Generator, n: int, iterations: int) -> np.ndarray:
@@ -141,18 +141,14 @@ def power_iteration(
     )
 
 
-def spectral_matching(
-    c: CorrespondenceSet,
-    sigma_d: float = 0.10,
-    tau: float = 0.5,
-) -> SpectralResult:
+def spectral_matching(c: CorrespondenceSet, sigma_d: float = 0.10) -> SpectralResult:
     """Length-consistency spectral relaxation.
 
     The compatibility matrix holds pairwise consistency off the diagonal
     and zeros on it. Its principal eigenvector (see ``power_iteration``)
     scores each correspondence; a greedy sweep then accepts the highest
     score and zeroes everything inconsistent with it (consistency below
-    tau) until scores are exhausted. An all-zero matrix yields zero
+    TAU) until scores are exhausted. An all-zero matrix yields zero
     confidences and an empty selection.
     """
     n = len(c)
@@ -181,7 +177,7 @@ def spectral_matching(
         if suppressed[i]:
             continue
         selected.append(int(i))
-        suppressed |= m[i] < tau  # m[i] is row i of the consistency matrix, 0 at i
+        suppressed |= m[i] < TAU  # m[i] is row i of the consistency matrix, 0 at i
     return SpectralResult(
         confidences=confidences,
         selected=np.asarray(selected, dtype=np.int64),

@@ -166,11 +166,6 @@ def _squared_residuals(transform: RigidTransform, c: CorrespondenceSet) -> NDArr
                                      transform.translation[None])[0]
 
 
-def residuals(transform: RigidTransform, c: CorrespondenceSet) -> NDArray[F64]:
-    """Euclidean residual per correspondence under the transform."""
-    return np.sqrt(_squared_residuals(transform, c))
-
-
 def count_inliers(transform: RigidTransform, c: CorrespondenceSet, delta: float) -> int:
     """Number of pairs with ||R p_s + t - p_t|| strictly below delta."""
     check_delta(delta, "count_inliers")

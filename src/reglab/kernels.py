@@ -458,16 +458,21 @@ def rigid_fits(h: np.ndarray, mu_src: np.ndarray,
                mu_tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rotations, translations, ok) fitted to (m, 3, 3) covariances and (m, 3) centroids.
 
-    Rotations are proper; ``ok`` is False where the covariance is
-    rank-deficient (collinear or coincident support) or the alignment singular.
+    Rotations are proper; ``ok`` is False where the covariance is not
+    finite, is rank-deficient (collinear or coincident support) or the
+    alignment is singular. A non-finite covariance is solved as zeros: the
+    SVD raises on NaN entries and may not return on infinite ones.
     """
+    finite = np.isfinite(h).all(axis=(1, 2))
+    if not finite.all():
+        h = np.where(finite[:, None, None], h, 0.0)
     u, s, vt = np.linalg.svd(h)
     v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
     d = np.sign(np.linalg.det(v @ ut))
     v[:, :, 2] *= d[:, None]                            # reflection guard
     r = v @ ut
     t = mu_tgt - (r @ mu_src[:, :, None])[:, :, 0]
-    return r, t, (s[:, 1] > 1e-9 * s[:, 0]) & (d != 0.0)
+    return r, t, (s[:, 1] > 1e-9 * s[:, 0]) & (d != 0.0) & finite
 
 
 def squared_residuals(src_t: np.ndarray, tgt_t: np.ndarray, rotations: np.ndarray,

@@ -22,7 +22,6 @@ from . import kernels
 from .blocks import Ablation, GPINet
 from .errors import ConfigurationError, ContractError, DegenerateInputError, RegLabError
 from .geometry import (
-    SCENES,
     DEFAULT_DELTA,
     CorrespondenceSet,
     RigidTransform,
@@ -35,70 +34,38 @@ from .geometry import (
 
 DEFAULT_NMS_RADIUS = {"indoor": 0.5, "outdoor": 3.0}
 
+# Consistency threshold of the consensus sets and of sm's greedy sweep.
+TAU = 0.5
+
+
+def seed_count_for(n: int) -> int:
+    """Seeds for N pairs: max(1, ceil(N / 10)), about a tenth of them."""
+    return max(1, int(np.ceil(n / 10)))
+
 
 @dataclass(frozen=True)
 class RegistrationConfig:
-    """Knobs for the seed/consensus/estimate pipeline.
+    """Settings of the seed/consensus/estimate pipeline.
 
-    ``delta`` (inlier radius, meters), ``nms_radius`` and ``sigma_d``
-    default from the scene kind; ``seed_count`` defaults to
-    max(1, ceil(N / 10)); ``sigma_d`` defaults to delta.
+    ``delta`` (inlier radius, meters) defaults from the scene kind. The
+    rest are fixed rules: seed_count_for(N) seeds, the scene's
+    DEFAULT_NMS_RADIUS, consensus at consistency >= TAU with sigma_d = delta.
     """
 
     scene: str = "indoor"
     delta: float | None = None
-    seed_count: int | None = None
-    nms_radius: float | None = None
-    tau: float = 0.5
-    sigma_d: float | None = None
     ablation: Ablation = field(default_factory=Ablation)
 
     def __post_init__(self):
         check_scene(self.scene)
-        for name in ("delta", "sigma_d"):
-            value = getattr(self, name)
-            if value is not None and not (0.0 < value < np.inf and value * value > 0.0):
-                raise ConfigurationError(
-                    f"{name} must be positive and finite with a nonzero square, got {value}")
-        r = self.nms_radius
-        if r is not None and not (np.isfinite(r) and r >= 0.0):
-            raise ConfigurationError(f"nms_radius must be >= 0 and finite, got {r}")
-        if self.seed_count is not None and self.seed_count < 1:
-            raise ConfigurationError(f"seed_count must be >= 1, got {self.seed_count}")
-        if not (0.0 < self.tau <= 1.0):
-            raise ConfigurationError(f"tau must lie in (0, 1], got {self.tau}")
+        d = self.delta
+        if d is not None and not (0.0 < d < np.inf and d * d > 0.0):
+            raise ConfigurationError(
+                f"delta must be positive and finite with a nonzero square, got {d}")
 
     @property
     def resolved_delta(self) -> float:
         return self.delta if self.delta is not None else DEFAULT_DELTA[self.scene]
-
-    @property
-    def resolved_nms_radius(self) -> float:
-        return (
-            self.nms_radius
-            if self.nms_radius is not None
-            else DEFAULT_NMS_RADIUS[self.scene]
-        )
-
-    @property
-    def resolved_sigma_d(self) -> float:
-        return self.sigma_d if self.sigma_d is not None else self.resolved_delta
-
-    def resolved_seed_count(self, n: int) -> int:
-        if self.seed_count is not None:
-            return self.seed_count
-        return max(1, int(np.ceil(n / 10)))
-
-
-@dataclass(frozen=True)
-class SeedSet:
-    """Seed correspondences, ordered by descending probability."""
-
-    indices: np.ndarray
-    probabilities: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -121,8 +88,8 @@ def select_seeds(
     c: CorrespondenceSet,
     k: int,
     nms_radius: float,
-) -> SeedSet:
-    """Greedy top-k by probability with spatial suppression.
+) -> np.ndarray:
+    """Indices of the seeds: greedy top-k by probability with spatial suppression.
 
     Candidates are visited by descending probability (ties by lower
     index). One is kept unless a kept seed's source point lies strictly
@@ -154,8 +121,7 @@ def select_seeds(
             dist2 = diff[0] + diff[1]
             dist2 += diff[2]
             suppressed |= dist2 < r2
-    indices = np.asarray(kept, dtype=np.int64)
-    return SeedSet(indices, probs[indices].copy())
+    return np.asarray(kept, dtype=np.int64)
 
 
 # -- hypotheses ----------------------------------------------------------------
@@ -177,15 +143,14 @@ def _seed_consensus(
     seeds: np.ndarray,
     c: CorrespondenceSet,
     sigma_d: float,
-    tau: float,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The seeds' consistency rows, and the indices where each row reaches tau.
+    """The seeds' consistency rows, and the indices where each row reaches TAU.
 
-    For tau <= 1 the seed itself is always a member: its self-consistency
-    is exactly 1, since both of its distances are an exact 0.
+    The seed itself is always a member: its self-consistency is exactly 1,
+    since both of its distances are an exact 0.
     """
     rows = kernels.consistency_rows(c.source, c.target, sigma_d, seeds)
-    return rows, [np.flatnonzero(row >= tau) for row in rows]
+    return rows, [np.flatnonzero(row >= TAU) for row in rows]
 
 
 def _two_stage_block(
@@ -251,17 +216,9 @@ def _two_stage_block(
     return picks
 
 
-def build_consensus(
-    seed: int,
-    c: CorrespondenceSet,
-    sigma_d: float = 0.10,
-    tau: float = 0.5,
-) -> np.ndarray:
-    """Indices whose length consistency with the seed reaches tau.
-
-    For tau <= 1 the seed itself is always a member (its self-consistency is 1).
-    """
-    return _seed_consensus(np.array([seed]), c, sigma_d, tau)[1][0]
+def build_consensus(seed: int, c: CorrespondenceSet, sigma_d: float = 0.10) -> np.ndarray:
+    """Indices whose length consistency with the seed reaches TAU, the seed among them."""
+    return _seed_consensus(np.array([seed]), c, sigma_d)[1][0]
 
 
 def two_stage_estimate(
@@ -334,9 +291,8 @@ def register(
             raise ContractError("register: probabilities must be finite and within [0, 1]")
     t1 = time.perf_counter()
 
-    delta = cfg.resolved_delta
-    sigma_d = cfg.resolved_sigma_d
-    seeds = select_seeds(probs, c, cfg.resolved_seed_count(n), cfg.resolved_nms_radius)
+    delta = cfg.resolved_delta  # also sigma_d, the consistency width
+    seeds = select_seeds(probs, c, seed_count_for(n), DEFAULT_NMS_RADIUS[cfg.scene])
 
     fits: list[tuple[RigidTransform, np.ndarray]] = []  # distinct final fits
     refits: dict[bytes, int | None] = {}
@@ -345,7 +301,7 @@ def register(
     cols = _point_columns(c)
     step = kernels.transforms_per_block(n)
     for lo in range(0, len(seeds), step):
-        rows, consensus = _seed_consensus(seeds.indices[lo:lo + step], c, sigma_d, cfg.tau)
+        rows, consensus = _seed_consensus(seeds[lo:lo + step], c, delta)
         picks += _two_stage_block(rows, consensus, cols, probs, delta, fits, refits)
         sizes += [members.size for members in consensus]
     t2 = time.perf_counter()
@@ -359,7 +315,7 @@ def register(
             "degenerate": pick is None,
             "inlier_count": None if pick is None else counts[pick],
         }
-        for seed, size, pick in zip(seeds.indices, sizes, picks)
+        for seed, size, pick in zip(seeds, sizes, picks)
     )
     if choice is None:
         return RegistrationResult(
@@ -376,7 +332,7 @@ def register(
     # fits are in first-seed order, so the first pick of the chosen fit is
     # the lowest seed with the best key, as a per-seed selection would find
     transform, members = fits[choice.index]
-    seed = int(seeds.indices[picks.index(choice.index)])
+    seed = int(seeds[picks.index(choice.index)])
     best = Hypothesis(transform, seed, members, choice.inlier_count)
     t3 = time.perf_counter()
     return RegistrationResult(

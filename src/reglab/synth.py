@@ -45,13 +45,14 @@ class SceneConfig:
             raise ConfigurationError(
                 f"SceneConfig: outlier_ratio must lie in [0, 1], got {self.outlier_ratio}"
             )
-        if self.noise_sigma < 0.0:
+        if not (0.0 <= self.noise_sigma < np.inf):
             raise ConfigurationError(
-                f"SceneConfig: noise_sigma must be >= 0, got {self.noise_sigma}"
+                f"SceneConfig: noise_sigma must be >= 0 and finite, got {self.noise_sigma}"
             )
-        if self.extent is not None and not (np.isfinite(self.extent) and self.extent > 0.0):
+        # generate's points, spans and outlier cube all stay within 5.5 * extent
+        if self.extent is not None and not (self.extent > 0.0 and np.isfinite(8.0 * self.extent)):
             raise ConfigurationError(
-                f"SceneConfig: extent must be positive and finite, got {self.extent}"
+                f"SceneConfig: extent must be positive with 8 * extent finite, got {self.extent}"
             )
 
     @property

@@ -1,4 +1,4 @@
-"""Shared helpers: seeded generators, random rigid motions, FD checks."""
+"""Shared helpers: seeded generators, random rigid motions, residuals, FD checks."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from reglab.geometry import CorrespondenceSet, RigidTransform
+from reglab.geometry import CorrespondenceSet, RigidTransform, _squared_residuals
 from reglab.synth import rotation_from_axis_angle
 
 
@@ -26,6 +26,12 @@ def smallest_sigma_with_nonzero_square() -> float:
     while not x * x > 0.0:
         x = float(np.nextafter(x, 1.0))
     return x
+
+
+def residuals(transform: RigidTransform, c: CorrespondenceSet) -> np.ndarray:
+    """Euclidean residual per correspondence under the transform: the square
+    root of the squared residuals that inlier_mask and count_inliers test."""
+    return np.sqrt(_squared_residuals(transform, c))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

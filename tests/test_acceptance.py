@@ -17,6 +17,7 @@ from conftest import (
     random_correspondences,
     random_transform,
     rel_err,
+    residuals,
 )
 from reglab.autodiff import Tensor
 from reglab.baselines import ransac, spectral_matching
@@ -44,7 +45,6 @@ from reglab.evaluate import (
 from reglab.geometry import (
     CorrespondenceSet,
     registration_success,
-    residuals,
     rotation_error,
     select_best_transform,
     translation_error,

@@ -293,10 +293,10 @@ def test_spectral_confidences_properties(seed):
 def test_spectral_greedy_selection_is_mutually_consistent():
     cfg = SceneConfig(n=80, outlier_ratio=0.5, noise_sigma=0.005, seed=55)
     c, _ = generate(cfg)
-    result = spectral_matching(c, sigma_d=0.10, tau=0.5)
+    result = spectral_matching(c, sigma_d=0.10)
     sel = result.selected
     assert sel.size >= 3
-    # earlier picks zero out anything below tau, so all survivors are
+    # earlier picks zero out anything below TAU = 0.5, so all survivors are
     # pairwise consistent with every earlier pick
     for pos, i in enumerate(sel):
         row = consistency_row(c.source, c.target, int(i), 0.10)
@@ -331,10 +331,14 @@ def _reference_greedy_sweep(c, confidences, sigma_d, tau):
         ("outdoor", 2000, 0.8, 84, 0.5),
     ],
 )
-def test_spectral_sweep_matches_row_recomputing_reference(scene, n, ratio, seed, tau):
+def test_spectral_sweep_matches_row_recomputing_reference(monkeypatch, scene, n, ratio, seed,
+                                                          tau):
+    """The sweep suppresses below baselines.TAU; the rows at 0.9 and 1.0 set it
+    there, to check the sweep near and at the top of the consistency range."""
+    monkeypatch.setattr(baselines, "TAU", tau)
     c, _ = generate(SceneConfig(n=n, outlier_ratio=ratio, scene=scene, seed=seed))
     sigma_d = 0.10 if scene == "indoor" else 0.60
-    result = spectral_matching(c, sigma_d=sigma_d, tau=tau)
+    result = spectral_matching(c, sigma_d=sigma_d)
     want = _reference_greedy_sweep(c, result.confidences, sigma_d, tau)
     assert want.size >= (1 if tau == 1.0 else 3)  # at tau 1 only exact lengths survive
     assert np.array_equal(result.selected, want)
@@ -374,7 +378,7 @@ def test_spectral_sweep_matches_argmax_loop_on_ties_and_zeros(monkeypatch, case)
          "all_zero": -np.ones(n)}[case]
     monkeypatch.setattr(baselines.kernels, "consistency_matrix", lambda *a, **k: m)
     monkeypatch.setattr(baselines, "power_iteration", lambda *a, **k: (v, 1.0, 1, 0.0))
-    result = spectral_matching(CorrespondenceSet(np.zeros((n, 3)), np.zeros((n, 3))), 0.1, 0.5)
+    result = spectral_matching(CorrespondenceSet(np.zeros((n, 3)), np.zeros((n, 3))), 0.1)
     want = argmax_sweep(np.maximum(v, 0.0), m, 0.5)
     assert np.array_equal(result.selected, want)
     assert want.size == 0 if case == "all_zero" else 1 < want.size < n

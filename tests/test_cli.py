@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reglab.evaluate
+from conftest import make_rng
 from reglab.autodiff import Tensor
 from reglab.blocks import GPINet
 from reglab.cli import main
@@ -562,6 +563,11 @@ NON_FINITE_FLAGS = {
     "train_learning_rate_nan": (TRAIN_ARGS + ["--learning-rate", "nan"], "learning_rate"),
     "generate_extent_nan": (["generate", "--n", "20", "--extent", "nan"], "extent"),
     "generate_extent_inf": (["generate", "--n", "20", "--extent", "inf"], "extent"),
+    # finite, but the scene's span overflows: rng.uniform raised OverflowError
+    "generate_extent_overflows": (["generate", "--n", "50", "--extent", "1e308"], "extent"),
+    "generate_noise_sigma_nan": (["generate", "--n", "20", "--noise-sigma", "nan"], "noise_sigma"),
+    "generate_noise_sigma_inf": (["generate", "--n", "20", "--noise-sigma", "inf"], "noise_sigma"),
+    "register_noise_sigma_nan": (["register", "--n", "20", "--noise-sigma", "nan"], "noise_sigma"),
 }
 
 
@@ -573,6 +579,28 @@ def test_non_finite_float_flag_exits_2(case, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e160])
+def test_ransac_on_coordinates_whose_covariances_overflow_ends(scale, tmp_path):
+    """Triples at 1e154 give infinite covariances, which could keep the SVD from
+    returning; at 1e160 NaN ones, which made it raise. The child runs under a
+    timeout, so a hang fails here instead of stalling the suite."""
+    import os
+    import subprocess
+    import sys
+
+    src = make_rng(5).uniform(-1.0, 1.0, size=(60, 3)) * scale  # target = source
+    path = tmp_path / "pairs.csv"
+    save_correspondences(path, CorrespondenceSet(src, src))
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.evaluate.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "reglab.cli", "register", "--input", str(path), "--method", "ransac"],
+        capture_output=True, text=True, check=False, timeout=60,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert out.returncode in (0, 2, 3, 4), out.stderr
+    assert "Traceback" not in out.stderr
 
 
 # -- oversized integer flags -------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (make_rng, random_correspondences, random_rotation, random_transform,
-                      smallest_sigma_with_nonzero_square)
+                      residuals, smallest_sigma_with_nonzero_square)
 from reglab.errors import ContractError, DegenerateInputError, ShapeError
 from reglab import kernels
 from reglab.geometry import (
@@ -22,7 +22,6 @@ from reglab.geometry import (
     count_inliers,
     inlier_mask,
     registration_success,
-    residuals,
     rotation_error,
     select_best_transform,
     translation_error,

@@ -26,6 +26,7 @@ from reglab.kernels import (
     consistency_rows,
     consistency_triangle,
     ransac_scan,
+    rigid_fits,
     row_blocks,
     softmax_rows,
     squared_residuals,
@@ -455,6 +456,33 @@ def test_ransac_scan_all_degenerate_returns_minus_one():
     tgt = src.copy()
     samples = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4]], dtype=np.int64)
     assert ransac_scan(src, tgt, samples, 0.1) == (-1, -1, None, None)
+
+
+def test_rigid_fits_flags_non_finite_covariances_and_keeps_the_finite_bits(monkeypatch):
+    """An infinite entry can keep the SVD from returning and a NaN makes it raise,
+    so neither reaches it: such a fit is not ok, and the finite fits of the same
+    stack keep the bits they have in a stack of their own."""
+    rng = make_rng(12)
+    h = rng.normal(size=(7, 3, 3))
+    mu_src, mu_tgt = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+    h[1, 0, 2] = np.inf
+    h[3, 2, 1] = np.nan
+    h[4] = -np.inf
+    h[6, 1, 1] = np.nan
+    h[6, 0, 0] = np.inf
+    bad = np.array([False, True, False, True, True, False, True])
+    svd = np.linalg.svd
+
+    def finite_svd(a, *args, **kwargs):
+        assert np.isfinite(a).all()
+        return svd(a, *args, **kwargs)
+
+    alone = rigid_fits(h[~bad], mu_src[~bad], mu_tgt[~bad])
+    monkeypatch.setattr(np.linalg, "svd", finite_svd)
+    r, t, ok = rigid_fits(h, mu_src, mu_tgt)
+    assert ok.tolist() == (~bad).tolist()
+    assert r[~bad].tobytes() == alone[0].tobytes() and t[~bad].tobytes() == alone[1].tobytes()
+    assert alone[2].all()
 
 
 # -- scans that span several blocks ---------------------------------------------

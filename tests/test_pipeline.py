@@ -1,5 +1,6 @@
 """Seeded registration pipeline: seed selection, consensus, two-stage fit."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, smallest_sigma_with_nonzero_square
+from conftest import make_rng, random_rotation, smallest_sigma_with_nonzero_square
 from reglab import kernels
 from reglab.blocks import GPINet, ModelConfig
 from reglab.errors import ConfigurationError, ContractError, DegenerateInputError
@@ -22,64 +23,53 @@ from reglab.geometry import (
 )
 from reglab.pipeline import (
     DEFAULT_NMS_RADIUS,
+    TAU,
     Hypothesis,
     RegistrationConfig,
     _seed_consensus,
     build_consensus,
     register,
+    seed_count_for,
     select_seeds,
     two_stage_estimate,
 )
-from reglab.synth import SceneConfig, generate
+from reglab.synth import SceneConfig, generate, rotation_from_axis_angle
 
 
 # -- configuration -----------------------------------------------------------
 
 
 def test_registration_config_defaults():
+    """Only the scene, delta and the ablation are settings; the rest are fixed rules."""
+    assert [f.name for f in dataclasses.fields(RegistrationConfig)] == [
+        "scene", "delta", "ablation"]
     assert DEFAULT_NMS_RADIUS == {"indoor": 0.5, "outdoor": 3.0}
-    indoor = RegistrationConfig()
-    assert indoor.resolved_delta == 0.10
-    assert indoor.resolved_nms_radius == 0.5
-    assert indoor.resolved_sigma_d == 0.10
-    outdoor = RegistrationConfig(scene="outdoor")
-    assert outdoor.resolved_delta == 0.60
-    assert outdoor.resolved_nms_radius == 3.0
-    assert outdoor.resolved_sigma_d == 0.60
-    custom = RegistrationConfig(delta=0.25, sigma_d=0.05, nms_radius=0.0)
-    assert custom.resolved_delta == 0.25
-    assert custom.resolved_sigma_d == 0.05
-    assert custom.resolved_nms_radius == 0.0
+    assert TAU == 0.5
+    assert RegistrationConfig().resolved_delta == 0.10
+    assert RegistrationConfig(scene="outdoor").resolved_delta == 0.60
+    assert RegistrationConfig(scene="outdoor", delta=0.25).resolved_delta == 0.25
 
 
 def test_registration_config_seed_count():
-    cfg = RegistrationConfig()
-    assert cfg.resolved_seed_count(5) == 1
-    assert cfg.resolved_seed_count(10) == 1
-    assert cfg.resolved_seed_count(11) == 2
-    assert cfg.resolved_seed_count(1000) == 100
-    assert RegistrationConfig(seed_count=7).resolved_seed_count(1000) == 7
+    assert seed_count_for(1) == 1
+    assert seed_count_for(5) == 1
+    assert seed_count_for(10) == 1
+    assert seed_count_for(11) == 2
+    assert seed_count_for(1000) == 100
 
 
 def test_registration_config_validation():
-    with pytest.raises(ConfigurationError):
-        RegistrationConfig(delta=0.0)
-    with pytest.raises(ConfigurationError):
-        RegistrationConfig(seed_count=0)
-    with pytest.raises(ConfigurationError):
-        RegistrationConfig(nms_radius=-0.1)
-    with pytest.raises(ConfigurationError):
-        RegistrationConfig(tau=0.0)
-    with pytest.raises(ConfigurationError):
-        RegistrationConfig(tau=1.01)
-    with pytest.raises(ConfigurationError):
-        RegistrationConfig(sigma_d=0.0)
-    RegistrationConfig(tau=1.0)  # the closed end is allowed
+    for delta in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="delta"):
+            RegistrationConfig(delta=delta)
+    with pytest.raises(ContractError):
+        RegistrationConfig(scene="underwater")
 
 
-@pytest.mark.parametrize("name", ["delta", "sigma_d"])
+@pytest.mark.parametrize("name", ["delta"])
 def test_registration_config_refuses_a_radius_whose_square_underflows(name):
-    """delta and sigma_d are squared (inlier tests, the consistency matrix's divisor)."""
+    """delta is squared: by the inlier tests, and as sigma_d by the consistency
+    rows' divisor."""
     sigma = smallest_sigma_with_nonzero_square()
     RegistrationConfig(**{name: sigma})
     with pytest.raises(ConfigurationError, match=name):
@@ -95,10 +85,11 @@ def test_select_seeds_zero_radius_is_exact_top_k():
     c = CorrespondenceSet(src, src)
     probs = np.array([0.5, 0.9, 0.5, 0.7])
     seeds = select_seeds(probs, c, k=3, nms_radius=0.0)
-    assert seeds.indices.tolist() == [1, 3, 0]  # prob ties visit lower index first
-    assert seeds.probabilities.tolist() == [0.9, 0.7, 0.5]
+    assert seeds.dtype == np.int64
+    assert seeds.tolist() == [1, 3, 0]  # prob ties visit lower index first
+    assert probs[seeds].tolist() == [0.9, 0.7, 0.5]
     everything = select_seeds(probs, c, k=10, nms_radius=0.0)
-    assert everything.indices.tolist() == [1, 3, 0, 2]
+    assert everything.tolist() == [1, 3, 0, 2]
 
 
 def test_select_seeds_suppression_is_strict():
@@ -107,14 +98,14 @@ def test_select_seeds_suppression_is_strict():
     probs = np.array([0.9, 0.8, 0.7])
     seeds = select_seeds(probs, c, k=3, nms_radius=0.5)
     # exactly at the radius survives; strictly inside is suppressed
-    assert seeds.indices.tolist() == [0, 1]
+    assert seeds.tolist() == [0, 1]
 
 
 def test_select_seeds_coincident_sources_collapse_to_one():
     src = np.zeros((6, 3))
     c = CorrespondenceSet(src, src)
     seeds = select_seeds(np.linspace(0.4, 0.9, 6), c, k=4, nms_radius=0.5)
-    assert seeds.indices.tolist() == [5]  # the highest-probability row
+    assert seeds.tolist() == [5]  # the highest-probability row
 
 
 def test_select_seeds_contract_errors():
@@ -133,12 +124,11 @@ def test_select_seeds_invariants(seed, k, radius):
     src = rng.uniform(-2, 2, size=(n, 3))
     c = CorrespondenceSet(src, src)
     probs = rng.random(n)
-    seeds = select_seeds(probs, c, k, radius)
-    idx = seeds.indices
+    idx = select_seeds(probs, c, k, radius)
     assert 1 <= len(idx) <= min(k, n)
     assert len(np.unique(idx)) == len(idx)
     assert np.all((idx >= 0) & (idx < n))
-    diffs = np.diff(seeds.probabilities)
+    diffs = np.diff(probs[idx])
     assert np.all(diffs <= 1e-15)  # visited in descending probability
 
 
@@ -150,7 +140,7 @@ def test_select_seeds_permutation_stability():
     seeds = select_seeds(probs, c, k=5, nms_radius=0.3)
     perm = rng.permutation(20)
     shuffled = select_seeds(probs[perm], CorrespondenceSet(src[perm], src[perm]), 5, 0.3)
-    assert np.array_equal(perm[shuffled.indices], seeds.indices)
+    assert np.array_equal(perm[shuffled], seeds)
 
 
 # -- consensus -------------------------------------------------------------------
@@ -162,23 +152,31 @@ def test_build_consensus_matches_formula(seed_idx):
     src = rng.uniform(-2, 2, size=(20, 3))
     tgt = rng.uniform(-2, 2, size=(20, 3))
     c = CorrespondenceSet(src, tgt)
-    sigma_d, tau = 0.4, 0.5
-    members = build_consensus(seed_idx, c, sigma_d, tau)
+    sigma_d = 0.4
+    members = build_consensus(seed_idx, c, sigma_d)
 
     ds = np.linalg.norm(src - src[seed_idx], axis=1)
     dt = np.linalg.norm(tgt - tgt[seed_idx], axis=1)
     sc = np.maximum(0.0, 1.0 - (ds - dt) ** 2 / sigma_d**2)
-    want = np.flatnonzero(sc >= tau)
+    want = np.flatnonzero(sc >= 0.5)
     assert np.array_equal(members, want)
     assert seed_idx in members
     assert members.dtype == np.int64
 
 
 def test_build_consensus_tau_boundary_is_inclusive():
-    src = make_rng(60).uniform(-1, 1, size=(8, 3))
-    c = CorrespondenceSet(src, src)  # every pair has consistency exactly 1.0
-    members = build_consensus(2, c, 0.1, tau=1.0)
-    assert members.tolist() == list(range(8))
+    """A pair at consistency exactly TAU is a member; one a ulp further out is not.
+
+    Every distance is along an axis, so each is exact but the first pair's:
+    sqrt(24.5) rounds to a gap whose square over 7^2 rounds to exactly 0.5.
+    """
+    gap = float(np.sqrt(24.5))
+    src = np.zeros((3, 3))
+    src[1, 0], src[2, 0] = gap, np.nextafter(gap, np.inf)
+    c = CorrespondenceSet(src, np.zeros((3, 3)))
+    row = kernels.consistency_row(c.source, c.target, 0, 7.0)
+    assert row[1] == TAU and row[2] < TAU
+    assert build_consensus(0, c, 7.0).tolist() == [0, 1]
 
 
 def test_build_consensus_excludes_inconsistent_pairs():
@@ -186,14 +184,15 @@ def test_build_consensus_excludes_inconsistent_pairs():
     tgt = src.copy()
     tgt[3] = [-5.0, 0.0, 0.0]  # destroys every length through pair 3
     c = CorrespondenceSet(src, tgt)
-    members = build_consensus(0, c, 0.1, 0.5)
+    members = build_consensus(0, c, 0.1)
     assert members.tolist() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("extent, sigma_d", [(2.0, 0.4), (1e100, 0.4), (1.0, "smallest")])
 def test_every_seed_is_in_its_own_consensus_at_tau_one(extent, sigma_d):
-    """sc(i, i) is exactly 1, since both of its distances are an exact 0: at tau = 1
-    every seed still reaches its own consensus, at any scale and any sigma."""
+    """sc(i, i) is exactly 1, since both of its distances are an exact 0: every
+    seed reaches its own consensus, as it would at tau = 1, at any scale and
+    any sigma."""
     if sigma_d == "smallest":
         sigma_d = smallest_sigma_with_nonzero_square()
     rng = make_rng(70)
@@ -201,7 +200,7 @@ def test_every_seed_is_in_its_own_consensus_at_tau_one(extent, sigma_d):
                           rng.uniform(-extent, extent, size=(300, 3)))
     seeds = np.arange(300)
     with np.errstate(over="ignore"):  # gap^2 / sigma^2 overflows off the diagonal
-        rows, sets = _seed_consensus(seeds, c, sigma_d, 1.0)
+        rows, sets = _seed_consensus(seeds, c, sigma_d)
     assert np.all(rows[seeds, seeds] == 1.0)
     for seed, members in zip(seeds, sets):
         assert seed in members and members.dtype == np.int64
@@ -215,7 +214,7 @@ def test_two_stage_recovers_truth_and_counts_exactly():
     c, gt = generate(cfg)
     probs = c.labels.astype(np.float64)
     seed = int(np.flatnonzero(c.labels)[0])
-    members = build_consensus(seed, c, 0.10, 0.5)
+    members = build_consensus(seed, c, 0.10)
     hyp = two_stage_estimate(seed, members, c, probs, 0.10, 0.10)
     assert hyp is not None
     assert hyp.seed_index == seed
@@ -240,7 +239,7 @@ def test_two_stage_keeps_stage_one_when_refit_is_degenerate():
     c = CorrespondenceSet(src, tgt)
     probs = np.array([1.0, 1.0, 1.0, 0.001])
     sigma_d, delta = 100.0, 0.05
-    members = build_consensus(0, c, sigma_d, 0.5)
+    members = build_consensus(0, c, sigma_d)
     assert members.tolist() == [0, 1, 2, 3]
 
     sc = kernels.consistency_row(src, tgt, 0, sigma_d)[members]
@@ -413,15 +412,17 @@ def _reference_two_stage_estimate(seed, consensus, c, probs, delta, sigma_d, sta
 
 
 def _reference_register(c, cfg, probs):
-    """(result fields, per-seed stages) of the per-seed pipeline."""
+    """(result fields, per-seed stages) of the per-seed pipeline, at the paper's
+    rules: max(1, ceil(N / 10)) seeds, an NMS radius of 0.5 m indoors and 3 m
+    outdoors, and consensus at consistency >= 0.5 with sigma_d = delta."""
     n = len(c)
     delta = cfg.resolved_delta
-    sigma_d = cfg.resolved_sigma_d
-    seeds = _reference_select_seeds(probs, c, cfg.resolved_seed_count(n), cfg.resolved_nms_radius)
+    radius = {"indoor": 0.5, "outdoor": 3.0}[cfg.scene]
+    seeds = _reference_select_seeds(probs, c, max(1, -(-n // 10)), radius)
     hypotheses, diagnostics, stages = [], [], []
     for seed in seeds:
-        members = _reference_build_consensus(int(seed), c, sigma_d, cfg.tau)
-        hyp = _reference_two_stage_estimate(int(seed), members, c, probs, delta, sigma_d, stages)
+        members = _reference_build_consensus(int(seed), c, delta, 0.5)
+        hyp = _reference_two_stage_estimate(int(seed), members, c, probs, delta, delta, stages)
         diagnostics.append(
             {
                 "seed": int(seed),
@@ -486,18 +487,18 @@ def test_register_matches_per_seed_loop_on_gpinet_scored_outdoor_scenes():
 
 
 @pytest.mark.parametrize(
-    "ratio, sigma_d, scorer",
+    "ratio, delta, scorer",
     [(0.0, 1.0, "labels"), (0.5, None, "labels"), (0.5, None, "random")],
 )
-def test_register_matches_per_seed_loop_on_noisy_scenes(ratio, sigma_d, scorer):
-    """Noise near delta gives each seed its own inlier set and inlier count.
-
-    With sigma_d 1 m every consensus is the whole outlier-free set, so
-    seeds share a consensus and still need different stage-2 refits.
-    """
-    c, _ = generate(SceneConfig(n=1000, outlier_ratio=ratio, noise_sigma=0.06, seed=62))
+def test_register_matches_per_seed_loop_on_noisy_scenes(ratio, delta, scorer):
+    """Noise near delta (0.6 delta per axis) gives each seed its own inlier set
+    and inlier count. At delta 1 m the noise is ten times the indoor default's,
+    while the NMS radius stays 0.5 m."""
+    cfg = RegistrationConfig(delta=delta)
+    c, _ = generate(SceneConfig(n=1000, outlier_ratio=ratio, noise_sigma=0.6 * cfg.resolved_delta,
+                                seed=62))
     probs = c.labels.astype(np.float64) if scorer == "labels" else make_rng(63).random(1000)
-    stages = _assert_matches_reference(c, RegistrationConfig(sigma_d=sigma_d), probs)
+    stages = _assert_matches_reference(c, cfg, probs)
     assert len({key for label, key in stages if label == "refit"}) > 10
 
 
@@ -535,36 +536,55 @@ def test_register_matches_per_seed_loop_with_two_blas_threads():
 
 
 def _line_and_cloud_scene():
-    """Seeds on a line see only the line (a degenerate stage 1); cloud seeds fit."""
+    """Seeds on a line see only the line (a degenerate stage 1); a cloud seed fits.
+
+    26 pairs give 3 seeds: the best cloud pair, then two line pairs 1 m apart.
+    """
     rng = make_rng(71)
     line = np.stack([[float(i), 0.0, 0.0] for i in range(6)])
     cloud = rng.uniform(50.0, 55.0, size=(20, 3))
     c = CorrespondenceSet(np.vstack([line, cloud]), np.vstack([line, cloud + [0.0, 0.0, 30.0]]))
-    probs = np.r_[np.full(6, 0.9), np.full(20, 0.8)]
-    cfg = RegistrationConfig(delta=0.1, sigma_d=0.5, nms_radius=0.0, seed_count=10)
-    return c, cfg, probs, {"degenerate", "refit"}
+    probs = np.r_[np.full(6, 0.9), 0.95, np.full(19, 0.8)]
+    return c, RegistrationConfig(), probs, {"degenerate", "refit"}
+
+
+def _rotated_about(seed_point, points, rotation):
+    """Targets of ``points`` rotated about ``seed_point``: each keeps its distance to
+    the seed, so it is length-consistent with a seed that maps to itself, but it
+    does not follow the seed's motion."""
+    return seed_point + (points - seed_point) @ rotation.T
 
 
 def _collinear_inliers_scene(probs):
-    """Strict inliers of stage 1 are three collinear pairs (refit degenerate) or none."""
+    """Stage 1's strict inliers are three collinear pairs (refit degenerate) or too few.
+
+    Four pairs give one seed, pair 0. Pair 3 is rotated 90 degrees about it, so
+    it joins the consensus and pulls the stage-1 fit by its weight.
+    """
     src = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [1.0, 3.0, 0.0]])
     tgt = src.copy()
-    tgt[3] += np.array([0.0, 10.0, 0.0])
-    cfg = RegistrationConfig(delta=0.05, sigma_d=100.0, nms_radius=0.0, seed_count=4)
+    tgt[3] = _rotated_about(src[0], src[3], rotation_from_axis_angle(np.array([0.0, 0, 1]),
+                                                                     np.pi / 2))
+    cfg = RegistrationConfig(delta=0.05)
     return CorrespondenceSet(src, tgt), cfg, np.asarray(probs, dtype=np.float64)
 
 
 def _zero_weight_inliers_scene():
-    """Stage 1 fits five noisy pairs; its strict inliers are five zero-probability pairs."""
+    """Stage 1 fits five pairs; its strict inliers are five zero-probability pairs.
+
+    Ten pairs give one seed, pair 0. Pairs 1-4 are rotated about it, each by its
+    own rotation, so they are its consensus but no motion fits them all.
+    """
     rng = make_rng(72)
     src = rng.uniform(-1.0, 1.0, size=(10, 3))
     tgt = src.copy()
-    tgt[:5] += rng.normal(0.0, 0.3, size=(5, 3))
+    for i in range(1, 5):
+        tgt[i] = _rotated_about(src[0], src[i], random_rotation(rng))
     probs = np.r_[np.ones(5), np.zeros(5)]
-    sc = kernels.consistency_row(src[:5], tgt[:5], 0, 100.0)
+    cfg = RegistrationConfig(delta=0.05)
+    sc = kernels.consistency_row(src[:5], tgt[:5], 0, cfg.resolved_delta)
     stage1 = weighted_kabsch(CorrespondenceSet(src[:5], tgt[:5]), sc)
     tgt[5:] = stage1.apply(src[5:])
-    cfg = RegistrationConfig(delta=0.05, sigma_d=100.0, nms_radius=0.0, seed_count=5)
     return CorrespondenceSet(src, tgt), cfg, probs
 
 
@@ -627,7 +647,7 @@ def test_select_seeds_matches_rescanning_loop(seed, n, k, radius):
     probs = rng.integers(0, 8, size=n) / 7.0  # ties in probability
     c = CorrespondenceSet(src, src)
     got = select_seeds(probs, c, k, radius)
-    assert np.array_equal(got.indices, _reference_select_seeds(probs, c, k, radius))
+    assert np.array_equal(got, _reference_select_seeds(probs, c, k, radius))
 
 
 def test_register_memory_stays_far_below_seeds_times_pairs():

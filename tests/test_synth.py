@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_rng
+from conftest import make_rng, residuals
 from reglab.errors import ConfigurationError, ContractError
-from reglab.geometry import residuals, rotation_error
+from reglab.geometry import rotation_error
 from reglab.synth import SCENE_EXTENT, SceneConfig, generate, rotation_from_axis_angle
 
 
@@ -121,12 +121,23 @@ def test_config_validation():
         SceneConfig(outlier_ratio=-0.1)
     with pytest.raises(ConfigurationError):
         SceneConfig(outlier_ratio=1.1)
-    with pytest.raises(ConfigurationError):
-        SceneConfig(noise_sigma=-0.01)
-    with pytest.raises(ConfigurationError):
-        SceneConfig(extent=0.0)
+    for sigma in (-0.01, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="noise_sigma"):
+            SceneConfig(noise_sigma=sigma)
+    for extent in (0.0, np.nan, np.inf, 1e308, 8e307):
+        with pytest.raises(ConfigurationError, match="extent"):
+            SceneConfig(extent=extent)
     with pytest.raises(ContractError):
         SceneConfig(scene="lunar")
+
+
+def test_the_largest_extent_gives_a_finite_scene():
+    """At 8e307 the clean cloud's span overflowed numpy's uniform draw of the
+    outliers; every value of a scene stays within 5.5 * extent."""
+    extent = float(np.finfo(np.float64).max) / 8
+    c, gt = generate(SceneConfig(n=200, outlier_ratio=0.5, extent=extent, seed=6))
+    assert np.isfinite(gt.translation).all() and len(c) == 200
+    assert np.abs(c.target).max() <= 5.5 * extent
 
 
 def test_rotation_from_axis_angle_z_axis_closed_form():
