@@ -57,8 +57,8 @@ def ransac(
     exhaustive rescoring of all sampled models). The winner's own fit, the
     one its count was scored with, is refit once on its inliers.
     Geometrically degenerate triples are skipped; if all of them
-    degenerate, ``RegistrationFailure`` is raised. Deterministic for a
-    fixed seed.
+    degenerate, or the final fit has no inlier, ``RegistrationFailure`` is
+    raised. Deterministic for a fixed seed.
     """
     n = len(c)
     if n < 3:
@@ -84,6 +84,8 @@ def ransac(
             members = np.flatnonzero(inlier_mask(transform, c, delta))
         except DegenerateInputError:
             pass  # keep the minimal-sample fit
+    if members.size == 0:  # e.g. residuals that overflow: no fit is supported
+        raise RegistrationFailure(f"ransac: the best fit has no inlier at delta {delta}")
     return Hypothesis(
         transform=transform,
         seed_index=None,
@@ -103,15 +105,15 @@ class SpectralResult:
     residual: float
 
 
-def power_iteration(
-    m: np.ndarray,
-    tol: float = 1e-9,
-    max_iterations: int = 1000,
-) -> tuple[np.ndarray, float, int, float]:
+POWER_TOL = 1e-9             # power_iteration's relative residual bound
+POWER_MAX_ITERATIONS = 1000  # and its iteration budget
+
+
+def power_iteration(m: np.ndarray) -> tuple[np.ndarray, float, int, float]:
     """Principal eigenpair of a symmetric non-negative matrix.
 
     Iterates from the uniform unit vector and stops when the eigenpair
-    residual satisfies ||M v - lambda v|| <= tol * lambda. Returns
+    residual satisfies ||M v - lambda v|| <= POWER_TOL * lambda. Returns
     (eigenvector, eigenvalue, iterations, residual); raises
     ``ConvergenceError`` when the budget runs out, or at once when the
     eigenvalue is not finite (M with NaN entries), since the iterates stay
@@ -123,20 +125,20 @@ def power_iteration(
     eigenvalue = 0.0
     residual = np.inf
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, POWER_MAX_ITERATIONS + 1):
         u = m @ v
         eigenvalue = float(v @ u)
         if not np.isfinite(eigenvalue):
             break
         residual = float(np.linalg.norm(u - eigenvalue * v))
-        if residual <= tol * max(eigenvalue, np.finfo(np.float64).tiny):
+        if residual <= POWER_TOL * max(eigenvalue, np.finfo(np.float64).tiny):
             return v, eigenvalue, iterations, residual
         norm = np.linalg.norm(u)
         if norm == 0.0:  # pragma: no cover - positive v and nonzero M
             break
         v = u / norm
     raise ConvergenceError(
-        f"power_iteration: did not converge in {iterations} of {max_iterations} iterations "
+        f"power_iteration: did not converge in {iterations} of {POWER_MAX_ITERATIONS} iterations "
         f"(last residual {residual:.3e}, eigenvalue {eigenvalue:.6e})"
     )
 

@@ -19,7 +19,7 @@ forwards are deterministic for a fixed parameter seed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,22 +32,25 @@ from .nn import assign_state, load_parameters, save_parameters
 
 POOLED_NORM_FLOOR = 1e-12  # below this, projection onto the pooled vector is a zero map
 
+# The blocks' fixed rules: OI's bottleneck is d / 4 wide, DMG ends in a two-group channel
+# shuffle, the embedding's consistency scale is 0.10 m, and DMG's top-down pass runs levels
+# T-1..1. A parameter file's config names each, and must hold exactly this value.
+BOTTLENECK_RATIO = 4
+SHUFFLE_GROUPS = 2
+SC_SIGMA = 0.10
+FIXED_CONFIG = {"bottleneck_ratio": BOTTLENECK_RATIO, "shuffle_groups": SHUFFLE_GROUPS,
+                "sc_sigma": SC_SIGMA, "top_down_include_finest": False}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     channels: int = 32          # feature width d
     granularities: int = 3      # pyramid depth T (levels 0..T)
-    bottleneck_ratio: int = 4
-    shuffle_groups: int = 2
-    sc_sigma: float = 0.10      # meters; length-consistency scale in the embedding
-    top_down_include_finest: bool = False
 
     def __post_init__(self):
-        for field in fields(self):
-            value, want = getattr(self, field.name), type(field.default)
-            if not (type(value) is want or want is float and type(value) is int):
-                raise ConfigurationError(
-                    f"model config field {field.name!r} must be a {want.__name__}, got {value!r}")
+        for name, value in asdict(self).items():
+            if type(value) is not int:
+                raise ConfigurationError(f"model config field {name!r} must be an int, got {value!r}")
         d, t = self.channels, self.granularities
         if t < 1:
             raise ConfigurationError(f"ModelConfig: granularities must be >= 1, got {t}")
@@ -56,26 +59,27 @@ class ModelConfig:
                 f"ModelConfig: channels {d} not divisible by 2^granularities = 2^{t}"
             )
         kernels.check_array_bytes("ModelConfig: channels", d, 8 * d * d)  # one d x d weight
-        for name in ("bottleneck_ratio", "shuffle_groups"):
-            if getattr(self, name) < 1 or d % getattr(self, name) != 0:
-                raise ConfigurationError(
-                    f"ModelConfig: channels {d} not divisible by {name} {getattr(self, name)}")
-        if not (0.0 < self.sc_sigma < np.inf and self.sc_sigma * self.sc_sigma > 0.0):
-            raise ConfigurationError(f"ModelConfig: sc_sigma must be positive and finite "
-                                     f"with a nonzero square, got {self.sc_sigma}")
+        if d % BOTTLENECK_RATIO != 0:  # OI's bottleneck would be 0 wide or truncated
+            raise ConfigurationError(
+                f"ModelConfig: channels {d} not divisible by bottleneck_ratio {BOTTLENECK_RATIO}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), **FIXED_CONFIG}
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelConfig":
-        """The config a JSON object holds: known fields only, each of its field's type."""
+        """The config a JSON object holds: known fields of their type, fixed rules at their value."""
         if not isinstance(doc, dict):
             raise ConfigurationError(f"model config must be an object, got {doc!r}")
-        for key in doc:
-            if key not in ModelConfig.__dataclass_fields__:
+        for key, value in doc.items():
+            if key in FIXED_CONFIG:
+                fixed = FIXED_CONFIG[key]
+                if type(value) is not type(fixed) or value != fixed:
+                    raise ConfigurationError(
+                        f"model config field {key!r} is fixed at {fixed!r}, got {value!r}")
+            elif key not in ModelConfig.__dataclass_fields__:
                 raise ConfigurationError(f"model config has unknown field {key!r}")
-        return ModelConfig(**doc)
+        return ModelConfig(**{key: value for key, value in doc.items() if key not in FIXED_CONFIG})
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,6 @@ class ContextualEmbedding:
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d = cfg.channels
-        self.sc_sigma = cfg.sc_sigma
         self.lift = Linear(6, d, rng)
         self.norm = InstanceNorm()
         self.mix = Linear(d, d, rng)
@@ -146,7 +149,7 @@ class ContextualEmbedding:
             raise DegenerateInputError(f"ContextualEmbedding: needs N >= 4, got {n}")
         raw = Tensor(np.concatenate([c.source, c.target], axis=1))
         feats = self.mix(self.norm(self.lift(raw)).relu())
-        return feats + _consistency_mix(c, self.sc_sigma, feats) * (1.0 / n)
+        return feats + _consistency_mix(c, SC_SIGMA, feats) * (1.0 / n)
 
 
 class OrthogonalIntegration:
@@ -162,8 +165,8 @@ class OrthogonalIntegration:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d = cfg.channels
         self.weigh = Linear(d, 1, rng)
-        self.squeeze = Linear(d, d // cfg.bottleneck_ratio, rng)
-        self.expand = Linear(d // cfg.bottleneck_ratio, d, rng)
+        self.squeeze = Linear(d, d // BOTTLENECK_RATIO, rng)
+        self.expand = Linear(d // BOTTLENECK_RATIO, d, rng)
         self.fuse = Linear(2 * d, d, rng)
 
     @staticmethod
@@ -347,22 +350,18 @@ class MultiGranularityMixer:
     channels (widths d/2^t for t = 0..T). The first pyramid is refined
     bottom-up (t = 1..T, each level reads the already-updated finer
     neighbor), the second top-down (t = T-1..1, reading the
-    already-updated coarser neighbor; level T stays as pooled, and the
-    finest level joins only when configured). Matching levels are summed,
-    concatenated (width d * (2 - 2^-T)) and fused back to d channels,
-    ending in a channel shuffle.
+    already-updated coarser neighbor; levels T and 0 stay as pooled).
+    Matching levels are summed, concatenated (width d * (2 - 2^-T)) and
+    fused back to d channels, ending in a channel shuffle.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d, t_max = cfg.channels, cfg.granularities
         self.t_max = t_max
-        self.shuffle_groups = cfg.shuffle_groups
         widths = pyramid_widths(d, t_max)
-        self.widths = widths
         self.pools = [Tensor(halving_pool_matrix(w)) for w in widths[:-1]]
         self.bottom_up = {t: MixUnit(widths[t - 1], widths[t], rng) for t in range(1, t_max + 1)}
-        td_levels = list(range(t_max - 1, -1 if cfg.top_down_include_finest else 0, -1))
-        self.top_down = {t: MixUnit(widths[t + 1], widths[t], rng) for t in td_levels}
+        self.top_down = {t: MixUnit(widths[t + 1], widths[t], rng) for t in range(t_max - 1, 0, -1)}
         self.fusion = MixUnit(fused_width(d, t_max), d, rng)
 
     def build_pyramid(self, feats: Tensor) -> list[Tensor]:
@@ -376,11 +375,11 @@ class MultiGranularityMixer:
         g = self.build_pyramid(coarse_src)
         for t in range(1, self.t_max + 1):
             f[t] = f[t] + self.bottom_up[t](f[t - 1], mode)
-        for t in sorted(self.top_down, reverse=True):
-            g[t] = g[t] + self.top_down[t](g[t + 1], mode)
+        for t, unit in self.top_down.items():  # coarsest first
+            g[t] = g[t] + unit(g[t + 1], mode)
         stacked = concat_cols([f[t] + g[t] for t in range(self.t_max + 1)])
         fusedv = self.fusion(stacked, mode)
-        return fusedv.channel_shuffle(self.shuffle_groups)
+        return fusedv.channel_shuffle(SHUFFLE_GROUPS)
 
 
 class ClassificationHead:

@@ -56,7 +56,7 @@ def ratio_key(ratio: float) -> int:
 
 @dataclass(frozen=True)
 class ClassificationMetrics:
-    """Inlier precision / recall / F1 at a probability threshold.
+    """Inlier precision / recall / F1 at the probability THRESHOLD.
 
     A metric whose denominator is zero reports 0.0.
     """
@@ -66,11 +66,7 @@ class ClassificationMetrics:
     f1: float
 
 
-def classification_metrics(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    threshold: float = THRESHOLD,
-) -> ClassificationMetrics:
+def classification_metrics(probs: np.ndarray, labels: np.ndarray) -> ClassificationMetrics:
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels, dtype=bool).reshape(-1)
     if probs.shape != labels.shape:
@@ -78,7 +74,7 @@ def classification_metrics(
             f"classification_metrics: {probs.shape[0]} probabilities vs "
             f"{labels.shape[0]} labels"
         )
-    predicted = probs >= threshold
+    predicted = probs >= THRESHOLD
     tp = int((predicted & labels).sum())
     fp = int((predicted & ~labels).sum())
     fn = int((~predicted & labels).sum())

@@ -26,6 +26,8 @@ from .formats import read_text_file
 
 # Added to the variance inside the square root of every normalization.
 EPS_NORM = 1e-5
+# Weight of a train step's batch statistics in BatchNorm's running averages.
+MOMENTUM = 0.1
 
 
 class Linear:
@@ -47,24 +49,21 @@ class Linear:
         return x.matmul(self.weight) + self.bias
 
 
-def _standardize(x: Tensor, eps: float, who: str) -> tuple[Tensor, Tensor, Tensor]:
+def _standardize(x: Tensor, who: str) -> tuple[Tensor, Tensor, Tensor]:
     """(mean, variance, standardized x) per column over the rows; ``who`` starts the error."""
     if x.shape[0] < 2:
         raise DegenerateInputError(f"{who} needs >= 2 rows, got {x.shape[0]}")
     mu = x.mean(axis=0)
     centered = x - mu
     var = (centered * centered).mean(axis=0)
-    return mu, var, centered / (var + eps).sqrt()
+    return mu, var, centered / (var + EPS_NORM).sqrt()
 
 
 class InstanceNorm:
     """Per-column standardization over the rows; no learnable parameters."""
 
-    def __init__(self, eps: float = EPS_NORM):
-        self.eps = eps
-
     def __call__(self, x: Tensor) -> Tensor:
-        return _standardize(x, self.eps, "InstanceNorm:")[2]
+        return _standardize(x, "InstanceNorm:")[2]
 
 
 class BatchNorm:
@@ -79,10 +78,8 @@ class BatchNorm:
         none were ever populated.
     """
 
-    def __init__(self, width: int, eps: float = EPS_NORM, momentum: float = 0.1):
+    def __init__(self, width: int):
         self.width = width
-        self.eps = eps
-        self.momentum = momentum
         self.scale = Tensor(np.ones((1, width)), requires_grad=True)
         self.shift = Tensor(np.zeros((1, width)), requires_grad=True)
         self.running_mean: np.ndarray | None = None
@@ -99,11 +96,11 @@ class BatchNorm:
                     "BatchNorm: eval mode before any train step populated running stats"
                 )
             centered = x - Tensor(self.running_mean)
-            denom = np.sqrt(self.running_var + self.eps)
+            denom = np.sqrt(self.running_var + EPS_NORM)
             return centered / Tensor(denom) * self.scale + self.shift
         if mode not in ("train", "frozen"):
             raise ConfigurationError(f"BatchNorm: unknown mode {mode!r}")
-        mu, var, out = _standardize(x, self.eps, f"BatchNorm: {mode} mode")
+        mu, var, out = _standardize(x, f"BatchNorm: {mode} mode")
         if mode == "train":
             n = x.shape[0]
             batch_mean = mu.value.copy()
@@ -112,9 +109,8 @@ class BatchNorm:
                 self.running_mean = batch_mean
                 self.running_var = batch_var
             else:
-                m = self.momentum
-                self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean
-                self.running_var = (1.0 - m) * self.running_var + m * batch_var
+                self.running_mean = (1.0 - MOMENTUM) * self.running_mean + MOMENTUM * batch_mean
+                self.running_var = (1.0 - MOMENTUM) * self.running_var + MOMENTUM * batch_var
         return out * self.scale + self.shift
 
 

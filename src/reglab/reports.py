@@ -31,6 +31,7 @@ CSV_COLUMNS = (
     "mean_f1",
 )
 
+Y_LABEL = "registration recall (%)"  # every chart plots recall, 0..100
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
@@ -121,7 +122,6 @@ def svg_line_chart(
     x_label: str,
     x_values: list[float],
     series: dict[str, list[float | None]],
-    y_label: str = "registration recall (%)",
 ) -> str:
     """Self-contained line chart, y fixed to 0..100, one polyline per series."""
     width, height = 720.0, 480.0
@@ -183,7 +183,7 @@ def svg_line_chart(
     )
     out.append(
         f'<text x="20" y="{fmt(top + plot_h / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {fmt(top + plot_h / 2)})">{y_label}</text>'
+        f'transform="rotate(-90 20 {fmt(top + plot_h / 2)})">{Y_LABEL}</text>'
     )
     for s, (label, values) in enumerate(series.items()):
         color = _PALETTE[s % len(_PALETTE)]

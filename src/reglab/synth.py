@@ -45,15 +45,17 @@ class SceneConfig:
             raise ConfigurationError(
                 f"SceneConfig: outlier_ratio must lie in [0, 1], got {self.outlier_ratio}"
             )
-        if not (0.0 <= self.noise_sigma < np.inf):
-            raise ConfigurationError(
-                f"SceneConfig: noise_sigma must be >= 0 and finite, got {self.noise_sigma}"
-            )
         # generate's points, spans and outlier cube all stay within 5.5 * extent
         if self.extent is not None and not (self.extent > 0.0 and np.isfinite(8.0 * self.extent)):
             raise ConfigurationError(
                 f"SceneConfig: extent must be positive with 8 * extent finite, got {self.extent}"
             )
+        # numpy's normal draws stay within 13.71 sigma (its ziggurat tail is r - log(1 - u) / r
+        # with r = 3.654 and 1 - u >= 2^-53): targets stay within 5.5 * extent + 13.71 * sigma
+        e, sigma = self.resolved_extent, self.noise_sigma
+        if not (sigma >= 0.0 and np.isfinite(8.0 * e + 16.0 * sigma)):
+            raise ConfigurationError(f"SceneConfig: noise_sigma must be >= 0 with 8 * extent + "
+                                     f"16 * noise_sigma finite, got {sigma} with extent {e}")
 
     @property
     def resolved_extent(self) -> float:

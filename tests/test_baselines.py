@@ -140,6 +140,28 @@ def test_ransac_validation_and_failure():
         ransac(coincident, iterations=50)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_ransac_refuses_a_fit_without_inliers():
+    """Target = source at 1e154. The scan's winner counts only the pairs whose
+    residual rounds to exactly 0, and its refit's translation, about 1e137,
+    is below the coordinates' ulp yet moves every one of them: ransac
+    reported success with 0 inliers."""
+    src = make_rng(0).uniform(-1.0, 1.0, size=(60, 3)) * 1e154
+    c = CorrespondenceSet(src, src)
+    with pytest.raises(RegistrationFailure, match="the best fit has no inlier at delta 0.1$"):
+        ransac(c)
+
+
+def ransac_recovers(c, gt, iterations, seed) -> bool:
+    """Within 15 degrees and 30 m of gt; a fit without inliers fails and is no win."""
+    try:
+        hyp = ransac(c, iterations=iterations, delta=0.10, seed=seed)
+    except RegistrationFailure:
+        return False
+    return (rotation_error(gt, hyp.transform) < 15.0
+            and translation_error(gt, hyp.transform) < 30.0)
+
+
 def test_ransac_success_rate_monotone_in_iterations():
     """More iterations help at high outlier ratios (statistical, one-sided)."""
     wins_small, wins_large = 0, 0
@@ -147,16 +169,8 @@ def test_ransac_success_rate_monotone_in_iterations():
     for t in range(trials):
         cfg = SceneConfig(n=100, outlier_ratio=0.8, noise_sigma=0.005, seed=900 + t)
         c, gt = generate(cfg)
-        small = ransac(c, iterations=5, delta=0.10, seed=t)
-        large = ransac(c, iterations=500, delta=0.10, seed=t)
-        wins_small += int(
-            rotation_error(gt, small.transform) < 15.0
-            and translation_error(gt, small.transform) < 30.0
-        )
-        wins_large += int(
-            rotation_error(gt, large.transform) < 15.0
-            and translation_error(gt, large.transform) < 30.0
-        )
+        wins_small += int(ransac_recovers(c, gt, iterations=5, seed=t))
+        wins_large += int(ransac_recovers(c, gt, iterations=500, seed=t))
     # all-inlier triple probability is 0.2^3 = 0.008: 5 draws succeed rarely,
     # 500 draws nearly always
     assert wins_large >= wins_small + 10
@@ -173,7 +187,7 @@ def test_power_iteration_matches_dense_eigensolver(seed):
     half = rng.random((n, n))
     m = (half + half.T) / 2.0
     np.fill_diagonal(m, 0.0)
-    v, eigenvalue, iterations, residual = power_iteration(m, tol=1e-9)
+    v, eigenvalue, iterations, residual = power_iteration(m)
 
     evals, evecs = np.linalg.eigh(m)
     lead = evecs[:, -1] * np.sign(evecs[:, -1].sum() or 1.0)
@@ -188,17 +202,18 @@ def test_power_iteration_residual_contract():
     rng = make_rng(200)
     m = rng.random((12, 12))
     m = (m + m.T) / 2.0
-    v, eigenvalue, _, residual = power_iteration(m, tol=1e-9)
+    v, eigenvalue, _, residual = power_iteration(m)
     assert np.linalg.norm(m @ v - eigenvalue * v) <= 1e-9 * eigenvalue
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
-def test_power_iteration_scale_invariance():
+def test_power_iteration_scale_invariance(monkeypatch):
+    monkeypatch.setattr(baselines, "POWER_TOL", 1e-12)
     rng = make_rng(201)
     m = rng.random((10, 10))
     m = (m + m.T) / 2.0
-    v1, lam1, _, _ = power_iteration(m, tol=1e-12)
-    v2, lam2, _, _ = power_iteration(7.5 * m, tol=1e-12)
+    v1, lam1, _, _ = power_iteration(m)
+    v2, lam2, _, _ = power_iteration(7.5 * m)
     assert np.abs(v1 - v2).max() < 1e-9
     assert abs(lam2 - 7.5 * lam1) < 1e-9 * abs(lam2)
 
@@ -222,12 +237,13 @@ def test_power_iteration_stops_at_the_first_nan_eigenvalue():
     assert counted.products == 1
 
 
-def test_power_iteration_exhausted_budget_raises():
+def test_power_iteration_exhausted_budget_raises(monkeypatch):
+    monkeypatch.setattr(baselines, "POWER_MAX_ITERATIONS", 1)
     rng = make_rng(202)
     m = rng.random((20, 20))
     m = (m + m.T) / 2.0
-    with pytest.raises(ConvergenceError):
-        power_iteration(m, tol=1e-15, max_iterations=1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 of 1 iterations"):
+        power_iteration(m)
 
 
 # -- spectral matching ---------------------------------------------------------------

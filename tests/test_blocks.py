@@ -1,5 +1,7 @@
 """Model blocks: widths, orthogonality, equivariance, wiring oracles."""
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +38,7 @@ from reglab.nn import BatchNorm, InstanceNorm, Linear, load_parameters, named_pa
 from reglab.synth import SceneConfig, generate
 
 EPS = 1e-5  # normalization epsilon shared by every layer
+BENCH_PARAMS = Path(__file__).resolve().parents[1] / "bench" / "model" / "params.json"
 
 
 def linear_np(layer: Linear, x: np.ndarray) -> np.ndarray:
@@ -81,37 +84,41 @@ def test_model_config_validation():
     for t in (6, 10 ** 6):  # 2^t > 32; the check does not compute 2^t
         with pytest.raises(ConfigurationError, match=f"2\\^granularities = 2\\^{t}$"):
             ModelConfig(channels=32, granularities=t)
+    ModelConfig(channels=4, granularities=1)  # the narrowest: a bottleneck 1 wide
+    for d in (2, 6, 34):  # 2^1 divides each, the bottleneck ratio 4 does not
+        with pytest.raises(ConfigurationError, match="bottleneck_ratio 4$"):
+            ModelConfig(channels=d, granularities=1)
     with pytest.raises(ConfigurationError):
-        ModelConfig(channels=32, bottleneck_ratio=5)
-    with pytest.raises(ConfigurationError):
-        ModelConfig(channels=32, shuffle_groups=3)
-    for ratio in (0, -4):  # d % 0 raises ZeroDivisionError; d % -4 == 0
-        with pytest.raises(ConfigurationError, match="bottleneck_ratio"):
-            ModelConfig(channels=32, bottleneck_ratio=ratio)
-    with pytest.raises(ConfigurationError, match="shuffle_groups"):
-        ModelConfig(channels=32, shuffle_groups=-2)
-    with pytest.raises(ConfigurationError):
-        ModelConfig(sc_sigma=0.0)
-    with pytest.raises(ConfigurationError):
-        ModelConfig(channels=1, granularities=1, bottleneck_ratio=1, shuffle_groups=1)
+        ModelConfig(channels=1, granularities=1)
 
 
 def test_model_config_round_trip():
-    cfg = ModelConfig(channels=16, granularities=2, sc_sigma=0.25)
+    cfg = ModelConfig(channels=16, granularities=2)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig.from_dict({"channels": 16, "granularities": 2}) == cfg  # fixed keys left out
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
 def test_model_config_rejects_non_finite_sc_sigma(sigma):
     with pytest.raises(ConfigurationError, match="sc_sigma"):
-        ModelConfig(sc_sigma=sigma)
+        ModelConfig.from_dict({"sc_sigma": sigma})
 
 
-def test_model_config_refuses_an_sc_sigma_whose_square_underflows():
-    sigma = smallest_sigma_with_nonzero_square()
-    ModelConfig(sc_sigma=sigma)
-    with pytest.raises(ConfigurationError, match="sc_sigma"):
-        ModelConfig(sc_sigma=float(np.nextafter(sigma, 0.0)))
+@pytest.mark.parametrize("field, value", [
+    ("bottleneck_ratio", 0), ("bottleneck_ratio", -4), ("bottleneck_ratio", 5),
+    ("bottleneck_ratio", 4.0), ("bottleneck_ratio", True),
+    ("shuffle_groups", -2), ("shuffle_groups", 3), ("shuffle_groups", 2.0),
+    ("sc_sigma", 0.25), ("sc_sigma", 0.0), ("sc_sigma", 1), ("sc_sigma", -0.1),
+    ("sc_sigma", smallest_sigma_with_nonzero_square()),
+    ("sc_sigma", float(np.nextafter(0.1, 0.0))), ("sc_sigma", float(np.nextafter(0.1, 1.0))),
+    ("top_down_include_finest", True), ("top_down_include_finest", 0),
+    ("top_down_include_finest", None),
+])
+def test_model_config_from_dict_holds_fixed_fields_to_their_values(field, value):
+    """bottleneck_ratio, shuffle_groups, sc_sigma and top_down_include_finest are
+    the blocks' fixed rules: a config may name one only at its value and type."""
+    with pytest.raises(ConfigurationError, match=f"{field}' is fixed at"):
+        ModelConfig.from_dict({field: value})
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -136,9 +143,14 @@ def test_model_config_checks_field_types_when_built_directly(value):
         ModelConfig(channels=value)
 
 
-def test_model_config_from_dict_takes_an_integer_sigma():
-    assert ModelConfig.from_dict({"sc_sigma": 1, "top_down_include_finest": True}) == ModelConfig(
-        sc_sigma=1.0, top_down_include_finest=True)
+def test_bench_model_file_holds_the_default_config():
+    """The bench model's config is ModelConfig()'s, all six keys: the file format
+    kept the four fixed rules' keys at their values."""
+    doc = json.loads(BENCH_PARAMS.read_text())["config"]
+    assert ModelConfig.from_dict(doc) == ModelConfig()
+    assert ModelConfig().to_dict() == doc
+    assert {k: type(v) for k, v in doc.items()} == {
+        k: type(v) for k, v in ModelConfig().to_dict().items()}  # 4 == 4.0, False == 0
 
 
 def test_ablation_parsing_and_tags():
@@ -267,7 +279,7 @@ def test_embedding_requires_four_rows():
 
 
 def test_embedding_matches_numpy_oracle():
-    cfg = ModelConfig(channels=8, granularities=1, sc_sigma=0.3)
+    cfg = ModelConfig(channels=8, granularities=1)
     rng = make_rng(6)
     emb = ContextualEmbedding(cfg, rng)
     c, _ = random_correspondences(make_rng(7), n=12, noise=0.05)
@@ -275,7 +287,7 @@ def test_embedding_matches_numpy_oracle():
     got = emb(c).value
     raw = np.concatenate([c.source, c.target], axis=1)
     mixed = linear_np(emb.mix, np.maximum(0.0, inorm_np(linear_np(emb.lift, raw))))
-    sc = consistency_np(c.source, c.target, 0.3)
+    sc = consistency_np(c.source, c.target, 0.10)  # the embedding's fixed scale, SC_SIGMA
     want = mixed + sc @ mixed / 12
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -458,14 +470,11 @@ def test_mixer_pyramid_preserves_constant_rows():
 
 
 def test_mixer_top_down_level_sets():
-    base = dict(channels=32, granularities=3)
-    without = MultiGranularityMixer(ModelConfig(**base), make_rng(19))
-    assert sorted(without.top_down) == [1, 2]
-    assert sorted(without.bottom_up) == [1, 2, 3]
-    with_finest = MultiGranularityMixer(
-        ModelConfig(**base, top_down_include_finest=True), make_rng(19)
-    )
-    assert sorted(with_finest.top_down) == [0, 1, 2]
+    mixer = MultiGranularityMixer(ModelConfig(channels=32, granularities=3), make_rng(19))
+    assert list(mixer.top_down) == [2, 1]  # coarsest first; levels 3 and 0 have none
+    assert list(mixer.bottom_up) == [1, 2, 3]
+    one_level = MultiGranularityMixer(ModelConfig(channels=8, granularities=1), make_rng(19))
+    assert one_level.top_down == {}
 
 
 # -- full model ----------------------------------------------------------------------
@@ -503,9 +512,8 @@ def test_predict_deterministic_across_instances():
 
 def test_save_load_round_trip(tmp_path):
     c, _ = random_correspondences(make_rng(23), n=11, noise=0.05)
-    plain = ModelConfig(channels=16, granularities=2)
-    finest = ModelConfig(channels=16, granularities=2, top_down_include_finest=True)
-    for cfg, trained in ((plain, False), (plain, True), (finest, True)):
+    cfg = ModelConfig(channels=16, granularities=2)
+    for trained in (False, True):
         model = GPINet(cfg, seed=3)
         if trained:
             model.forward(c, mode="train")  # populate the running statistics
@@ -527,8 +535,8 @@ def test_save_load_round_trip(tmp_path):
         clone.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
-    # keys are attribute paths; the finest top-down unit is the dict entry top_down_0
-    units = ("bottom_up_1", "bottom_up_2", "top_down_1", "top_down_0", "fusion")
+    # keys are attribute paths; the top-down unit at level 1 is the dict entry top_down_1
+    units = ("bottom_up_1", "bottom_up_2", "top_down_1", "fusion")
     assert {name for name in model.parameters() if name.startswith("dmg.")} == {
         f"dmg.{unit}.{leaf}" for unit in units
         for leaf in ("bnorm.scale", "bnorm.shift", "lin.weight", "lin.bias")}

@@ -333,6 +333,23 @@ def test_register_loads_only_a_params_file_that_matches_the_model(case, tmp_path
     assert model.predict(c).tobytes() == full.predict(c).tobytes()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bottleneck_ratio", 8), ("shuffle_groups", 4), ("sc_sigma", 0.2),
+    ("top_down_include_finest", True),
+])
+def test_register_refuses_a_params_file_that_moves_a_fixed_rule(field, value, tmp_path, capsys):
+    """The config keeps all six keys; the blocks' four fixed rules must hold their values."""
+    doc = json.loads(BENCH_PARAMS.read_text())
+    doc["config"][field] = value
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    code = main(["register", "--method", "gpinet", "--n", "100", "--params", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err and f"{field!r} is fixed at" in err
+    assert "Traceback" not in err
+
+
 # -- benchmark / ablate -------------------------------------------------------------
 
 
@@ -568,6 +585,9 @@ NON_FINITE_FLAGS = {
     "generate_noise_sigma_nan": (["generate", "--n", "20", "--noise-sigma", "nan"], "noise_sigma"),
     "generate_noise_sigma_inf": (["generate", "--n", "20", "--noise-sigma", "inf"], "noise_sigma"),
     "register_noise_sigma_nan": (["register", "--n", "20", "--noise-sigma", "nan"], "noise_sigma"),
+    # finite, but its normal draws overflow: the target held +-inf
+    "generate_noise_sigma_overflows": (["generate", "--n", "50", "--noise-sigma", "1e308"],
+                                       "noise_sigma"),
 }
 
 
@@ -601,6 +621,20 @@ def test_ransac_on_coordinates_whose_covariances_overflow_ends(scale, tmp_path):
     )
     assert out.returncode in (0, 2, 3, 4), out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_ransac_without_an_inlier_exits_3(tmp_path, capsys):
+    """Target = source at 1e154: ransac's final fit has no inlier. This exited 0
+    with "ok": true and "inlier_count": 0."""
+    src = make_rng(0).uniform(-1.0, 1.0, size=(60, 3)) * 1e154
+    path = tmp_path / "pairs.csv"
+    save_correspondences(path, CorrespondenceSet(src, src))
+    assert main(["register", "--input", str(path), "--method", "ransac"]) == 3
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False and doc["reason"] == "ransac: the best fit has no inlier at delta 0.1"
+    assert "inlier_count" not in doc and "transform" not in doc
 
 
 # -- oversized integer flags -------------------------------------------------------------

@@ -12,6 +12,7 @@ from reglab.blocks import GPINet, ModelConfig
 from reglab.errors import ConfigurationError, ContractError, NumericFault
 from reglab.evaluate import (
     METHODS,
+    THRESHOLD,
     ClassificationMetrics,
     ExperimentConfig,
     TrainConfig,
@@ -60,7 +61,8 @@ def test_classification_metrics_perfect():
 
 def test_classification_metrics_threshold_is_inclusive():
     labels = np.array([True, False])
-    m = classification_metrics(np.array([0.5, 0.49]), labels, threshold=0.5)
+    assert THRESHOLD == 0.5
+    m = classification_metrics(np.array([THRESHOLD, np.nextafter(THRESHOLD, 0.0)]), labels)
     assert m.recall == 1.0 and m.precision == 1.0
 
 
@@ -80,11 +82,13 @@ def test_classification_metrics_matches_loop_oracle(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     probs = rng.random(60)
     labels = rng.random(60) < 0.5
-    got = classification_metrics(probs, labels, threshold=0.4)
+    probs[seed::6] = 0.5  # on THRESHOLD: each of these is a predicted inlier
+    probs[seed + 1::6] = np.nextafter(0.5, 0.0)
+    got = classification_metrics(probs, labels)
 
     tp = fp = fn = 0
     for p, y in zip(probs, labels):
-        pred = p >= 0.4
+        pred = p >= 0.5
         tp += pred and y
         fp += pred and not y
         fn += (not pred) and y

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (make_rng, random_correspondences, random_rotation, random_transform,
                       residuals, smallest_sigma_with_nonzero_square)
-from reglab.errors import ContractError, DegenerateInputError, ShapeError
+from reglab.errors import ContractError, DegenerateInputError, RegistrationFailure, ShapeError
 from reglab import kernels
 from reglab.geometry import (
     DEFAULT_DELTA,
@@ -183,7 +183,11 @@ def test_inlier_tests_refuse_a_delta_that_is_not_a_usable_radius(name, delta):
 def test_inlier_tests_accept_the_smallest_delta_with_a_nonzero_square(name):
     src = make_rng(8).uniform(-1, 1, size=(5, 3))
     c = CorrespondenceSet(src, src)  # every residual under the identity is exactly 0
-    count = INLIER_TESTS[name](c, smallest_sigma_with_nonzero_square())
+    try:
+        count = INLIER_TESTS[name](c, smallest_sigma_with_nonzero_square())
+    except RegistrationFailure as exc:  # ransac ran, and its final fit kept no inlier
+        assert name == "ransac" and "has no inlier" in str(exc)
+        count = 0
     if name in ("ransac", "spectral_register"):  # their fits round, so no residual need be 0
         assert 0 <= count <= 5
     else:

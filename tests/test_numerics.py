@@ -15,7 +15,7 @@ from reglab.errors import (
     ShapeError,
     UninitializedStatsError,
 )
-from reglab.nn import EPS_NORM, BatchNorm, InstanceNorm
+from reglab.nn import EPS_NORM, MOMENTUM, BatchNorm, InstanceNorm
 
 finite_matrices = arrays(
     np.float64,
@@ -116,13 +116,14 @@ def test_batch_norm_train_matches_direct_formula():
 def test_batch_norm_running_stats_ema():
     rng = make_rng(4)
     m = rng.normal(size=(8, 3))
-    bn = BatchNorm(3, momentum=0.25)
+    bn = BatchNorm(3)
     bn(Tensor(m), "train")
     mean1, var1 = bn.running_mean.copy(), bn.running_var.copy()
     m2 = rng.normal(2.0, 0.5, size=(8, 3))
     bn(Tensor(m2), "train")
-    want_mean = 0.75 * mean1 + 0.25 * m2.mean(axis=0, keepdims=True)
-    want_var = 0.75 * var1 + 0.25 * m2.var(axis=0, ddof=1, keepdims=True)
+    assert MOMENTUM == 0.1
+    want_mean = 0.9 * mean1 + 0.1 * m2.mean(axis=0, keepdims=True)
+    want_var = 0.9 * var1 + 0.1 * m2.var(axis=0, ddof=1, keepdims=True)
     assert np.allclose(bn.running_mean, want_mean, atol=1e-15)
     assert np.allclose(bn.running_var, want_var, atol=1e-15)
 

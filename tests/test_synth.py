@@ -121,7 +121,7 @@ def test_config_validation():
         SceneConfig(outlier_ratio=-0.1)
     with pytest.raises(ConfigurationError):
         SceneConfig(outlier_ratio=1.1)
-    for sigma in (-0.01, np.nan, np.inf):
+    for sigma in (-0.01, np.nan, np.inf, 1e308, 1.2e307):  # 16 * 1.2e307 overflows
         with pytest.raises(ConfigurationError, match="noise_sigma"):
             SceneConfig(noise_sigma=sigma)
     for extent in (0.0, np.nan, np.inf, 1e308, 8e307):
@@ -138,6 +138,21 @@ def test_the_largest_extent_gives_a_finite_scene():
     c, gt = generate(SceneConfig(n=200, outlier_ratio=0.5, extent=extent, seed=6))
     assert np.isfinite(gt.translation).all() and len(c) == 200
     assert np.abs(c.target).max() <= 5.5 * extent
+
+
+def test_the_largest_noise_sigma_gives_a_finite_scene():
+    """1e308's normal draws overflowed to +-inf, which CorrespondenceSet then
+    blamed on the target. A target stays within 5.5 * extent + 13.71 * sigma,
+    so 8 * extent + 16 * sigma finite is enough; at extent = max / 16 the
+    largest such sigma is max / 32."""
+    big = float(np.finfo(np.float64).max)
+    extent, sigma = big / 16, big / 32
+    c, gt = generate(SceneConfig(n=200, outlier_ratio=0.5, noise_sigma=sigma, extent=extent,
+                                 seed=7))
+    assert np.isfinite(c.target).all() and np.isfinite(gt.translation).all()
+    assert np.abs(c.target).max() <= 5.5 * extent + 13.71 * sigma
+    with pytest.raises(ConfigurationError, match="noise_sigma"):
+        SceneConfig(noise_sigma=float(np.nextafter(sigma, np.inf)), extent=extent)
 
 
 def test_rotation_from_axis_angle_z_axis_closed_form():
