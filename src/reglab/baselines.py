@@ -57,8 +57,8 @@ def ransac(
     exhaustive rescoring of all sampled models). The winner's own fit, the
     one its count was scored with, is refit once on its inliers.
     Geometrically degenerate triples are skipped; if all of them
-    degenerate, or the final fit has no inlier, ``RegistrationFailure`` is
-    raised. Deterministic for a fixed seed.
+    degenerate, or the final fit has fewer inliers than a minimal sample's 3,
+    ``RegistrationFailure`` is raised. Deterministic for a fixed seed.
     """
     n = len(c)
     if n < 3:
@@ -84,8 +84,10 @@ def ransac(
             members = np.flatnonzero(inlier_mask(transform, c, delta))
         except DegenerateInputError:
             pass  # keep the minimal-sample fit
-    if members.size == 0:  # e.g. residuals that overflow: no fit is supported
-        raise RegistrationFailure(f"ransac: the best fit has no inlier at delta {delta}")
+    if members.size < 3:  # e.g. residuals that overflow, or pairs that round back exactly
+        raise RegistrationFailure(
+            f"ransac: the best fit has fewer than 3 inliers at delta {delta} "
+            f"(inliers: {members.size})")
     return Hypothesis(
         transform=transform,
         seed_index=None,

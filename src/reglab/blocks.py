@@ -243,11 +243,12 @@ def _attend(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tens
     """softmax_rows(q k^T [* scale]) v, one block of query rows at a time.
 
     The map is never stored. When kernels.screen_operands engages, the
-    forward first scores each block in float32, and a block whose rows
-    kernels.certified_columns certifies as one-live is gathered as
-    attend_rows would gather it, with no float64 product. Every other
-    block's unscaled float64 scores and the scale go to
-    kernels.attend_rows, which scales only a block that it cannot gather.
+    forward first scores each block in float32, on the keys that a bound
+    cannot rule out, and a block whose rows kernels.certified_columns
+    certifies as one-live is gathered as attend_rows would gather it, with
+    no float64 product. Every other block's unscaled float64 scores and
+    the scale go to kernels.attend_rows, which scales only a block that it
+    cannot gather.
     The backward scores the block again in float64, recomputes its softmax
     P and takes the block's share of every gradient:
     dV += P^T g, dS = P * (dP - rowsum(dP * P)) with dP = g V^T, then
@@ -412,9 +413,9 @@ class GPINet:
     ) -> tuple[Tensor, dict]:
         """Probabilities as an (N, 1) Tensor plus diagnostics.
 
-        ``mode`` controls batch-norm statistics: "train" updates running
-        stats, "frozen" (default) normalizes from the current set without
-        touching them, "eval" requires populated running stats.
+        ``mode`` controls batch-norm statistics: both modes normalize from
+        the current set; "train" also updates the running stats, "frozen"
+        (default) touches nothing.
         """
         diagnostics: dict = {"ablation": ablation.tag()}
         feats = self.embedding(c)

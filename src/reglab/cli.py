@@ -24,7 +24,6 @@ from .errors import (
     NumericFault,
     RegistrationFailure,
     ShapeError,
-    UninitializedStatsError,
 )
 from .evaluate import (
     METHODS,
@@ -381,7 +380,6 @@ def main(argv: list[str] | None = None) -> int:
         ContractError,
         ShapeError,
         DegenerateInputError,
-        UninitializedStatsError,
         FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,11 +29,6 @@ class ConfigurationError(RegLabError, ValueError):
     """A configuration value is out of range or inconsistent."""
 
 
-class UninitializedStatsError(RegLabError, RuntimeError):
-    """Batch norm was asked to run in eval mode before any running
-    statistics were populated."""
-
-
 class ConvergenceError(RegLabError, RuntimeError):
     """An iterative solver exhausted its iteration budget. Carries the
     iteration count and the last residual in the message."""

@@ -105,13 +105,6 @@ class RigidTransform:
     def apply(self, points: Points) -> Points:
         return apply_transform(self, points)
 
-    def compose(self, inner: "RigidTransform") -> "RigidTransform":
-        """self after inner: (self.compose(inner)).apply(x) == self.apply(inner.apply(x))."""
-        return RigidTransform(
-            self.rotation @ inner.rotation,
-            self.rotation @ inner.translation + self.translation,
-        )
-
 
 @dataclass(frozen=True)
 class CorrespondenceSet:

@@ -159,22 +159,86 @@ def attend_rows(s: np.ndarray, v: np.ndarray, scale: float | None = None) -> np.
 # every float64 score below 2^121; the scale limit keeps the scaled top
 # finite. A block that is not certified takes the float64 path unchanged.
 #
+# Key pruning (branch-and-bound maximum inner-product search: Ram and Gray,
+# "Maximum inner-product search using cone trees", KDD 2012; Koenigstein,
+# Ram and Shavitt, CIKM 2012). A certified row needs its own float32 top
+# and runner-up only among the keys that can come within the floor of its
+# top; every other key needs only an upper bound. _key_groups splits the
+# centred keys x_l = fl(k_l - m), once per call, by recursive median splits
+# along each subset's principal direction, into groups of at most
+# _GROUP_KEYS keys, each with a centroid c_g and a radius r_g at least
+# ||x_l - c_g|| for each of its keys. Cauchy-Schwarz gives
+# q_i . x_l <= q_i . c_g + ||q_i|| r_g, so the float64 score of each key of
+# group g is at most
+#     c_i + q_i . c_g + ||q_i|| r_g + (2 g64 + u64) ||q_i|| K
+# (g64 ||q_i|| K each for s_il and c_i, u64 ||q_i|| K for the rounding of
+# k_l - m). H_ig is the float64 product of [q_i, c_i, ||q_i||, 1] and
+# [c_g, 1, group_err_g, absolute], with
+#     group_err_g = (r_g + (2 g64 + u64 + 5 g') K) (1 + 2^-20),
+#     g' = (d + 3) u64 / (1 - (d + 3) u64).
+# Its terms sum to at most 4.02 ||q_i|| K + absolute in magnitude, so in any
+# summation order its rounding is below g' (4.02 ||q_i|| K + absolute),
+# which 5 g' K and ``absolute`` cover; 1 + 2^-20 covers the rounding of the
+# radii, the norms and group_err itself, and ``absolute`` float64
+# underflow (under 2^-400 ||q_i|| K in all). So H_ig bounds the float64
+# score of every key of group g. The split direction decides only which
+# keys share a group, never a bound, so two power steps on the float32
+# keys find it.
+#
+# Once a block's lead rows are certified on every key, _prune takes every
+# later row of the map, one chunk of rows at a time. Each row first scores
+# in float32 the groups that hold the lead rows' top keys or their best
+# bounds; its top score there, taken as L above with key_err_max, is a
+# lower bound lb_i on its float64 top. The chunk then scores only the
+# union of the groups whose H_ig reaches t_i = lb_i + _EXP_ZERO_BELOW
+# (1 + 2^-10) / scale for one of its rows. Every other group has
+# H_ig < t_i, so t_i bounds row i's float64 score at each unscored key:
+# the row's H rises to t_i, and the check is the one above (the factor
+# 1 + 2^-10 puts t_i 746 / 1024 further down, a margin for rounding). A
+# block with a row that this does not certify is scored on every key, as
+# before.
+#
+# Pruning pays only when the union leaves at least _MIN_SKIPPED_KEYS keys
+# of each row unscored: the groups, the bounds and the narrow products
+# cost about as much as scoring that many keys per row. So a map of at
+# most that many keys is never grouped, and a chunk whose union leaves
+# fewer is scored on every key.
+#
 # The screen engages when one block's product has at least
 # _MIN_SCREEN_PRODUCT multiply-adds. Below that, its fixed cost (the casts,
 # the norms, a second product for a block that fails) outweighs the half
 # product it saves (predict at N = 250 to 300 was 3-5% slower with it).
 # At d = 32 the N <= 256 maps and the (d, d) channel map for N < 4096 stay
-# on the float64 path.
+# on the float64 path. The queries are cast to float32 as they are scored,
+# so a dense block that fails in its lead rows casts only those.
 
 _MIN_SCREEN_PRODUCT = 1 << 22   # multiply-adds of one block's score product
 _SCREEN_NORM_LIMIT = 2.0 ** 60
 _SCREEN_SCALE_LIMIT = 2.0 ** 800
+_GROUP_KEYS = 32                # keys per group at most
+_MIN_SKIPPED_KEYS = 1024        # keys per row that pruning must leave unscored
+
+
+class Screen:
+    """What certified_columns needs for softmax_rows(q @ kt [* scale]) @ v: the
+    centred keys ``centred`` (one per column) and in float32 ``kt32``, the
+    c_i (``shift``), the query norms, the error factors ``key_err`` and
+    ``key_err_max``, the underflow term ``absolute`` and group_err's
+    constant part ``group_slack``; ``hot`` holds _prune's result once it
+    has run."""
+
+    def __init__(self, q, centred, shift, q_norms, key_err, key_err_max, absolute, group_slack):
+        self.q, self.centred, self.kt32 = q, centred, centred.astype(np.float32)
+        self.shift, self.q_norms = shift, q_norms
+        self.key_err, self.key_err_max = key_err, key_err_max
+        self.absolute, self.group_slack = absolute, group_slack
+        self.hot = None
 
 
 def screen_operands(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float | None,
-                    rows: int):
-    """What certified_columns needs for softmax_rows(q @ kt [* scale]) @ v, or
-    None where the screen does not engage: a block of ``rows`` rows below
+                    rows: int) -> Screen | None:
+    """The Screen of softmax_rows(q @ kt [* scale]) @ v, or None where the
+    screen does not engage: a block of ``rows`` rows below
     _MIN_SCREEN_PRODUCT, a norm of q or k past _SCREEN_NORM_LIMIT or not
     finite (NaN and infinities included), a value of v that is not finite,
     or a scale outside (0, _SCREEN_SCALE_LIMIT)."""
@@ -194,47 +258,170 @@ def screen_operands(q: np.ndarray, kt: np.ndarray, v: np.ndarray, scale: float |
             return None
     u, u64 = 2.0 ** -24, 2.0 ** -53
     gamma, gamma64 = d * u / (1.0 - d * u), d * u64 / (1.0 - d * u64)
+    gamma_groups = (d + 3) * u64 / (1.0 - (d + 3) * u64)
     c32 = (2 * u + u * u + gamma * (1 + u) ** 2 + u64) * (1 + 2.0 ** -20)
     slack = (2 * gamma64 + 2.0 ** -45) * (1 + 2.0 ** -20) * k_bound
-    return (q.astype(np.float32), centred.astype(np.float32), q @ mean, q_norms,
-            centred_norms * c32 + slack, centred_norms.max() * c32 + slack,
-            (d + 1) * 2.0 ** -62)
+    return Screen(q, centred, q @ mean, q_norms, centred_norms * c32 + slack,
+                  centred_norms.max() * c32 + slack, (d + 1) * 2.0 ** -62,
+                  (2 * gamma64 + u64 + 5 * gamma_groups) * k_bound)
 
 
-def certified_columns(screen, lo: int, hi: int, scale: float | None) -> np.ndarray | None:
+def _key_groups(screen: Screen, x32: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(groups, members): each group's row [c_g, 1, group_err_g, absolute],
+    whose product with [q_i, c_i, ||q_i||, 1] is H_ig, and its keys.
+    ``x32`` holds the centred keys in float32, one per row.
+
+    The keys are padded to m = size * 2^depth slots by repeating the first
+    ones, so that every split halves equal segments. ``members`` (groups,
+    size) holds each slot's key, or -1 for a padding slot; a repeated key
+    only widens the group that holds its copy, which the bound allows.
+    """
+    n, d = x32.shape
+    depth = (-(-n // _GROUP_KEYS) - 1).bit_length()
+    size = -(-n >> depth)
+    m = size << depth
+    slots = np.arange(m)
+    y = np.take(x32, slots % n, axis=0)
+    top = np.abs(y).max()
+    if top > 0:
+        y /= top        # entries in [-1, 1], so the power steps stay finite
+    for level in range(depth):
+        xs = y.reshape(1 << level, -1, d)
+        width = xs.shape[1]
+        mean = np.full(width, 1 / width, dtype=np.float32) @ xs
+        w = np.ones((1 << level, d, 1), dtype=np.float32)
+        for _ in range(2):
+            p = xs @ w
+            p -= mean[:, None, :] @ w
+            w = (p.transpose(0, 2, 1) @ xs).transpose(0, 2, 1)
+        order = np.argpartition((xs @ w)[..., 0], width // 2, axis=1)
+        order += np.arange(0, m, width)[:, None]
+        order = order.reshape(-1)
+        slots = np.take(slots, order)
+        if level + 1 < depth:
+            y = np.take(y, order, axis=0)
+    pad = slots >= n
+    slots[pad] -= n
+    keys = np.take(np.ascontiguousarray(screen.centred.T), slots, axis=0).reshape(-1, size, d)
+    groups = np.empty((1 << depth, d + 3))
+    groups[:, :d] = np.ones(size) @ keys / size
+    keys -= groups[:, None, :d]
+    radii = np.sqrt(np.einsum("gsd,gsd->gs", keys, keys).max(axis=1))
+    groups[:, d] = 1.0
+    groups[:, d + 1] = (radii + screen.group_slack) * (1 + 2.0 ** -20)
+    groups[:, d + 2] = screen.absolute
+    return groups, np.where(pad, -1, slots).reshape(-1, size)
+
+
+def _gap_bounds(screen: Screen, a: int, b: int, j: np.ndarray, top: np.ndarray,
+                second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, H) of rows [a, b) from each row's float32 top score ``top`` at key
+    ``j`` and its largest other float32 score ``second``."""
+    q_norms = screen.q_norms[a:b]
+    low = top.astype(np.float64)
+    low += screen.shift[a:b]
+    low -= q_norms * screen.key_err[j] + screen.absolute
+    high = second.astype(np.float64)
+    high += screen.shift[a:b]
+    high += q_norms * screen.key_err_max + screen.absolute
+    return low, high
+
+
+def _certified(low: np.ndarray, high: np.ndarray, scale: float | None) -> np.ndarray:
+    """Where fl(fl(H * scale) - fl(L * scale)) < _EXP_ZERO_BELOW, row by row;
+    ``low`` and ``high`` are overwritten."""
+    if scale is not None:
+        low *= scale
+        high *= scale
+    high -= low
+    return high < _EXP_ZERO_BELOW
+
+
+def _scored_on_every_key(screen: Screen, a: int, b: int,
+                         scale: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(j, certified): the top key of each of rows [a, b) from its float32
+    scores against every key, and whether the row is certified."""
+    s = screen.q[a:b].astype(np.float32) @ screen.kt32
+    j = s.argmax(axis=1)
+    flat = s.reshape(-1)
+    at = np.arange(0, s.size, s.shape[1])
+    at += j
+    top = flat[at]
+    flat[at] = -np.inf
+    return j, _certified(*_gap_bounds(screen, a, b, j, top, s.max(axis=1)), scale)
+
+
+def _scored_on_keys(screen: Screen, x32: np.ndarray, q32: np.ndarray, a: int, b: int,
+                    keys: np.ndarray, bound: np.ndarray, scale: float | None) -> np.ndarray:
+    """The certified top key of each of rows [a, b) (``q32``, in float32) from
+    its float32 scores at ``keys`` alone (``x32`` holds every key, one per
+    row), or -1; ``bound`` bounds each row's float64 score at every other
+    key."""
+    s = x32[keys] @ q32.T                              # one row per key
+    j = s.argmax(axis=0)
+    at = (j, np.arange(b - a))
+    top = s[at]
+    s[at] = -np.inf
+    j = keys[j]
+    low, high = _gap_bounds(screen, a, b, j, top, s.max(axis=0))
+    np.maximum(high, bound, out=high)
+    return np.where(_certified(low, high, scale), j, -1)
+
+
+def _prune(screen: Screen, start: int, scale: float | None, lead: np.ndarray) -> np.ndarray:
+    """The certified top key of each of rows [start, n), scored only on the
+    keys that the group bounds cannot rule out (see the comment above), or
+    -1. ``lead`` holds the certified top keys of the lead rows just before
+    ``start``."""
+    x32 = np.ascontiguousarray(screen.kt32.T)
+    groups, members = _key_groups(screen, x32)
+    queries = np.column_stack([screen.q, screen.shift, screen.q_norms, np.ones(len(screen.q))])
+    hot = np.full(len(queries), -1)
+    floor = _EXP_ZERO_BELOW * (1 + 2.0 ** -10) / (1.0 if scale is None else scale)
+    lead_bound = groups @ queries[start - len(lead):start].T
+    first = members[(lead_bound == lead_bound.max(axis=0)).any(axis=1)
+                    | np.isin(members, lead).any(axis=1)]
+    first = x32[first[first >= 0]]
+    step = _chunk_rows(len(groups))
+    for a in range(start, len(queries), step):
+        b = min(a + step, len(queries))
+        q32 = screen.q[a:b].astype(np.float32)
+        reach = (first @ q32.T).max(axis=0).astype(np.float64)
+        reach += screen.shift[a:b] + floor
+        reach -= screen.q_norms[a:b] * screen.key_err_max + screen.absolute
+        near = (groups @ queries[a:b].T >= reach).any(axis=1)
+        keys = members[near].reshape(-1)
+        keys = keys[keys >= 0]
+        if len(x32) - len(keys) >= _MIN_SKIPPED_KEYS:
+            hot[a:b] = _scored_on_keys(screen, x32, q32, a, b, keys, reach, scale)
+    return hot
+
+
+def certified_columns(screen: Screen, lo: int, hi: int, scale: float | None) -> np.ndarray | None:
     """The column of each row's one live entry in rows [lo, hi) of
     softmax_rows(q @ kt [* scale]), as _live_columns finds it on the float64
     block, or None if the float32 scores do not certify every row.
 
-    ``screen`` is screen_operands' tuple. The first _LEAD_ROWS rows are
-    scored on their own, so a dense block stops there.
+    The first _LEAD_ROWS rows are scored on every key on their own, so a
+    dense block stops there. The first time they are certified, in a map
+    of more than _MIN_SKIPPED_KEYS keys, _prune takes every later row of
+    the map; a block that it does not certify whole scores its other rows
+    on every key.
     """
-    q32, kt32, shift, q_norms, key_err, key_err_max, absolute = screen
-    hot = np.empty(hi - lo, dtype=np.intp)
     with np.errstate(all="ignore"):
-        for a, b in ((lo, min(lo + _LEAD_ROWS, hi)), (lo + _LEAD_ROWS, hi)):
-            if a >= b:
-                break
-            s = q32[a:b] @ kt32
-            j = s.argmax(axis=1)
-            flat = s.reshape(-1)
-            at = np.arange(0, s.size, s.shape[1])
-            at += j
-            top = flat[at].astype(np.float64)
-            flat[at] = -np.inf
-            second = s.max(axis=1).astype(np.float64)
-            top += shift[a:b]
-            top -= q_norms[a:b] * key_err[j] + absolute
-            second += shift[a:b]
-            second += q_norms[a:b] * key_err_max + absolute
-            if scale is not None:
-                top *= scale
-                second *= scale
-            second -= top
-            if not (second < _EXP_ZERO_BELOW).all():
-                return None
-            hot[a - lo:b - lo] = j
-    return hot
+        if screen.hot is not None and (screen.hot[lo:hi] >= 0).all():
+            return screen.hot[lo:hi]
+        mid = min(lo + _LEAD_ROWS, hi)
+        lead, certified = _scored_on_every_key(screen, lo, mid, scale)
+        if not certified.all():
+            return None
+        if screen.hot is None and mid < len(screen.q) and screen.kt32.shape[1] > _MIN_SKIPPED_KEYS:
+            screen.hot = _prune(screen, mid, scale, lead)
+            screen.hot[lo:mid] = lead
+            if (screen.hot[lo:hi] >= 0).all():
+                return screen.hot[lo:hi]
+        rest, certified = _scored_on_every_key(screen, mid, hi, scale)
+        return np.concatenate([lead, rest]) if certified.all() else None
 
 
 # -- pairwise length-consistency matrix ------------------------------------
@@ -509,7 +696,8 @@ def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
         a, b = src[idx], tgt[idx]                       # (m, 3, 3)
         ca = (a[:, 0] + a[:, 1] + a[:, 2]) / 3.0        # a.mean(axis=1), bit for bit
         cb = (b[:, 0] + b[:, 1] + b[:, 2]) / 3.0
-        h = (a - ca[:, None]).transpose(0, 2, 1) @ (b - cb[:, None])
+        with np.errstate(over="ignore"):                 # rigid_fits flags what overflows
+            h = (a - ca[:, None]).transpose(0, 2, 1) @ (b - cb[:, None])
         r, t, ok = rigid_fits(h, ca, cb)
         counts = strict_inliers(src_t, tgt_t, r, t, delta).sum(axis=1)
         counts[~ok] = -1

@@ -20,7 +20,6 @@ from .errors import (
     ConfigurationError,
     DegenerateInputError,
     ShapeError,
-    UninitializedStatsError,
 )
 from .formats import read_text_file
 
@@ -69,13 +68,11 @@ class InstanceNorm:
 class BatchNorm:
     """Batch normalization where the row dimension is the batch.
 
-    Modes:
-      * ``train``  - normalize with current row statistics, update the
-        running statistics by EMA (adopting them outright on first use),
-      * ``frozen`` - normalize with current row statistics, touch nothing
-        (single-set inference),
-      * ``eval``   - normalize with stored running statistics; raises if
-        none were ever populated.
+    Both modes normalize with the current row statistics:
+      * ``train``  - also updates the running statistics by EMA (adopting
+        them outright on first use); no output reads them, and they are
+        kept for the parameter files,
+      * ``frozen`` - touches nothing (single-set inference).
     """
 
     def __init__(self, width: int):
@@ -90,14 +87,6 @@ class BatchNorm:
             raise ShapeError(
                 f"BatchNorm: input {x.shape} does not match width {self.width}"
             )
-        if mode == "eval":
-            if self.running_mean is None or self.running_var is None:
-                raise UninitializedStatsError(
-                    "BatchNorm: eval mode before any train step populated running stats"
-                )
-            centered = x - Tensor(self.running_mean)
-            denom = np.sqrt(self.running_var + EPS_NORM)
-            return centered / Tensor(denom) * self.scale + self.shift
         if mode not in ("train", "frozen"):
             raise ConfigurationError(f"BatchNorm: unknown mode {mode!r}")
         mu, var, out = _standardize(x, f"BatchNorm: {mode} mode")

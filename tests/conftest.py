@@ -28,6 +28,12 @@ def smallest_sigma_with_nonzero_square() -> float:
     return x
 
 
+def compose(outer: RigidTransform, inner: RigidTransform) -> RigidTransform:
+    """outer after inner: compose(outer, inner).apply(x) == outer.apply(inner.apply(x))."""
+    return RigidTransform(outer.rotation @ inner.rotation,
+                          outer.rotation @ inner.translation + outer.translation)
+
+
 def residuals(transform: RigidTransform, c: CorrespondenceSet) -> np.ndarray:
     """Euclidean residual per correspondence under the transform: the square
     root of the squared residuals that inlier_mask and count_inliers test."""

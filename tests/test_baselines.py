@@ -1,5 +1,7 @@
 """Classical baselines: RANSAC consensus and spectral matching."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from reglab.errors import (
 )
 from reglab.geometry import (
     CorrespondenceSet,
+    RigidTransform,
+    _kabsch,
     count_inliers,
     inlier_mask,
     rotation_error,
@@ -105,15 +109,26 @@ def test_ransac_scan_winner_matches_winning_triple_fit():
 
 
 def test_ransac_keeps_the_fit_its_scan_scored():
-    """With one strict inlier nothing is refit, so the hypothesis is the scan's winner."""
+    """ransac starts from the scan's winner: it refits exactly the inliers that
+    the scan counted, and with one strict inlier it refuses that fit with the
+    scan's count (it used to return the winner itself, on one pair)."""
     rng = make_rng(5)  # 40 unrelated pairs
     c = CorrespondenceSet(rng.uniform(-1, 1, size=(40, 3)), rng.uniform(-1, 1, size=(40, 3)))
     samples = minimal_samples(make_rng(3), len(c), 300)  # the samples ransac(seed=3) draws
-    _, best_count, rotation, translation = kernels.ransac_scan(c.source, c.target, samples, 0.05)
-    hyp = ransac(c, iterations=300, delta=0.05, seed=3)
-    assert best_count == 1 and hyp.inlier_count == best_count
-    assert hyp.transform.rotation.tobytes() == rotation.tobytes()
-    assert hyp.transform.translation.tobytes() == translation.tobytes()
+    _, best_count, _, _ = kernels.ransac_scan(c.source, c.target, samples, 0.05)
+    assert best_count == 1
+    with pytest.raises(RegistrationFailure, match=r"\(inliers: 1\)$"):
+        ransac(c, iterations=300, delta=0.05, seed=3)
+
+    c, _ = generate(SceneConfig(n=100, outlier_ratio=0.5, noise_sigma=0.01, seed=7))
+    samples = minimal_samples(make_rng(11), len(c), 200)
+    _, best_count, rotation, translation = kernels.ransac_scan(c.source, c.target, samples, 0.10)
+    members = np.flatnonzero(inlier_mask(RigidTransform(rotation, translation), c, 0.10))
+    assert members.size == best_count >= 3
+    want = _kabsch(c.source[members], c.target[members], np.ones(members.size))
+    hyp = ransac(c, iterations=200, delta=0.10, seed=11)
+    assert hyp.transform.rotation.tobytes() == want.rotation.tobytes()
+    assert hyp.transform.translation.tobytes() == want.translation.tobytes()
 
 
 def test_ransac_is_deterministic_per_seed():
@@ -140,7 +155,6 @@ def test_ransac_validation_and_failure():
         ransac(coincident, iterations=50)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 def test_ransac_refuses_a_fit_without_inliers():
     """Target = source at 1e154. The scan's winner counts only the pairs whose
     residual rounds to exactly 0, and its refit's translation, about 1e137,
@@ -148,8 +162,24 @@ def test_ransac_refuses_a_fit_without_inliers():
     reported success with 0 inliers."""
     src = make_rng(0).uniform(-1.0, 1.0, size=(60, 3)) * 1e154
     c = CorrespondenceSet(src, src)
-    with pytest.raises(RegistrationFailure, match="the best fit has no inlier at delta 0.1$"):
+    with pytest.raises(RegistrationFailure,
+                       match=r"the best fit has fewer than 3 inliers at delta 0.1 \(inliers: 0\)$"):
         ransac(c)
+
+
+@pytest.mark.parametrize("draw", [1, 5, 6])
+def test_ransac_refuses_a_fit_with_fewer_inliers_than_a_minimal_sample(draw):
+    """The same scene on these draws kept 1 inlier, a pair whose residual rounds
+    to exactly 0 under a translation of about 7e137, and ransac reported
+    success. The fit is refused, and the covariance product that overflows
+    on the way raises no warning (rigid_fits flags those covariances)."""
+    src = make_rng(draw).uniform(-1.0, 1.0, size=(60, 3)) * 1e154
+    c = CorrespondenceSet(src, src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RegistrationFailure,
+                           match=r"fewer than 3 inliers at delta 0.1 \(inliers: 1\)$"):
+            ransac(c)
 
 
 def ransac_recovers(c, gt, iterations, seed) -> bool:

@@ -30,7 +30,6 @@ from reglab.blocks import (
 from reglab.errors import (
     ConfigurationError,
     DegenerateInputError,
-    UninitializedStatsError,
 )
 from reglab.geometry import CorrespondenceSet
 from reglab.kernels import row_blocks
@@ -211,9 +210,6 @@ def test_batch_norm_layer_modes():
     bn = BatchNorm(4)
     x = rng.normal(size=(8, 4)) * 2.0 + 5.0
 
-    with pytest.raises(UninitializedStatsError):
-        bn(Tensor(x), "eval")
-
     frozen = bn(Tensor(x), "frozen").value
     np.testing.assert_allclose(frozen, inorm_np(x), atol=1e-12)  # unit scale, zero shift
     assert bn.running_mean is None  # frozen never touches the stats
@@ -233,12 +229,12 @@ def test_batch_norm_layer_modes():
         bn.running_var, 0.9 * old_var + 0.1 * y.var(axis=0, ddof=1), atol=1e-12
     )
 
-    evaled = bn(Tensor(x), "eval").value
-    want = (x - bn.running_mean) / np.sqrt(bn.running_var + EPS)
-    np.testing.assert_allclose(evaled, want, atol=1e-12)
+    # no mode reads the statistics: train normalizes as frozen does
+    np.testing.assert_array_equal(bn(Tensor(x), "train").value, frozen)
 
-    with pytest.raises(ConfigurationError):
-        bn(Tensor(x), "training")
+    for mode in ("training", "eval"):
+        with pytest.raises(ConfigurationError):
+            bn(Tensor(x), mode)
 
 
 def test_named_parts_and_sgd_step():
@@ -523,15 +519,17 @@ def test_save_load_round_trip(tmp_path):
         clone = GPINet.load(path)
         assert clone.config == cfg
         assert clone.predict(c).tobytes() == model.predict(c).tobytes()
+        norms = [(part, dict(named_parts(clone))[name]) for name, part in named_parts(model)
+                 if isinstance(part, BatchNorm)]
         if trained:
-            with_stats, _ = clone.forward(c, mode="eval")
-            want, _ = model.forward(c, mode="eval")
-            np.testing.assert_array_equal(with_stats.value, want.value)
+            for bn, copy in norms:  # the statistics round-trip bit for bit
+                assert copy.running_mean.tobytes() == bn.running_mean.tobytes()
+                assert copy.running_var.tobytes() == bn.running_var.tobytes()
         else:
             # a never-trained model's file holds no statistics, and its clone has none
             assert set(load_parameters(path)[1]) == set(model.parameters())
-            with pytest.raises(UninitializedStatsError):
-                clone.forward(c, mode="eval")
+            assert all(copy.running_mean is None and copy.running_var is None
+                       for _, copy in norms)
         clone.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -544,16 +542,6 @@ def test_save_load_round_trip(tmp_path):
         f"dmg.{unit}.bnorm" for unit in units}
     assert set(load_parameters(path)[1]) == set(model.parameters()) | {
         f"dmg.{unit}.bnorm.{stat}" for unit in units for stat in ("running_mean", "running_var")}
-
-
-def test_eval_mode_requires_training_first():
-    model = GPINet(ModelConfig(channels=16, granularities=2), seed=4)
-    c, _ = random_correspondences(make_rng(24), n=10, noise=0.05)
-    with pytest.raises(UninitializedStatsError):
-        model.forward(c, mode="eval")
-    model.forward(c, mode="train")
-    probs, _ = model.forward(c, mode="eval")
-    assert np.all(np.isfinite(probs.value))
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -840,6 +828,38 @@ def test_float32_screen_keeps_predict_bytes_with_two_blas_threads():
         "    certified.clear()\n"
     )
     assert run_child(code, threads=2) == ["1001 True True", "2003 True True"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_key_pruning_keeps_predict_bytes_on_the_bench_model(threads):
+    """predict's bytes with key pruning at its size rule, forced on at every size
+    and off, and with the screen off, at N = 500, 1000, 2000 and 4096 under 1
+    and 2 BLAS threads; the child counts the rows that pruned scoring
+    certified, so it is not idle."""
+    code = (
+        "import reglab.kernels as kernels\n"
+        "from pathlib import Path\n"
+        "from reglab.blocks import GPINet\n"
+        "from reglab.synth import SceneConfig, generate\n"
+        "model = GPINet.load(Path(kernels.__file__).parents[2] / 'bench/model/params.json')\n"
+        "real, rows = kernels._scored_on_keys, []\n"
+        "screen, skipped = kernels._MIN_SCREEN_PRODUCT, kernels._MIN_SKIPPED_KEYS\n"
+        "def counted(*args):\n"
+        "    hot = real(*args)\n"
+        "    rows.append(int((hot >= 0).sum()))\n"
+        "    return hot\n"
+        "kernels._scored_on_keys = counted\n"
+        "for n in (500, 1000, 2000, 4096):\n"
+        "    c, _ = generate(SceneConfig(n=n, outlier_ratio=0.8, scene='outdoor', seed=1))\n"
+        "    out = set()\n"
+        "    for product, skip in ((screen, skipped), (screen, 0), (screen, 1 << 62),\n"
+        "                          (1 << 62, skipped)):\n"
+        "        kernels._MIN_SCREEN_PRODUCT, kernels._MIN_SKIPPED_KEYS = product, skip\n"
+        "        out.add(model.predict(c).tobytes())\n"
+        "    print(n, len(out) == 1, sum(rows) > 0)\n"
+        "    rows.clear()\n"
+    )
+    assert run_child(code, threads=threads) == [f"{n} True True" for n in (500, 1000, 2000, 4096)]
 
 
 def test_training_step_memory_stays_far_below_n_squared():

@@ -621,20 +621,37 @@ def test_ransac_on_coordinates_whose_covariances_overflow_ends(scale, tmp_path):
     )
     assert out.returncode in (0, 2, 3, 4), out.stderr
     assert "Traceback" not in out.stderr
+    assert "overflow encountered" not in out.stderr
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-def test_ransac_without_an_inlier_exits_3(tmp_path, capsys):
-    """Target = source at 1e154: ransac's final fit has no inlier. This exited 0
-    with "ok": true and "inlier_count": 0."""
-    src = make_rng(0).uniform(-1.0, 1.0, size=(60, 3)) * 1e154
+def ransac_on_coordinates_at_1e154(draw, tmp_path, capsys) -> dict:
+    """reglab register's JSON for ransac on 60 pairs at 1e154 with target = source,
+    after checking that it exits 3."""
+    src = make_rng(draw).uniform(-1.0, 1.0, size=(60, 3)) * 1e154
     path = tmp_path / "pairs.csv"
     save_correspondences(path, CorrespondenceSet(src, src))
     assert main(["register", "--input", str(path), "--method", "ransac"]) == 3
-    captured = capsys.readouterr()
-    doc = json.loads(captured.out)
-    assert doc["ok"] is False and doc["reason"] == "ransac: the best fit has no inlier at delta 0.1"
-    assert "inlier_count" not in doc and "transform" not in doc
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and "inlier_count" not in doc and "transform" not in doc
+    return doc
+
+
+def test_ransac_without_an_inlier_exits_3(tmp_path, capsys):
+    """Target = source at 1e154: ransac's final fit has no inlier. This exited 0
+    with "ok": true and "inlier_count": 0."""
+    doc = ransac_on_coordinates_at_1e154(0, tmp_path, capsys)
+    assert doc["reason"] == (
+        "ransac: the best fit has fewer than 3 inliers at delta 0.1 (inliers: 0)")
+
+
+@pytest.mark.parametrize("draw", [1, 5, 6])
+def test_ransac_with_one_inlier_exits_3(draw, tmp_path, capsys):
+    """On these draws the final fit kept 1 inlier, a pair whose residual rounds to
+    exactly 0 under a translation of about 7e137, and this exited 0 with
+    "ok": true and "inlier_count": 1."""
+    doc = ransac_on_coordinates_at_1e154(draw, tmp_path, capsys)
+    assert doc["reason"] == (
+        "ransac: the best fit has fewer than 3 inliers at delta 0.1 (inliers: 1)")
 
 
 # -- oversized integer flags -------------------------------------------------------------

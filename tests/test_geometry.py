@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (make_rng, random_correspondences, random_rotation, random_transform,
-                      residuals, smallest_sigma_with_nonzero_square)
+from conftest import (compose, make_rng, random_correspondences, random_rotation,
+                      random_transform, residuals, smallest_sigma_with_nonzero_square)
 from reglab.errors import ContractError, DegenerateInputError, RegistrationFailure, ShapeError
 from reglab import kernels
 from reglab.geometry import (
@@ -84,7 +84,7 @@ def test_identity_apply_compose():
 
     other = random_transform(rng)
     np.testing.assert_allclose(
-        tf.compose(other).apply(pts), tf.apply(other.apply(pts)), atol=1e-12
+        compose(tf, other).apply(pts), tf.apply(other.apply(pts)), atol=1e-12
     )
 
 
@@ -185,8 +185,8 @@ def test_inlier_tests_accept_the_smallest_delta_with_a_nonzero_square(name):
     c = CorrespondenceSet(src, src)  # every residual under the identity is exactly 0
     try:
         count = INLIER_TESTS[name](c, smallest_sigma_with_nonzero_square())
-    except RegistrationFailure as exc:  # ransac ran, and its final fit kept no inlier
-        assert name == "ransac" and "has no inlier" in str(exc)
+    except RegistrationFailure as exc:  # ransac ran, and its final fit kept 0 to 2 inliers
+        assert name == "ransac" and "fewer than 3 inliers" in str(exc)
         count = 0
     if name in ("ransac", "spectral_register"):  # their fits round, so no residual need be 0
         assert 0 <= count <= 5
@@ -242,7 +242,7 @@ def test_kabsch_equivariance_under_rigid_motion(seed):
     moved = CorrespondenceSet(c.source, g.apply(c.target))
     est = weighted_kabsch(c, weights)
     est_moved = weighted_kabsch(moved, weights)
-    expected = g.compose(est)
+    expected = compose(g, est)
     assert np.abs(est_moved.rotation - expected.rotation).max() < 1e-9
     assert np.abs(est_moved.translation - expected.translation).max() < 1e-9
 

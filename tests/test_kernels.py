@@ -1114,31 +1114,37 @@ def test_attend_rows_on_bench_model_attention(monkeypatch):
 # -- certified float32 screen -----------------------------------------------------
 
 
+PRUNE_OFF = 1 << 62                     # a _MIN_SKIPPED_KEYS that no map passes
+
+
 def screened_attend(q, k, v, scale=None) -> int:
-    """_attend's forward of (q, k, v) with the float32 screen forced on at every
-    size and with it off: the same bytes, and no floating-point warning from the
-    screen that the float64 path did not raise. Returns how many blocks the
-    screen certified."""
-    certified = []
+    """_attend's forward of (q, k, v) with the float32 screen off, forced on at
+    every size without key pruning, and forced on with pruning at every size:
+    the same bytes, and no floating-point warning from the screen that the
+    float64 path did not raise. Returns how many blocks the screen certified
+    without pruning."""
+    certified = {}
     real = reglab.kernels.certified_columns
-
-    def counted(*args):
-        hot = real(*args)
-        certified.append(hot is not None)
-        return hot
-
     out, warned = {}, {}
-    for name, size in (("off", SCREEN_OFF), ("on", 0)):
+    for name, size, skipped in (("off", SCREEN_OFF, PRUNE_OFF), ("on", 0, PRUNE_OFF),
+                                ("pruned", 0, 0)):
+        def counted(*args):
+            hot = real(*args)
+            certified.setdefault(name, []).append(hot is not None)
+            return hot
+
         with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             patch.setattr(reglab.kernels, "_MIN_SCREEN_PRODUCT", size)
+            patch.setattr(reglab.kernels, "_MIN_SKIPPED_KEYS", skipped)
             patch.setattr(reglab.kernels, "certified_columns", counted)
             out[name] = _attend(*(Tensor(np.array(a, dtype=np.float64)) for a in (q, k, v)),
                                 scale).value
         warned[name] = {(w.category, str(w.message)) for w in seen}
-    assert out["on"].shape == out["off"].shape and out["on"].tobytes() == out["off"].tobytes()
-    assert warned["on"] <= warned["off"], warned
-    return sum(certified)
+    for name in ("on", "pruned"):
+        assert out[name].shape == out["off"].shape and out[name].tobytes() == out["off"].tobytes()
+        assert warned[name] <= warned["off"], warned
+    return sum(certified.get("on", []))
 
 
 def score_operands(scores):
@@ -1286,6 +1292,116 @@ def test_screen_on_width_one_rows():
     assert screened_attend(q, k, v) == 1 and screened_attend(q, k, v, SCALE) == 1
 
 
+# -- certified key pruning ---------------------------------------------------------
+
+
+def clustered_operands(rng, m, n, special, scale=None, offset=0.0, noise=10.0):
+    """(q, k, scores) with q @ k.T == scores + offset exactly before rounding: row i
+    of q is e_(i mod 32), except row ``special``, which is e_32, so every row
+    reads one of 33 score rows. Every score row tops at key 0 with 1.5e4 (after
+    the scale) to spare over keys 1..n-1, which sit in one cluster within
+    ``noise`` of each other; the caller edits scores[32] for the special row."""
+    c = 1.0 if scale is None else scale
+    scores = (-1.5e4 + rng.uniform(-noise, noise, size=(33, n))) / c
+    scores[:, 0] = 0.0
+    q = np.zeros((m, 33))
+    q[np.arange(m), np.arange(m) % 32] = 1.0
+    q[special] = 0.0
+    q[special, 32] = 1.0
+    return q, scores.T + offset, scores
+
+
+@pytest.mark.parametrize("scale", [None, SCALE], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("special", [3, 500, 1050])
+@pytest.mark.parametrize("far", [5, 1999])
+def test_pruning_scores_a_far_key_within_the_floor(scale, special, far):
+    """One row also scores a key far from the cluster within the floor of its top:
+    the bound of that key's group must keep it scored, so that row's block stays
+    on the float64 path; a little further below, every block is certified. The
+    far key sits 500 below the cluster on the other rows, so it shares no group
+    with key 0, and its group's radius, set by the far key itself, makes the
+    bound nearly tight for that row (a radius 10% short prunes it). The 2000
+    keys take 64 groups and 48 padding slots (key 5 has a copy), and the 1100
+    rows span 5 blocks and 2 chunks."""
+    c = 1.0 if scale is None else scale
+    blocks = len(list(row_blocks(1100, 2000 * 9)))
+    assert blocks == 5
+    rng = make_rng(71)
+    v = awkward_values(rng, 2000)
+    for gap, certified in ((-700.0, blocks - 1), (-745.9, blocks - 1), (-800.0, blocks)):
+        q, k, _ = clustered_operands(rng, 1100, 2000, special, scale)
+        k[far, :32] -= 500.0 / c
+        k[far, 32] = gap / c
+        assert screened_attend(q, k, v, scale) == certified
+
+
+@pytest.mark.parametrize("scale", [None, SCALE], ids=["unscaled", "scaled"])
+def test_pruning_at_the_underflow_boundary_and_on_tight_groups(scale):
+    """Runner-ups a few ulps either side of the floor, on a far key and, with no
+    noise (groups of radius 0, whose bound is the score itself plus the slack),
+    on every clustered key at once."""
+    rng = make_rng(72)
+    v = awkward_values(rng, 2000)
+    for gap, top, second in boundary_rows(scale):
+        for noise in (10.0, 0.0):
+            q, k, scores = clustered_operands(rng, 1100, 2000, 700, scale, noise=noise)
+            k[0, 32] = top
+            k[1999, 32] = second
+            if noise == 0.0:
+                k[1:, 32] = second
+            assert screened_attend(q, k, v, scale) == 4
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e12])
+def test_pruning_with_keys_far_from_the_origin(offset):
+    """A common offset on every key shifts each row's scores by one constant; the
+    centred keys and the K terms of the bounds carry it."""
+    rng = make_rng(73)
+    v = awkward_values(rng, 2000)
+    for gap, certified in ((-700.0, 4), (-800.0, 5)):
+        q, k, _ = clustered_operands(rng, 1100, 2000, 600, offset=offset)
+        k[1999, 32] = gap + offset
+        assert screened_attend(q, k, v) == certified
+
+
+def test_pruning_engages_on_the_bench_model_at_n_2000(monkeypatch):
+    """Outdoor N=2000, seed 1: every block of the three N x N maps is certified and
+    scores under 10% of its keys (lead rows included), so a change that quietly
+    falls back to scoring every key fails here, not only in the benchmark."""
+    n = 2000
+    scored, certified = {}, []
+
+    def count(screen, a, b, keys):
+        scored.setdefault(id(screen), np.zeros(len(screen.q)))[a:b] += keys
+
+    real_all, real_some = reglab.kernels._scored_on_every_key, reglab.kernels._scored_on_keys
+    real_columns = reglab.kernels.certified_columns
+
+    def on_every_key(screen, a, b, scale):
+        count(screen, a, b, screen.kt32.shape[1])
+        return real_all(screen, a, b, scale)
+
+    def on_keys(screen, x32, q32, a, b, keys, bound, scale):
+        count(screen, a, b, len(keys))
+        return real_some(screen, x32, q32, a, b, keys, bound, scale)
+
+    def columns(screen, lo, hi, scale):
+        hot = real_columns(screen, lo, hi, scale)
+        if screen.kt32.shape[1] == n:
+            certified.append((id(screen), lo, hi, hot is not None))
+        return hot
+
+    monkeypatch.setattr(reglab.kernels, "_scored_on_every_key", on_every_key)
+    monkeypatch.setattr(reglab.kernels, "_scored_on_keys", on_keys)
+    monkeypatch.setattr(reglab.kernels, "certified_columns", columns)
+    GPINet.load(BENCH_PARAMS).predict(
+        generate(SceneConfig(n=n, outlier_ratio=0.8, scene="outdoor", seed=1))[0])
+    assert len(certified) == 3 * len(list(row_blocks(n, 32 * n)))
+    assert all(ok for _, _, _, ok in certified)
+    shares = [scored[key][lo:hi].sum() / ((hi - lo) * n) for key, lo, hi, _ in certified]
+    assert max(shares) < 0.1, shares
+
+
 def predict_screened(model, c) -> bytes:
     """predict's bytes with the screen forced on at every size; asserts them equal
     to the bytes with it off."""
@@ -1318,7 +1434,7 @@ def test_screen_certifies_most_bench_model_blocks_at_n_2000(monkeypatch):
 
     def counted(screen, lo, hi, scale):
         hot = real(screen, lo, hi, scale)
-        certified.append(screen[1].shape[1] == n and hot is not None)
+        certified.append(screen.kt32.shape[1] == n and hot is not None)
         return hot
 
     monkeypatch.setattr(reglab.kernels, "certified_columns", counted)
@@ -1332,18 +1448,27 @@ def test_screen_certifies_most_bench_model_blocks_at_n_2000(monkeypatch):
 def test_screen_engages_only_on_large_maps(monkeypatch):
     """At d = 32 the N <= 256 maps (register_small's and train_toy's scenes, and
     every training step) and the (d, d) channel map stay on the float64 path;
-    outdoor N=500's row and cross attentions take the screen."""
-    engaged = []
-    real = reglab.kernels.screen_operands
+    outdoor N=500's row and cross attentions take the screen. Key pruning
+    groups the keys of the N=1200 maps alone (more than _MIN_SKIPPED_KEYS)."""
+    engaged, grouped = [], []
+    real, real_groups = reglab.kernels.screen_operands, reglab.kernels._key_groups
 
     def recorded(q, kt, v, scale, rows):
         screen = real(q, kt, v, scale, rows)
         engaged.append((kt.shape[1], screen is not None))
         return screen
 
+    def groups(screen, x32):
+        grouped.append(len(x32))
+        return real_groups(screen, x32)
+
     monkeypatch.setattr(reglab.kernels, "screen_operands", recorded)
+    monkeypatch.setattr(reglab.kernels, "_key_groups", groups)
     model = GPINet.load(BENCH_PARAMS)
-    for n, scene, ratio in ((250, "indoor", 0.5), (256, "indoor", 0.5), (500, "outdoor", 0.8)):
+    for n, scene, ratio in ((250, "indoor", 0.5), (256, "indoor", 0.5), (500, "outdoor", 0.8),
+                            (1200, "outdoor", 0.8)):
         engaged.clear()
+        grouped.clear()
         model.predict(generate(SceneConfig(n=n, outlier_ratio=ratio, scene=scene, seed=3))[0])
-        assert sorted(engaged) == [(32, False)] + [(n, n == 500)] * 3
+        assert sorted(engaged) == [(32, False)] + [(n, n >= 500)] * 3
+        assert grouped == [n] * (3 if n > 1024 else 0)

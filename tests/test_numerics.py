@@ -13,7 +13,6 @@ from reglab.errors import (
     ConfigurationError,
     DegenerateInputError,
     ShapeError,
-    UninitializedStatsError,
 )
 from reglab.nn import EPS_NORM, MOMENTUM, BatchNorm, InstanceNorm
 
@@ -126,27 +125,6 @@ def test_batch_norm_running_stats_ema():
     want_var = 0.9 * var1 + 0.1 * m2.var(axis=0, ddof=1, keepdims=True)
     assert np.allclose(bn.running_mean, want_mean, atol=1e-15)
     assert np.allclose(bn.running_var, want_var, atol=1e-15)
-
-
-def test_batch_norm_eval_uses_running_stats():
-    rng = make_rng(5)
-    m = rng.normal(size=(6, 2))
-    scale = np.array([2.0, 0.5])
-    shift = np.array([1.0, -1.0])
-    running_mean = np.array([[0.5, -0.5]])
-    running_var = np.array([[4.0, 0.25]])
-    bn = batch_norm(2, scale, shift)
-    bn.running_mean, bn.running_var = running_mean, running_var
-    out = bn(Tensor(m), "eval").value
-    expected = (m - running_mean) / np.sqrt(running_var + EPS_NORM) * scale + shift
-    assert np.allclose(out, expected, atol=1e-12)
-
-
-def test_batch_norm_eval_unpopulated_raises():
-    bn = BatchNorm(2)
-    bn(Tensor(np.ones((4, 2))), "frozen")  # frozen inference populates nothing
-    with pytest.raises(UninitializedStatsError):
-        bn(Tensor(np.ones((4, 2))), "eval")
 
 
 def test_batch_norm_rejects_unknown_mode_and_bad_shapes():
