@@ -536,15 +536,16 @@ def _consistency_block(src: np.ndarray, tgt: np.ndarray, sigma: float,
     width = src_right.shape[2]
     step = _chunk_rows(2 * width)
     dt, scratch = np.empty((2, min(step, rows.size), width))
-    for lo in range(0, rows.size, step):
-        m = min(step, rows.size - lo)
-        chunk = slice(lo, lo + m)
-        gap = _distance_rows(src_left[:, chunk], src_right, out[chunk], scratch[:m])
-        gap -= _distance_rows(tgt_left[:, chunk], tgt_right, dt[:m], scratch[:m])
-        gap *= gap
-        gap /= sigma * sigma
-        np.subtract(1.0, gap, out=gap)
-        np.maximum(0.0, gap, out=gap)
+    with np.errstate(over="ignore"):  # an overflowing quotient clamps to 0 through 1 - inf
+        for lo in range(0, rows.size, step):
+            m = min(step, rows.size - lo)
+            chunk = slice(lo, lo + m)
+            gap = _distance_rows(src_left[:, chunk], src_right, out[chunk], scratch[:m])
+            gap -= _distance_rows(tgt_left[:, chunk], tgt_right, dt[:m], scratch[:m])
+            gap *= gap
+            gap /= sigma * sigma
+            np.subtract(1.0, gap, out=gap)
+            np.maximum(0.0, gap, out=gap)
     return out
 
 
@@ -616,8 +617,9 @@ def consistency_row(src: np.ndarray, tgt: np.ndarray, i: int, sigma: float) -> n
 # sources into (m, 3, N); then the translations, the (3, N) targets and the
 # squares added x, y, z in turn, the adds of (d * d).sum(axis=1), every pass
 # over contiguous rows. Callers transpose the points once per call and take
-# m from transforms_per_block: about _SCAN_BLOCK_ENTRIES entries (3 x N per
-# transform), at most _MAX_STACK. So a product takes 9 m N <= 10^6
+# m from transforms_per_block (strict_inliers splits any stack that way
+# itself): about _SCAN_BLOCK_ENTRIES entries (3 x N per transform), at most
+# _MAX_STACK. So a product takes 9 m N <= 10^6
 # multiply-adds, which OpenBLAS 0.3.31 on an AVX-512 Xeon runs in its
 # one-thread small-matrix kernels, where each row keeps the one-transform
 # bits at any BLAS thread count (tests/test_kernels.py). Past that bound
@@ -678,8 +680,17 @@ def squared_residuals(src_t: np.ndarray, tgt_t: np.ndarray, rotations: np.ndarra
 
 def strict_inliers(src_t: np.ndarray, tgt_t: np.ndarray, rotations: np.ndarray,
                    translations: np.ndarray, delta: float) -> np.ndarray:
-    """(m, N) mask: ||R_j src_i + t_j - tgt_i||^2 < delta^2, as squared_residuals."""
-    return squared_residuals(src_t, tgt_t, rotations, translations) < delta * delta
+    """(m, N) mask: ||R_j src_i + t_j - tgt_i||^2 < delta^2, as squared_residuals.
+
+    Any m: the transforms are scored transforms_per_block(N) at a time, so
+    every row keeps its one-transform bits.
+    """
+    step = transforms_per_block(src_t.shape[1])
+    if rotations.shape[0] <= step:
+        return squared_residuals(src_t, tgt_t, rotations, translations) < delta * delta
+    return np.concatenate([strict_inliers(src_t, tgt_t, rotations[lo:lo + step],
+                                          translations[lo:lo + step], delta)
+                           for lo in range(0, rotations.shape[0], step)])
 
 
 def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,

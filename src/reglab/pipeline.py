@@ -83,6 +83,9 @@ class Hypothesis:
     inlier_count: int
 
 
+_NMS_BATCH = 32  # candidates that select_seeds tests against the kept seeds at once
+
+
 def select_seeds(
     probs: np.ndarray,
     c: CorrespondenceSet,
@@ -94,6 +97,9 @@ def select_seeds(
     Candidates are visited by descending probability (ties by lower
     index). One is kept unless a kept seed's source point lies strictly
     within ``nms_radius``; zero radius therefore keeps the exact top-k.
+    Candidates are tested _NMS_BATCH at a time, against the seeds kept
+    before the batch and then greedily among themselves, with the same
+    squared distances as a one-by-one scan.
     """
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
     n = len(c)
@@ -102,41 +108,65 @@ def select_seeds(
     if k < 1:
         raise ContractError(f"select_seeds: k must be >= 1, got {k}")
     order = np.argsort(-probs, kind="stable")
-    kept: list[int] = []
+    if not nms_radius > 0.0:
+        return np.asarray(order[:k], dtype=np.int64)
     r2 = nms_radius * nms_radius
     src = c.source
-    cols = np.ascontiguousarray(src.T)
-    diff = np.empty_like(cols)
-    suppressed = np.zeros(n, dtype=bool)  # within the radius of a kept seed
-    for idx in order:
-        if len(kept) == k:
-            break
-        if suppressed[idx]:
-            continue
-        kept.append(int(idx))
-        if nms_radius > 0.0:
-            # squared distances summed x, y, z in turn, as (d * d).sum(axis=1)
-            np.subtract(cols, src[idx, :, None], out=diff)
-            diff *= diff
-            dist2 = diff[0] + diff[1]
-            dist2 += diff[2]
-            suppressed |= dist2 < r2
+    kept_cols = np.empty((3, min(k, n)))  # the kept seeds' source points
+    kept: list[int] = []
+    for lo in range(0, n, _NMS_BATCH):
+        batch = order[lo:lo + _NMS_BATCH]
+        cand = np.ascontiguousarray(src[batch].T)
+        if kept:
+            near = _squared_distances(kept_cols[:, :len(kept)], cand) < r2  # (K, B)
+            live = ~near.any(axis=0)
+            batch, cand = batch[live], cand[:, live]
+        near = _squared_distances(cand, cand) < r2  # (B, B), symmetric
+        dropped = np.zeros(len(batch), dtype=bool)
+        for j in range(len(batch)):
+            if dropped[j]:
+                continue
+            kept_cols[:, len(kept)] = cand[:, j]
+            kept.append(int(batch[j]))
+            if len(kept) == k:
+                return np.asarray(kept, dtype=np.int64)
+            dropped |= near[j]
     return np.asarray(kept, dtype=np.int64)
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(K, B) squared distances between the columns of (3, K) ``a`` and (3, B) ``b``.
+
+    Summed x, y, z in turn, as (d * d).sum(axis=1); (a - b)^2 = (b - a)^2,
+    so the order of the two points does not change a bit.
+    """
+    d = a[:, :, None] - b[:, None, :]
+    d *= d
+    dist2 = d[0] + d[1]
+    dist2 += d[2]
+    return dist2
 
 
 # -- hypotheses ----------------------------------------------------------------
 #
-# register runs the seeds in blocks of kernels.transforms_per_block(N): one
-# consistency_rows call gives a block's seed rows, which yield both the
-# consensus sets and the stage-1 weights. The sets are concatenated into one
-# index array and the weights are one flat gather of the rows at it; one
-# geometry._kabsch_segments call fits the block's stage-1 transforms, and
-# one kernels.strict_inliers call gives all of their strict inliers. Stage 2
-# depends only on that inlier set (and the probabilities), so it runs once
-# per distinct set, again as one segment solve per block, and selection
-# scores each distinct final transform once. Working memory is O(block * N)
-# whatever the seed count. build_consensus and two_stage_estimate are the
-# one-seed case.
+# register takes its seeds' consistency rows in chunks of max(1,
+# _SEED_ROW_ENTRIES // N) seeds, one consistency_rows call each. Each row
+# gives its seed's consensus set (the entries reaching TAU) and stage-1
+# weights (probability times consistency on that set); then the row is
+# dropped. The two stages run on groups of consecutive seeds, closed once
+# their sets total _CONSENSUS_ENTRIES entries or the group spans a row
+# chunk's seed count: one geometry._kabsch_segments call fits a group's
+# stage-1 transforms, and one kernels.strict_inliers call gives all of their
+# strict inliers. Stage 2 depends only on that inlier set (and the
+# probabilities), so it runs once per distinct set, again as one segment
+# solve per group, and selection scores each distinct final transform once.
+# Every seed's fits keep the bits of a seed run alone, whatever its chunk
+# and group, and working memory is O(_SEED_ROW_ENTRIES + _CONSENSUS_ENTRIES)
+# entries plus the distinct fits, whatever the seed count. build_consensus
+# and two_stage_estimate are the one-seed case.
+
+_SEED_ROW_ENTRIES = 1 << 17    # 1 MB of float64 seed rows per consistency_rows call
+_CONSENSUS_ENTRIES = 1 << 13   # consensus entries fitted per group
 
 
 def _seed_consensus(
@@ -154,7 +184,7 @@ def _seed_consensus(
 
 
 def _two_stage_block(
-    rows: np.ndarray,
+    weights: list[np.ndarray],
     consensus: list[np.ndarray],
     cols: tuple[np.ndarray, np.ndarray],
     probs: np.ndarray,
@@ -162,7 +192,7 @@ def _two_stage_block(
     fits: list[tuple[RigidTransform, np.ndarray]],
     refits: dict[bytes, int | None],
 ) -> list[int | None]:
-    """Two-stage fits of a block of seeds, given their rows and consensus sets.
+    """Two-stage fits of a group of seeds, given their stage-1 weights and consensus sets.
 
     ``cols`` is _point_columns(c). Appends each new final (transform,
     members) to ``fits``, in seed order, and returns each seed's index into
@@ -172,12 +202,11 @@ def _two_stage_block(
     one): such a seed keeps its stage-1 transform and consensus as an entry
     of its own.
     """
-    sizes = [members.size for members in consensus]
-    joined = np.concatenate(consensus)
-    weights = probs[joined] * rows[np.repeat(np.arange(len(rows)), sizes), joined]
     stage1 = [
         None if isinstance(fit, RegLabError) else fit
-        for fit in _kabsch_segments(*cols, joined, sizes, weights)
+        for fit in _kabsch_segments(*cols, np.concatenate(consensus),
+                                    [members.size for members in consensus],
+                                    np.concatenate(weights))
     ]
     fitted = [t for t in stage1 if t is not None]
     if not fitted:
@@ -185,7 +214,7 @@ def _two_stage_block(
     masks = iter(kernels.strict_inliers(*cols, np.stack([t.rotation for t in fitted]),
                                         np.stack([t.translation for t in fitted]), delta))
     keys: list[bytes | None] = []
-    new: dict[bytes, np.ndarray] = {}  # strict-inlier sets first met in this block
+    new: dict[bytes, np.ndarray] = {}  # strict-inlier sets first met in this group
     for transform in stage1:
         mask = None if transform is None else next(masks)
         keys.append(None if mask is None else mask.tobytes())
@@ -239,10 +268,11 @@ def two_stage_estimate(
     stage-1 transform is kept.
     """
     probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-    rows = kernels.consistency_rows(c.source, c.target, sigma_d, np.array([seed]))
+    consensus = np.asarray(consensus)
+    row = kernels.consistency_rows(c.source, c.target, sigma_d, np.array([seed]))[0]
     fits: list[tuple[RigidTransform, np.ndarray]] = []
-    (pick,) = _two_stage_block(rows, [np.asarray(consensus)], _point_columns(c), probs, delta,
-                               fits, {})
+    (pick,) = _two_stage_block([probs[consensus] * row[consensus]], [consensus],
+                               _point_columns(c), probs, delta, fits, {})
     if pick is None:
         return None
     transform, members = fits[pick]
@@ -299,11 +329,22 @@ def register(
     picks: list[int | None] = []  # per seed, its entry in fits
     sizes: list[int] = []
     cols = _point_columns(c)
-    step = kernels.transforms_per_block(n)
+    step = max(1, _SEED_ROW_ENTRIES // n)
+    weights: list[np.ndarray] = []  # the open group's stage-1 weights and consensus sets
+    group: list[np.ndarray] = []
+    entries = 0
     for lo in range(0, len(seeds), step):
         rows, consensus = _seed_consensus(seeds[lo:lo + step], c, delta)
-        picks += _two_stage_block(rows, consensus, cols, probs, delta, fits, refits)
-        sizes += [members.size for members in consensus]
+        for row, members in zip(rows, consensus):
+            weights.append(probs[members] * row[members])
+            group.append(members)
+            sizes.append(members.size)
+            entries += members.size
+            if entries >= _CONSENSUS_ENTRIES or len(group) == step:
+                picks += _two_stage_block(weights, group, cols, probs, delta, fits, refits)
+                weights, group, entries = [], [], 0
+    if group:
+        picks += _two_stage_block(weights, group, cols, probs, delta, fits, refits)
     t2 = time.perf_counter()
 
     choice = select_best_transform([t for t, _ in fits], c, delta) if fits else None

@@ -654,6 +654,28 @@ def test_ransac_with_one_inlier_exits_3(draw, tmp_path, capsys):
         "ransac: the best fit has fewer than 3 inliers at delta 0.1 (inliers: 1)")
 
 
+@pytest.mark.parametrize("delta", ["1e-160", "1e-155"])
+@pytest.mark.parametrize("method", ["oracle", "sm", "gpinet"])
+def test_tiny_delta_exits_3_without_an_overflow_warning(method, delta):
+    """At these deltas the consistency quotient gap^2 / delta^2 overflows and
+    clamps to 0, so no pair is consistent with another and the method fails
+    (exit 3). stderr carried numpy's "overflow encountered in divide"."""
+    import os
+    import subprocess
+    import sys
+
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.evaluate.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "reglab.cli", "register", "--n", "50", "--delta", delta,
+         "--method", method],
+        capture_output=True, text=True, check=False, timeout=120,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert out.returncode == 3, out.stderr
+    assert "overflow encountered" not in out.stderr
+    assert "Warning" not in out.stderr
+
+
 # -- oversized integer flags -------------------------------------------------------------
 
 # Every size here is one numpy refuses without allocating (a dimension past

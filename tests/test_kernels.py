@@ -148,6 +148,18 @@ def test_consistency_kernels_refuse_a_sigma_whose_square_underflows():
         consistency_rows(pts, pts, float(np.nextafter(sigma, 0.0)), 0, 5)
 
 
+def test_consistency_rows_at_a_tiny_sigma_clamp_overflow_without_a_warning():
+    """At sigma 1e-160, sigma^2 is subnormal and gap^2 / sigma^2 overflows off a
+    seed's own entry; 1 - inf clamps to an exact 0, and no warning is raised."""
+    rng = make_rng(31)
+    src, tgt = rng.uniform(-2, 2, size=(40, 3)), rng.uniform(-2, 2, size=(40, 3))
+    seeds = np.array([0, 17, 39, 17])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = consistency_rows(src, tgt, 1e-160, seeds)
+    assert np.array_equal(rows, (seeds[:, None] == np.arange(40)).astype(np.float64))
+
+
 def consistency_full_reference(src, tgt, sigma, rows=None):
     """The one-shot N x N formula: every pairwise difference at once.
 
@@ -1370,8 +1382,10 @@ def test_pruning_engages_on_the_bench_model_at_n_2000(monkeypatch):
     falls back to scoring every key fails here, not only in the benchmark."""
     n = 2000
     scored, certified = {}, []
+    held = []  # every screen seen, kept alive so that no later screen reuses its id
 
     def count(screen, a, b, keys):
+        held.append(screen)
         scored.setdefault(id(screen), np.zeros(len(screen.q)))[a:b] += keys
 
     real_all, real_some = reglab.kernels._scored_on_every_key, reglab.kernels._scored_on_keys
@@ -1386,6 +1400,7 @@ def test_pruning_engages_on_the_bench_model_at_n_2000(monkeypatch):
         return real_some(screen, x32, q32, a, b, keys, bound, scale)
 
     def columns(screen, lo, hi, scale):
+        held.append(screen)
         hot = real_columns(screen, lo, hi, scale)
         if screen.kt32.shape[1] == n:
             certified.append((id(screen), lo, hi, hot is not None))

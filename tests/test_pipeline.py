@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng, random_rotation, smallest_sigma_with_nonzero_square
-from reglab import kernels
+from reglab import kernels, pipeline
 from reglab.blocks import GPINet, ModelConfig
 from reglab.errors import ConfigurationError, ContractError, DegenerateInputError
 from reglab.geometry import (
@@ -588,25 +588,27 @@ def _zero_weight_inliers_scene():
     return CorrespondenceSet(src, tgt), cfg, probs
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["stage1_degenerate", "refit_collinear", "refit_thin", "refit_zero_weight", "all_degenerate"],
-)
-def test_register_matches_per_seed_loop_on_fallbacks(case):
+FALLBACK_CASES = ("stage1_degenerate", "refit_collinear", "refit_thin", "refit_zero_weight",
+                  "all_degenerate")
+
+
+def fallback_scene(case):
+    """(scene, config, probabilities, the stages its seeds go through) of a fallback case."""
     if case == "stage1_degenerate":
-        c, cfg, probs, want = _line_and_cloud_scene()
-    elif case == "refit_collinear":
-        c, cfg, probs = _collinear_inliers_scene([1.0, 1.0, 1.0, 0.001])
-        want = {"refit_failed"}
-    elif case == "refit_thin":
-        c, cfg, probs = _collinear_inliers_scene([1.0, 1.0, 1.0, 1.0])
-        want = {"thin"}
-    elif case == "refit_zero_weight":
-        c, cfg, probs = _zero_weight_inliers_scene()
-        want = {"refit_failed"}
-    else:
-        c = CorrespondenceSet(np.zeros((5, 3)), np.zeros((5, 3)))
-        cfg, probs, want = RegistrationConfig(), np.ones(5), {"degenerate"}
+        return _line_and_cloud_scene()
+    if case == "refit_collinear":
+        return (*_collinear_inliers_scene([1.0, 1.0, 1.0, 0.001]), {"refit_failed"})
+    if case == "refit_thin":
+        return (*_collinear_inliers_scene([1.0, 1.0, 1.0, 1.0]), {"thin"})
+    if case == "refit_zero_weight":
+        return (*_zero_weight_inliers_scene(), {"refit_failed"})
+    c = CorrespondenceSet(np.zeros((5, 3)), np.zeros((5, 3)))
+    return c, RegistrationConfig(), np.ones(5), {"degenerate"}
+
+
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_register_matches_per_seed_loop_on_fallbacks(case):
+    c, cfg, probs, want = fallback_scene(case)
     stages = _assert_matches_reference(c, cfg, probs)
     assert {label for label, _ in stages} == want
 
@@ -625,7 +627,8 @@ def test_stage_one_fit_failing_the_transform_check_marks_its_seed_degenerate(mon
     clean = register(c, probabilities=probs)
     monkeypatch.setattr(kernels, "rigid_fits", skewed)
     got = register(c, probabilities=probs)
-    assert kernels.transforms_per_block(200) > got.seed_count  # the seeds form one block
+    # the seeds form one group
+    assert sum(d["consensus_size"] for d in got.seed_diagnostics) < pipeline._CONSENSUS_ENTRIES
     assert not any(d["degenerate"] for d in clean.seed_diagnostics)
     assert [d["degenerate"] for d in got.seed_diagnostics] == [
         k % 2 == 1 for k in range(got.seed_count)
@@ -650,16 +653,80 @@ def test_select_seeds_matches_rescanning_loop(seed, n, k, radius):
     assert np.array_equal(got, _reference_select_seeds(probs, c, k, radius))
 
 
-def test_register_memory_stays_far_below_seeds_times_pairs():
+def _far_apart_scene(n):
+    """n pairs 100 m apart on the x axis, visited in index order (descending probability)."""
+    src = np.zeros((n, 3))
+    src[:, 0] = 100.0 * np.arange(n)
+    return CorrespondenceSet(src, src), np.linspace(1.0, 0.0, n)
+
+
+@pytest.mark.parametrize("scorer", ["labels", "random"])
+def test_select_seeds_matches_rescanning_loop_on_an_outdoor_scene(scorer):
+    """register_large's shape: 200 seeds of 2000 outdoor pairs at a 3 m radius."""
+    c, _ = generate(SceneConfig(n=2000, outlier_ratio=0.8, scene="outdoor", seed=1))
+    probs = c.labels.astype(np.float64) if scorer == "labels" else make_rng(64).random(2000)
+    got = select_seeds(probs, c, 200, DEFAULT_NMS_RADIUS["outdoor"])
+    assert np.array_equal(got, _reference_select_seeds(probs, c, 200,
+                                                       DEFAULT_NMS_RADIUS["outdoor"]))
+    assert len(got) == 200
+
+
+@pytest.mark.parametrize("k", [1, pipeline._NMS_BATCH // 2, pipeline._NMS_BATCH - 1,
+                               pipeline._NMS_BATCH, pipeline._NMS_BATCH + 1,
+                               2 * pipeline._NMS_BATCH, 2 * pipeline._NMS_BATCH + 5])
+@pytest.mark.parametrize("radius", [0.0, 3.0])
+def test_select_seeds_stops_at_k_within_and_at_the_end_of_a_batch(k, radius):
+    """No candidate is suppressed, so the k-th seed is the k-th candidate: in the
+    middle of a batch, on a batch's last candidate, or on the next batch's first."""
+    c, probs = _far_apart_scene(3 * pipeline._NMS_BATCH)
+    got = select_seeds(probs, c, k, radius)
+    assert got.tolist() == list(range(k))
+    assert np.array_equal(got, _reference_select_seeds(probs, c, k, radius))
+
+
+def test_select_seeds_reaches_k_on_a_batch_s_last_candidate_after_suppression():
+    """Odd candidates of the first batch sit 0.1 m past their even neighbour and are
+    suppressed; k is reached on the second batch's last candidate."""
+    b = pipeline._NMS_BATCH
+    c, probs = _far_apart_scene(3 * b)
+    src = c.source.copy()
+    src[1:b:2] = src[0:b:2] + [0.1, 0.0, 0.0]
+    c = CorrespondenceSet(src, src)
+    k = b // 2 + b
+    got = select_seeds(probs, c, k, 0.5)
+    assert got.tolist() == list(range(0, b, 2)) + list(range(b, 2 * b))
+    assert np.array_equal(got, _reference_select_seeds(probs, c, k, 0.5))
+
+
+def test_select_seeds_suppression_is_strict_across_batches():
+    """A candidate at squared distance exactly r^2 from a seed kept in an earlier
+    batch survives; one just inside is suppressed, as is a repeat of the seed."""
+    b = pipeline._NMS_BATCH
+    c, probs = _far_apart_scene(3 * b)
+    src = c.source.copy()
+    src[b] = src[3] + [3.0, 0.0, 4.0]       # 9 + 16 = 25 = 5^2, exactly
+    src[b + 1] = src[5] + [0.0, 4.9, 0.0]   # strictly within 5 m of seed 5
+    src[2 * b] = src[b]                      # coincides with a seed kept in the second batch
+    c = CorrespondenceSet(src, src)
+    got = select_seeds(probs, c, 3 * b, 5.0)
+    assert b in got and b + 1 not in got and 2 * b not in got
+    assert len(got) == 3 * b - 2
+    assert np.array_equal(got, _reference_select_seeds(probs, c, 3 * b, 5.0))
+
+
+@pytest.mark.parametrize("outlier_ratio", [0.5, 0.0])
+def test_register_memory_stays_far_below_seeds_times_pairs(outlier_ratio):
     """At N=6000 (600 seeds) an unblocked (N, K, 3) residual array alone is 86 MB.
 
-    The seeds run in blocks of kernels.transforms_per_block(N) and only the
-    distinct fits are kept: the peak is about 1 MB (the per-seed loop, which
-    kept every hypothesis, peaked near 16 MB here).
+    The seed rows are taken in chunks of about pipeline._SEED_ROW_ENTRIES
+    entries and fitted in groups of about pipeline._CONSENSUS_ENTRIES
+    consensus entries, and only the distinct fits are kept: the peak is
+    about 4 MB, also at 0% outliers, where every consensus is about N wide
+    (the per-seed loop, which kept every hypothesis, peaked near 16 MB here).
     """
     import tracemalloc
 
-    c, _ = generate(SceneConfig(n=6000, outlier_ratio=0.5, scene="indoor", seed=1))
+    c, _ = generate(SceneConfig(n=6000, outlier_ratio=outlier_ratio, scene="indoor", seed=1))
     labels = c.labels.astype(np.float64)
     tracemalloc.start()
     try:

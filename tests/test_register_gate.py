@@ -1,5 +1,6 @@
 """Fast paths under the register-level gate: the embedding's triangle consistency
-mix, the weighted fits as one segment solve, and RANSAC's stacked sample scan."""
+mix, the weighted fits as one segment solve, RANSAC's stacked sample scan, and
+register's seed chunks and two-stage groups."""
 
 from dataclasses import replace
 
@@ -8,13 +9,17 @@ import pytest
 
 import graph_reference
 from reglab import blocks, geometry, kernels, pipeline
+from reglab.blocks import GPINet
 from reglab.evaluate import METHODS
 from reglab.geometry import RigidTransform
 from reglab.kernels import row_blocks
-from register_gate import (CORPUS, METHOD_CORPUS, SCAN_CORPUS, TRANSFORM_TOL, Case, ScanCase,
-                           check_gate, check_scan_gate, check_solution_gate, register_case,
-                           register_gate, scan_case, scan_gate, solve_case, solve_gate)
+from register_gate import (CORPUS, METHOD_CORPUS, PARAMS, SCAN_CORPUS, TRANSFORM_TOL, Case,
+                           ScanCase, check_gate, check_scan_gate, check_solution_gate,
+                           register_case, register_gate, scan_case, scan_gate, solve_case,
+                           solve_gate)
+from reglab.pipeline import RegistrationResult
 from test_geometry import reference_segments
+from test_pipeline import FALLBACK_CASES, fallback_scene
 
 MIX_PROBABILITY_TOL = 1e-12
 MIX_SWAP = [(blocks, "_consistency_mix", graph_reference.consistency_mix)]
@@ -175,3 +180,62 @@ def test_scan_gate_fails_on_a_different_best_count(criterion_7_scan):
     best_iteration, best_count = criterion_7_scan
     with pytest.raises(AssertionError, match="best count"):
         check_scan_gate(criterion_7_scan, (best_iteration, best_count - 1))
+
+
+# One seed per consistency_rows chunk and one seed per two-stage group, against
+# the default chunks and groups: every seed's fits keep their bits in any group.
+GROUPING_SWAP = [(pipeline, "_SEED_ROW_ENTRIES", 1), (pipeline, "_CONSENSUS_ENTRIES", 1)]
+GROUPING_CORPUS = (
+    ("gpinet", Case("outdoor", 2000, 0.8, 1, "bench")),
+    ("oracle", Case("outdoor", 2000, 0.8, 1, "bench")),
+    ("oracle", Case("indoor", 6000, 0.5, 1, "bench")),
+)
+
+
+def _group_sizes(monkeypatch) -> list[int]:
+    """Records the seed count of every two-stage group that register runs."""
+    sizes: list[int] = []
+    real = pipeline._two_stage_block
+
+    def recorded(weights, consensus, *args):
+        sizes.append(len(consensus))
+        return real(weights, consensus, *args)
+
+    monkeypatch.setattr(pipeline, "_two_stage_block", recorded)
+    return sizes
+
+
+def _assert_same_bytes(want: RegistrationResult, got: RegistrationResult) -> None:
+    assert check_gate(want, got, 0.0) == (0.0, 0.0)
+    assert got.probabilities.tobytes() == want.probabilities.tobytes()
+    if want.ok:
+        assert got.hypothesis.transform.rotation.tobytes() == \
+            want.hypothesis.transform.rotation.tobytes()
+        assert got.hypothesis.transform.translation.tobytes() == \
+            want.hypothesis.transform.translation.tobytes()
+
+
+@pytest.mark.parametrize("method, case", GROUPING_CORPUS,
+                         ids=lambda item: item if isinstance(item, str) else item.id)
+def test_seed_grouping_passes_the_solve_gate_bit_for_bit(method, case, monkeypatch):
+    sizes = _group_sizes(monkeypatch)
+    got, want, _ = solve_gate(case, method, monkeypatch, GROUPING_SWAP, 0.0)
+    seeds = got[1].seed_count
+    default, swapped = sizes[:-seeds], sizes[-seeds:]
+    assert sum(default) == seeds and max(default) > 1 and swapped == [1] * seeds
+    _assert_same_bytes(want[1], got[1])  # the solution's transform is the result's
+
+
+@pytest.mark.parametrize("scorer", ["probabilities", "gpinet"])
+@pytest.mark.parametrize("scene", FALLBACK_CASES)
+def test_seed_grouping_keeps_the_fallbacks_bit_for_bit(scene, scorer, monkeypatch):
+    """The fallback scenes, scored by their own probabilities and by the bench model."""
+    c, cfg, probs, _ = fallback_scene(scene)
+    source = ({"probabilities": probs} if scorer == "probabilities"
+              else {"model": GPINet.load(PARAMS)})
+    got = pipeline.register(c, cfg, **source)
+    with monkeypatch.context() as patch:
+        for target, name, reference in GROUPING_SWAP:
+            patch.setattr(target, name, reference)
+        want = pipeline.register(c, cfg, **source)
+    _assert_same_bytes(want, got)
