@@ -616,26 +616,76 @@ def consistency_row(src: np.ndarray, tgt: np.ndarray, i: int, sigma: float) -> n
 # product ``[R_1; ...; R_m] @ src_t`` of (3m, 3) rotations and (3, N)
 # sources into (m, 3, N); then the translations, the (3, N) targets and the
 # squares added x, y, z in turn, the adds of (d * d).sum(axis=1), every pass
-# over contiguous rows. Callers transpose the points once per call and take
-# m from transforms_per_block (strict_inliers splits any stack that way
-# itself): about _SCAN_BLOCK_ENTRIES entries (3 x N per transform), at most
-# _MAX_STACK. So a product takes 9 m N <= 10^6
+# over contiguous rows. Callers transpose the points once per call.
+# geometry scores one transform at a time with it; transforms_per_block
+# sizes the stacks of its two other users, select_best_transform and
+# strict_inliers' recount: about _SCAN_BLOCK_ENTRIES entries (3 x N per
+# transform), at most _MAX_STACK. So a product takes 9 m N <= 10^6
 # multiply-adds, which OpenBLAS 0.3.31 on an AVX-512 Xeon runs in its
 # one-thread small-matrix kernels, where each row keeps the one-transform
 # bits at any BLAS thread count (tests/test_kernels.py). Past that bound
 # the tiled kernels round some entries differently (N = 1999, m >= 56:
 # columns 1992-1995).
 #
-# ransac_scan fits each row of ``samples`` (three distinct correspondence
-# indices) and counts its strict inliers at ``delta``. It returns
-# (best_iteration, best_count, rotation, translation): the winning sample
-# and the very fit its count was scored with, so a caller starts from the
-# transform that won. Ties keep the earliest iteration and degenerate
-# triples never win; it returns (-1, -1, None, None) when every triple was
-# degenerate (or there were no samples).
+# strict_inliers decides a stack of at least _MIN_PRODUCT_ENTRIES (m N)
+# entries from one product instead. ||R s + t - d||^2 = c_j . u_i exactly,
+# with per-pair features and per-transform coefficients
+#     u_i = (1, ||d||^2, d, s, s_k s_l for k <= l, d_k s_l)            (23)
+#     c_j = (||t||^2, 1, -2 t, 2 R^T t, (R^T R)_kl doubled for k < l, -2 R_kl)
+# so P = C @ U, one (m, 23) @ (23, N) product, gives every entry. It is
+# taken in row blocks of _PRODUCT_BLOCK_ENTRIES entries, 23 * 2^15 < 10^6
+# multiply-adds, which OpenBLAS runs on one thread whatever its thread count
+# (at 2 threads larger blocks made the scan about 40% slower on 2 CPUs).
+# P is not squared_residuals' Q, but for any summation order, with or
+# without FMA, the two differ by at most a band B_j (Higham 2002, section
+# 3.1: gamma_n = n u / (1 - n u), u = 2^-53):
+#   - P's own rounding, gamma_23 sum_k |c_jk| M_k, where M_k = max_i |u_ik|;
+#   - the rounding of c and u, (gamma_3 + u) sum_k A_jk^2, where
+#     A_jk = sum_l |R_kl| M(s_l) + |t_k| + M(d_k) bounds |R s|_k + |t_k| + |d_k|;
+#   - squared_residuals' own, (gamma_5 (2 + gamma_5) + gamma_3 (1 +
+#     gamma_5)^2) sum_k A_jk^2: a 3-term product and two adds per
+#     coordinate, then the square and the two adds over the coordinates;
+#   - underflow, at most 2^-1075 per product: the cross terms it meets stay
+#     below u sum_k A_jk^2 + 2^-1075, and all of it below that plus
+#     2^-1068 (1 + sum_k |c_jk| + sum_k M_k).
+# The band is inflated by 2^-20 of itself and 2^-52 delta^2, which covers
+# the rounding of the band and of delta^2 -/+ B_j. An entry is decided where
+# P lies below delta^2 - B or above delta^2 + B, with B the largest B_j of
+# its row block: a wider band only leaves more entries undecided, and a
+# scalar bound compares about 4 times faster than one per row. A transform
+# with an undecided entry is recounted by squared_residuals in
+# transforms_per_block stacks, and so is any transform whose coefficients
+# are not finite or have an absolute sum past _PRODUCT_NORM_LIMIT; a call
+# whose features are not finite or pass that limit is recounted whole.
+# Below the limit no product or bound overflows. So each mask row keeps the
+# bits of squared_residuals < delta^2, whatever the stack
+# (tests/test_kernels.py).
+#
+# The rule comes from an in-process A/B of strict_inliers with the product,
+# its features and coefficients included, against the recount (one BLAS
+# thread, AVX-512 Xeon). It took 1.18, 0.99 and 0.85 times the recount's
+# time at m = 12, 16 and 20 and N = 2000, and 1.12, 0.99 and 0.92 at m = 96,
+# 112 and 128 and N = 250. So it engages from m = 17 at N = 2000 and from
+# m = 132 at N = 250.
+#
+# ransac_scan gathers, fits and counts the rows of ``samples`` (three
+# distinct correspondence indices) in chunks of _SCAN_CHUNK, one rigid_fits
+# and one strict_inliers call each, so its memory does not grow with the
+# sample count. A chunk reaches the rule from N = 64 on; 256 samples were
+# about 8% slower (more calls), 1024 about 4% faster with twice the memory
+# (a 2 MB mask at N = 2000). It returns (best_iteration, best_count,
+# rotation, translation): the winning sample and the very fit its count was
+# scored with, so a caller starts from the transform that won. Ties keep the
+# earliest iteration and degenerate triples never win; it returns (-1, -1,
+# None, None) when every triple was degenerate (or there were no samples).
 
 _SCAN_BLOCK_ENTRIES = 1 << 16
 _MAX_STACK = 64
+_MIN_PRODUCT_ENTRIES = 1 << 15  # m N from which strict_inliers decides by C @ U
+_PRODUCT_NORM_LIMIT = 2.0 ** 60
+_PRODUCT_BLOCK_ENTRIES = 1 << 15
+_SCAN_CHUNK = 512               # samples per ransac_scan chunk
+_SQUARES = ([0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])   # the (k, l) of the s_k s_l features
 
 
 def transforms_per_block(n: int) -> int:
@@ -678,19 +728,108 @@ def squared_residuals(src_t: np.ndarray, tgt_t: np.ndarray, rotations: np.ndarra
     return sq
 
 
+def inlier_features(src_t: np.ndarray, tgt_t: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(U, M): the (23, N) features u_i of (3, N) points and each feature's
+    largest magnitude M_k, or None where one is not finite or passes
+    _PRODUCT_NORM_LIMIT."""
+    n = src_t.shape[1]
+    u = np.empty((23, n))
+    u[0] = 1.0
+    with np.errstate(all="ignore"):
+        np.multiply(tgt_t, tgt_t, out=u[2:5])
+        np.add(u[2], u[3], out=u[1])
+        u[1] += u[4]
+        u[2:5] = tgt_t
+        u[5:8] = src_t
+        np.multiply(src_t[_SQUARES[0]], src_t[_SQUARES[1]], out=u[8:14])
+        np.multiply(tgt_t[:, None], src_t, out=u[14:].reshape(3, 3, n))
+        top = np.maximum(u.max(axis=1), -u.min(axis=1))
+    return (u, top) if top.max() <= _PRODUCT_NORM_LIMIT else None
+
+
+def inlier_coefficients(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+    """The (m, 23) coefficients c_j, with c_j . u_i = ||R_j s_i + t_j - d_i||^2."""
+    m = rotations.shape[0]
+    c = np.empty((m, 23))
+    with np.errstate(all="ignore"):
+        c[:, 0] = np.einsum("mk,mk->m", translations, translations)
+        c[:, 1] = 1.0
+        np.multiply(translations, -2.0, out=c[:, 2:5])
+        np.multiply(np.einsum("mkl,mk->ml", rotations, translations), 2.0, out=c[:, 5:8])
+        gram = rotations.transpose(0, 2, 1) @ rotations
+        np.multiply(gram[:, _SQUARES[0], _SQUARES[1]], [1.0, 2.0, 2.0, 1.0, 2.0, 1.0],
+                    out=c[:, 8:14])
+        np.multiply(rotations.reshape(m, 9), -2.0, out=c[:, 14:])
+    return c
+
+
+def inlier_band(c: np.ndarray, rotations: np.ndarray, translations: np.ndarray,
+                top: np.ndarray, dd: float) -> np.ndarray:
+    """Each transform's inflated band B_j around delta^2 = ``dd``, from its
+    coefficients ``c`` and the feature maxima ``top``; +inf where the
+    coefficients are not finite or their absolute sum passes
+    _PRODUCT_NORM_LIMIT."""
+    u = 2.0 ** -53
+    g3, g5, g23 = (k * u / (1.0 - k * u) for k in (3, 5, 23))
+    operands = g3 + u
+    residuals = g5 * (2.0 + g5) + g3 * (1.0 + g5) ** 2
+    with np.errstate(all="ignore"):
+        a = np.abs(rotations) @ top[5:8]
+        a += np.abs(translations)
+        a += top[2:5]
+        abs_c = np.abs(c)
+        size = abs_c.sum(axis=1)
+        band = g23 * (abs_c @ top)
+        band += (operands + residuals + u) * np.einsum("mk,mk->m", a, a)
+        band += 2.0 ** -52 * dd
+        band *= 1.0 + 2.0 ** -20
+        band += 2.0 ** -1068 * (1.0 + size + top.sum())
+    band[~(size <= _PRODUCT_NORM_LIMIT)] = np.inf
+    return band
+
+
+def _recount(src_t: np.ndarray, tgt_t: np.ndarray, rotations: np.ndarray,
+             translations: np.ndarray, dd: float) -> np.ndarray:
+    """squared_residuals < dd, in stacks of transforms_per_block(N) transforms."""
+    step = transforms_per_block(src_t.shape[1])
+    return np.concatenate([squared_residuals(src_t, tgt_t, rotations[lo:lo + step],
+                                             translations[lo:lo + step]) < dd
+                           for lo in range(0, max(rotations.shape[0], 1), step)])
+
+
 def strict_inliers(src_t: np.ndarray, tgt_t: np.ndarray, rotations: np.ndarray,
                    translations: np.ndarray, delta: float) -> np.ndarray:
     """(m, N) mask: ||R_j src_i + t_j - tgt_i||^2 < delta^2, as squared_residuals.
 
-    Any m: the transforms are scored transforms_per_block(N) at a time, so
-    every row keeps its one-transform bits.
+    Any m: every row keeps the bits of its transform scored alone. A stack
+    of at least _MIN_PRODUCT_ENTRIES entries is decided by C @ U, and only
+    its transforms that the band leaves undecided are recounted.
     """
-    step = transforms_per_block(src_t.shape[1])
-    if rotations.shape[0] <= step:
-        return squared_residuals(src_t, tgt_t, rotations, translations) < delta * delta
-    return np.concatenate([strict_inliers(src_t, tgt_t, rotations[lo:lo + step],
-                                          translations[lo:lo + step], delta)
-                           for lo in range(0, rotations.shape[0], step)])
+    m, n = rotations.shape[0], src_t.shape[1]
+    dd = delta * delta
+    features = inlier_features(src_t, tgt_t) if m * n >= _MIN_PRODUCT_ENTRIES else None
+    if features is None:
+        return _recount(src_t, tgt_t, rotations, translations, dd)
+    u, top = features
+    c = inlier_coefficients(rotations, translations)
+    band = inlier_band(c, rotations, translations, top, dd)
+    redo = ~(band < np.inf)
+    c[redo] = 0.0
+    band[redo] = 0.0
+    mask = np.empty((m, n), dtype=bool)
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // n)
+    for lo in range(0, m, step):
+        p = c[lo:lo + step] @ u
+        b = band[lo:lo + step].max()    # a wider band only leaves more undecided
+        inside = mask[lo:lo + step]
+        np.less(p, dd - b, out=inside)
+        near = p <= dd + b
+        near ^= inside
+        redo[lo:lo + step] |= near.any(axis=1)
+    redo = np.flatnonzero(redo)
+    if redo.size:
+        mask[redo] = _recount(src_t, tgt_t, rotations[redo], translations[redo], dd)
+    return mask
 
 
 def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
@@ -700,17 +839,17 @@ def ransac_scan(src: np.ndarray, tgt: np.ndarray, samples: np.ndarray,
     tgt = np.ascontiguousarray(tgt, dtype=np.float64)
     src_t, tgt_t = np.ascontiguousarray(src.T), np.ascontiguousarray(tgt.T)
     samples = np.ascontiguousarray(samples, dtype=np.int64)
-    step = transforms_per_block(src.shape[0])
     best = (-1, -1, None, None)
-    for lo in range(0, samples.shape[0], step):
-        idx = samples[lo:lo + step]
+    for lo in range(0, samples.shape[0], _SCAN_CHUNK):
+        idx = samples[lo:lo + _SCAN_CHUNK]
         a, b = src[idx], tgt[idx]                       # (m, 3, 3)
         ca = (a[:, 0] + a[:, 1] + a[:, 2]) / 3.0        # a.mean(axis=1), bit for bit
         cb = (b[:, 0] + b[:, 1] + b[:, 2]) / 3.0
         with np.errstate(over="ignore"):                 # rigid_fits flags what overflows
             h = (a - ca[:, None]).transpose(0, 2, 1) @ (b - cb[:, None])
         r, t, ok = rigid_fits(h, ca, cb)
-        counts = strict_inliers(src_t, tgt_t, r, t, delta).sum(axis=1)
+        counts = strict_inliers(src_t, tgt_t, r, t, delta).view(np.uint8).sum(
+            axis=1, dtype=np.int32)                     # half the time of a bool sum
         counts[~ok] = -1
         j = int(np.argmax(counts))
         if counts[j] > best[1]:

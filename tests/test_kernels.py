@@ -1,6 +1,7 @@
 """Hot kernels: brute-force oracles and invariants."""
 
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +18,19 @@ from reglab.kernels import (
     _MIN_BLOCK_PRODUCT,
     _ROW_BLOCK,
     _MAX_STACK,
+    _MIN_PRODUCT_ENTRIES,
     _ROW_TILE,
     _SCAN_BLOCK_ENTRIES,
+    _SCAN_CHUNK,
     attend_rows,
     check_array_bytes,
     consistency_matrix,
     consistency_row,
     consistency_rows,
     consistency_triangle,
+    inlier_band,
+    inlier_coefficients,
+    inlier_features,
     ransac_scan,
     rigid_fits,
     row_blocks,
@@ -470,6 +476,28 @@ def test_ransac_scan_all_degenerate_returns_minus_one():
     assert ransac_scan(src, tgt, samples, 0.1) == (-1, -1, None, None)
 
 
+def test_ransac_scan_memory_does_not_grow_with_the_sample_count():
+    """The scan works through chunks of _SCAN_CHUNK samples: its tracemalloc peak
+    over 10^5 samples stays within its peak over 10^4 plus the larger samples
+    array's 24 bytes per iteration."""
+    import tracemalloc
+
+    c, _ = generate(SceneConfig(n=500, outlier_ratio=0.5, seed=3))
+    rng = make_rng(1500)
+
+    def peak(count):
+        samples = rng.integers(0, 500, size=(count, 3))
+        tracemalloc.start()
+        try:
+            ransac_scan(c.source, c.target, samples, 0.1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10**4), peak(10**5)
+    assert large <= small + 24 * 10**5
+
+
 def test_rigid_fits_flags_non_finite_covariances_and_keeps_the_finite_bits(monkeypatch):
     """An infinite entry can keep the SVD from returning and a NaN makes it raise,
     so neither reaches it: such a fit is not ok, and the finite fits of the same
@@ -499,9 +527,9 @@ def test_rigid_fits_flags_non_finite_covariances_and_keeps_the_finite_bits(monke
 
 # -- scans that span several blocks ---------------------------------------------
 #
-# ransac_scan scores samples in blocks of max(1, _SCAN_BLOCK_ENTRIES // 3N);
-# these inputs put the winner, a tie and the degenerate triples on either
-# side of a block boundary.
+# These inputs put the winner, a tie and the degenerate triples on either
+# side of a boundary every max(1, _SCAN_BLOCK_ENTRIES // 3N) samples, and of
+# a boundary between ransac_scan's chunks of _SCAN_CHUNK samples.
 
 
 def block_step(n):
@@ -568,6 +596,21 @@ def case_first_block_degenerate():
     return src, tgt, samples, step + 10
 
 
+def case_tie_across_chunk_boundary():
+    rng, src, tgt = outlier_scene(607)
+    samples = draw_triples(rng, np.arange(120, 200), 2 * _SCAN_CHUNK)
+    samples[_SCAN_CHUNK - 1] = [0, 40, 80]
+    samples[_SCAN_CHUNK] = [10, 60, 110]
+    return src, tgt, samples, _SCAN_CHUNK - 1
+
+
+def case_best_in_last_chunk():
+    rng, src, tgt = outlier_scene(608)
+    samples = draw_triples(rng, np.arange(120, 200), 2 * _SCAN_CHUNK + 5)
+    samples[-3] = [2, 44, 99]
+    return src, tgt, samples, len(samples) - 3
+
+
 def case_all_degenerate_blocks():
     _, src, tgt = outlier_scene(604)
     samples = np.repeat(np.arange(200, dtype=np.int64)[:, None], 3, axis=1)
@@ -586,6 +629,8 @@ BLOCK_CASES = {
     "best_in_later_block": case_best_in_later_block,
     "best_is_last_sample": case_best_is_last_sample,
     "tie_across_boundary_keeps_earlier": case_tie_across_boundary,
+    "tie_across_chunk_boundary_keeps_earlier": case_tie_across_chunk_boundary,
+    "best_in_last_chunk": case_best_in_last_chunk,
     "first_block_degenerate": case_first_block_degenerate,
     "all_degenerate_blocks": case_all_degenerate_blocks,
     "no_samples": case_no_samples,
@@ -754,6 +799,287 @@ def test_triple_centroid_adds_equal_numpy_mean():
     for m in (1, 7, 64):
         a = rng.normal(size=(m, 3, 3)) * rng.choice([1e-9, 1.0, 1e9], size=(m, 3, 3))
         assert np.array_equal((a[:, 0] + a[:, 1] + a[:, 2]) / 3.0, a.mean(axis=1))
+
+
+# -- the certified inlier product --------------------------------------------------
+#
+# strict_inliers decides a stack of at least _MIN_PRODUCT_ENTRIES entries from
+# C @ U and recounts every transform that its band leaves undecided. Each case
+# below builds inputs that must be recounted; every row must still equal its
+# transform scored alone, in both stacks (each above the rule).
+
+PRODUCT_STACKS = [(2003, 64), (250, 300)]
+
+
+def alone(cols, rotation, translation, delta):
+    """One transform's mask, as geometry.inlier_mask computes it."""
+    return squared_residuals(*cols, rotation[None], translation[None])[0] < delta * delta
+
+
+def random_stack(rng, m):
+    transforms = [random_transform(rng) for _ in range(m)]
+    return (np.stack([t.rotation for t in transforms]),
+            np.stack([t.translation for t in transforms]))
+
+
+def product_delta_boundary(rng, n, m):
+    """boundary_scene's pairs at exactly delta^2 and at delta - 2^-48, met by its shift."""
+    c, gt, shift = boundary_scene(rng, n, 0.5)
+    r, t = random_stack(rng, m)
+    must = np.arange(0, m, 3)
+    r[must], t[must] = shift.rotation, shift.translation
+    r[1::3], t[1::3] = gt.rotation, gt.translation
+    return c.source, c.target, r, t, 0.5, must
+
+
+def product_non_finite_points(rng, n, m):
+    c, gt, _ = boundary_scene(rng, n, 0.1)
+    src, tgt = c.source.copy(), c.target.copy()
+    src[n // 3] = np.nan
+    tgt[n // 2, 1] = np.inf
+    src[-1, 2] = -np.inf
+    r, t = random_stack(rng, m)
+    r[1::2], t[1::2] = gt.rotation, gt.translation
+    return src, tgt, r, t, 0.1, np.arange(m)
+
+
+def product_non_finite_transforms(rng, n, m):
+    c, gt, _ = boundary_scene(rng, n, 0.1)
+    r, t = random_stack(rng, m)
+    r[1::2], t[1::2] = gt.rotation, gt.translation
+    must = np.array([0, 3, 5, 8, m - 1])
+    r[0, 1, 2] = np.nan
+    t[3, 0] = np.inf
+    r[5] = -np.inf
+    t[8] = np.nan
+    r[m - 1, 2, 2], t[m - 1, 1] = np.inf, -np.inf
+    return c.source, c.target, r, t, 0.1, must
+
+
+def product_coordinates_at_1e154(rng, n, m):
+    """||d||^2 overflows, so the whole call is recounted; target = source on half the pairs."""
+    src = rng.uniform(-1.0, 1.0, size=(n, 3)) * 1e154
+    tgt = src.copy()
+    tgt[n // 2:] = -rng.uniform(-1.0, 1.0, size=(n - n // 2, 3)) * 1e154
+    r, t = random_stack(rng, m)
+    r[::2], t[::2] = np.eye(3), 0.0
+    return src, tgt, r, t, 0.1, np.arange(m)
+
+
+def product_smallest_delta(rng, n, m):
+    """delta^2 is subnormal; the shift puts integer pairs at residual exactly 0."""
+    c, gt, shift = boundary_scene(rng, n, 0.5)
+    src, tgt = c.source.copy(), c.target.copy()
+    edge = max(1, n // 10)
+    tgt[-2 * edge:] = src[-2 * edge:] + shift.translation
+    r, t = random_stack(rng, m)
+    must = np.arange(0, m, 4)
+    r[must], t[must] = shift.rotation, shift.translation
+    r[1::4], t[1::4] = gt.rotation, gt.translation
+    return src, tgt, r, t, smallest_sigma_with_nonzero_square(), must
+
+
+def product_non_orthonormal_rotations(rng, n, m):
+    """Scaled, sheared and singular matrices; each of the first eight has ten pairs
+    placed at delta from its own image."""
+    src = rng.uniform(-2, 2, size=(n, 3))
+    tgt = rng.uniform(-4, 4, size=(n, 3))
+    r = rng.normal(size=(m, 3, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1, 1))
+    r[2::5] = np.outer(rng.normal(size=3), rng.normal(size=3))     # rank 1
+    t = rng.uniform(-2, 2, size=(m, 3))
+    must = np.arange(8)
+    for j in must:
+        pairs = slice(10 * j, 10 * j + 10)
+        tgt[pairs] = src[pairs] @ r[j].T + t[j] + [0.1, 0.0, 0.0]
+    return src, tgt, r, t, 0.1, must
+
+
+PRODUCT_CASES = {
+    "delta_boundary": product_delta_boundary,
+    "non_finite_points": product_non_finite_points,
+    "non_finite_transforms": product_non_finite_transforms,
+    "coordinates_at_1e154": product_coordinates_at_1e154,
+    "smallest_delta": product_smallest_delta,
+    "non_orthonormal_rotations": product_non_orthonormal_rotations,
+}
+
+
+def recorded_recounts(monkeypatch) -> list[tuple[bytes, bytes]]:
+    """Records the (rotation, translation) bytes of every transform recounted."""
+    seen = []
+    real = reglab.kernels._recount
+
+    def recount(src_t, tgt_t, rotations, translations, dd):
+        seen.extend((r.tobytes(), t.tobytes()) for r, t in zip(rotations, translations))
+        return real(src_t, tgt_t, rotations, translations, dd)
+
+    monkeypatch.setattr(reglab.kernels, "_recount", recount)
+    return seen
+
+
+@pytest.mark.parametrize("n, m", PRODUCT_STACKS)
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_undecided_transforms_are_recounted_and_equal_inlier_mask(case, n, m, monkeypatch):
+    rng = make_rng(1200 + n + m)
+    src, tgt, r, t, delta, must = PRODUCT_CASES[case](rng, n, m)
+    assert m * n >= _MIN_PRODUCT_ENTRIES
+    cols = np.ascontiguousarray(src.T), np.ascontiguousarray(tgt.T)
+    seen = recorded_recounts(monkeypatch)
+    with np.errstate(all="ignore"):     # squared_residuals overflows at 1e154
+        got = strict_inliers(*cols, r, t, delta)
+        want = [alone(cols, r[j], t[j], delta) for j in range(m)]
+        assert got.shape == (m, n)
+        for j in range(m):
+            assert np.array_equal(got[j], want[j]), j
+        assert {(r[j].tobytes(), t[j].tobytes()) for j in must} <= set(seen)
+        if case in ("delta_boundary", "non_finite_transforms", "smallest_delta"):
+            c = CorrespondenceSet(src, tgt)
+            for j in np.flatnonzero(np.isfinite(r).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)):
+                assert np.array_equal(got[j], inlier_mask(RigidTransform(r[j], t[j]), c, delta))
+    assert any(row.any() for row in want) and not all(row.all() for row in want)
+
+
+def product_inputs(rng, n, m, scale, shift):
+    """Points at ``scale``, translations at ``shift``, and half the rotations sheared."""
+    src_t = rng.uniform(-1, 1, size=(3, n)) * scale
+    tgt_t = rng.uniform(-1, 1, size=(3, n)) * scale
+    r, t = random_stack(rng, m)
+    half = len(r[::2])
+    r[::2] = rng.normal(size=(half, 3, 3)) * rng.choice([1e-3, 1.0, 1e3], size=(half, 1, 1))
+    return src_t, tgt_t, r, t * shift
+
+
+BAND_SCALES = [(1.0, 1.0), (1e6, 1e6), (3.0, 1e7), (1e8, 1.0), (1e-150, 1e-150), (1e-170, 1.0)]
+
+
+def derived_band(c, r, t, top, dd):
+    """|P - Q| + u delta^2 bounded term by term as in kernels' comment, in exact
+    rational arithmetic: P's rounding, that of c and u, squared_residuals',
+    underflow, and the rounding of delta^2 -/+ B."""
+    u = Fraction(1, 2 ** 53)
+    g3, g5, g23 = (k * u / (1 - k * u) for k in (3, 5, 23))
+    eta = Fraction(1, 2 ** 1075)
+    top = [Fraction(x) for x in top]
+    out = []
+    for cj, rj, tj in zip(c, r, t):
+        abs_c = [abs(Fraction(x)) for x in cj]
+        a = [sum(abs(Fraction(rj[k, l])) * top[5 + l] for l in range(3)) + abs(Fraction(tj[k]))
+             + top[2 + k] for k in range(3)]
+        squares = sum(x * x for x in a)
+        product = g23 * sum(x * y for x, y in zip(abs_c, top))
+        operands = (g3 + u) * squares
+        residuals = (g5 * (2 + g5) + g3 * (1 + g5) ** 2) * squares
+        underflow = u * squares + eta * (32 + 3 * sum(abs_c) + 6 * sum(top))
+        out.append(product + operands + residuals + underflow + u * Fraction(dd))
+    return out
+
+
+@pytest.mark.parametrize("scale, shift", BAND_SCALES)
+def test_inlier_band_covers_each_rounding_term(scale, shift):
+    """The kernel's band is no narrower than the derivation's sum, and C @ U
+    stays within it of squared_residuals on these stacks."""
+    rng = make_rng(1300)
+    src_t, tgt_t, r, t = product_inputs(rng, 400, 24, scale, shift)
+    u, top = inlier_features(src_t, tgt_t)
+    c = inlier_coefficients(r, t)
+    dd = 0.01
+    band = inlier_band(c, r, t, top, dd)
+    for got, want in zip(band, derived_band(c, r, t, top, dd)):
+        assert Fraction(got) >= want
+    p = c @ u
+    q = squared_residuals(src_t, tgt_t, r, t)
+    assert (np.abs(p - q) <= band[:, None]).all()
+
+
+def test_inlier_features_and_coefficients_give_the_squared_residuals():
+    rng = make_rng(1301)
+    src_t, tgt_t, r, t = product_inputs(rng, 300, 16, 2.0, 2.0)
+    u, top = inlier_features(src_t, tgt_t)
+    assert u.shape == (23, 300) and np.array_equal(top, np.abs(u).max(axis=1))
+    np.testing.assert_allclose(inlier_coefficients(r, t) @ u,
+                               squared_residuals(src_t, tgt_t, r, t), rtol=1e-9, atol=1e-9)
+    big = src_t.copy()
+    big[1, 7] = 2.0 ** 31    # its square passes the norm limit
+    assert inlier_features(big, tgt_t) is None
+    assert inlier_features(src_t, tgt_t * np.nan) is None
+
+
+def engaged_stacks(monkeypatch, stacks) -> list[bool]:
+    """Whether strict_inliers took the product for each (n, m), on an
+    ordinary scene; no transform of one may be recounted."""
+    calls, seen = [], recorded_recounts(monkeypatch)
+    real = reglab.kernels.inlier_coefficients
+
+    def coefficients(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(reglab.kernels, "inlier_coefficients", coefficients)
+    engaged = []
+    for n, m in stacks:
+        rng = make_rng(1400 + n + m)
+        c = CorrespondenceSet(rng.uniform(-3, 3, size=(n, 3)), rng.uniform(-3, 3, size=(n, 3)))
+        r, t = random_stack(rng, m)
+        before, recounts = len(calls), len(seen)
+        got = strict_inliers(*_point_columns(c), r, t, 0.5)
+        engaged.append(len(calls) > before)
+        assert len(seen) - recounts == (0 if engaged[-1] else m)
+        assert all(np.array_equal(got[j], inlier_mask(RigidTransform(r[j], t[j]), c, 0.5))
+                   for j in range(m))
+    return engaged
+
+
+def test_the_product_engages_from_its_entries_rule(monkeypatch):
+    """At and past _MIN_PRODUCT_ENTRIES (m N) the stack is decided by C @ U with
+    no recount; just below it, every transform is scored by squared_residuals."""
+    below = [(2003, 16), (250, 131), (1, 64), (2000, 10)]
+    assert all(m * n < _MIN_PRODUCT_ENTRIES for n, m in below)
+    assert engaged_stacks(monkeypatch, PRODUCT_STACKS) == [True, True]
+    assert engaged_stacks(monkeypatch, below) == [False] * len(below)
+
+
+def test_certified_masks_are_the_same_at_one_and_two_blas_threads():
+    """Each product stack's masks, hashed in a child interpreter with 1 BLAS thread
+    and with 2, equal each transform scored alone and each other."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from reglab.kernels import squared_residuals, strict_inliers\n"
+        "from reglab.synth import SceneConfig, generate, rotation_from_axis_angle\n"
+        f"for n, m in {PRODUCT_STACKS}:\n"
+        "    rng = np.random.Generator(np.random.PCG64(n + m))\n"
+        "    c, gt = generate(SceneConfig(n=n, outlier_ratio=0.5, seed=n))\n"
+        "    src_t, tgt_t = np.ascontiguousarray(c.source.T), np.ascontiguousarray(c.target.T)\n"
+        "    axes = rng.normal(size=(m, 3))\n"
+        "    r = np.stack([rotation_from_axis_angle(a / np.linalg.norm(a), rng.uniform(0, np.pi))\n"
+        "                  for a in axes])\n"
+        "    t = rng.uniform(-2, 2, size=(m, 3))\n"
+        "    r[::2], t[::2] = gt.rotation, gt.translation\n"
+        "    got = strict_inliers(src_t, tgt_t, r, t, 0.1)\n"
+        "    want = np.stack([squared_residuals(src_t, tgt_t, r[j:j + 1], t[j:j + 1])[0] < 0.01\n"
+        "                     for j in range(m)])\n"
+        "    same = int(np.array_equal(got, want))\n"
+        "    print(n, m, hashlib.sha256(got.tobytes()).hexdigest(), same)\n"
+    )
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(reglab.kernels.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_dir, "OPENBLAS_NUM_THREADS": threads,
+                 "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads},
+            check=False,
+        )
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout.split())
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 4 * len(PRODUCT_STACKS)
+    assert outputs[0][3::4] == ["1"] * len(PRODUCT_STACKS)
 
 
 # -- row softmax ------------------------------------------------------------------

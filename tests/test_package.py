@@ -81,9 +81,10 @@ def test_one_weighted_fit_and_one_triple_fit_solve_rotations():
 
 def test_only_kernels_and_selection_size_residual_stacks():
     """The BLAS bound on a stack of transforms, kernels.transforms_per_block, is
-    applied inside kernels and by geometry.select_best_transform; pipeline sizes
-    its seed work by entries and reaches residuals only through
-    kernels.strict_inliers, which splits any stack itself."""
+    applied by strict_inliers' recount and by geometry.select_best_transform;
+    pipeline sizes its seed work by entries, ransac_scan its chunks by samples,
+    and both reach residuals only through kernels.strict_inliers, which splits
+    any stack itself."""
     callers = {}
     for path in sorted(Path(reglab.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -93,6 +94,5 @@ def test_only_kernels_and_selection_size_residual_stacks():
                 if name in ("transforms_per_block", "squared_residuals"):
                     callers.setdefault(name, set()).add((path.name, getattr(top, "name", None)))
     assert callers["transforms_per_block"] == {
-        ("geometry.py", "select_best_transform"), ("kernels.py", "ransac_scan"),
-        ("kernels.py", "strict_inliers")}
+        ("geometry.py", "select_best_transform"), ("kernels.py", "_recount")}
     assert not any(module == "pipeline.py" for sites in callers.values() for module, _ in sites)

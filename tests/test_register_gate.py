@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import graph_reference
-from reglab import blocks, geometry, kernels, pipeline
+from reglab import baselines, blocks, geometry, kernels, pipeline
 from reglab.blocks import GPINet
 from reglab.evaluate import METHODS
 from reglab.geometry import RigidTransform
@@ -17,7 +17,8 @@ from register_gate import (CORPUS, METHOD_CORPUS, PARAMS, SCAN_CORPUS, TRANSFORM
                            ScanCase, check_gate, check_scan_gate, check_solution_gate,
                            register_case, register_gate, scan_case, scan_gate, solve_case,
                            solve_gate)
-from reglab.pipeline import RegistrationResult
+from reglab.pipeline import RegistrationConfig, RegistrationResult
+from reglab.synth import SceneConfig, generate
 from test_geometry import reference_segments
 from test_pipeline import FALLBACK_CASES, fallback_scene
 
@@ -159,6 +160,53 @@ def test_stacked_ransac_scan_passes_the_scan_gate(case, monkeypatch):
     best_iteration, best_count = scan_gate(case, monkeypatch,
                                            [(kernels, "transforms_per_block", lambda n: 1)])
     assert 0 <= best_iteration < 10_000 and best_count >= 150  # 200 inliers per scene
+
+
+def scan_arguments(c, iterations: int, delta: float, seed: int) -> tuple:
+    """The arguments of the ``kernels.ransac_scan`` call that ``baselines.ransac`` makes."""
+    calls = []
+    real = kernels.ransac_scan
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "ransac_scan", recorded)
+        baselines.ransac(c, iterations=iterations, delta=delta, seed=seed)
+    return calls[0]
+
+
+def criterion_7_arguments(trial: int) -> tuple:
+    c, _ = generate(SceneConfig(n=500, outlier_ratio=0.6, noise_sigma=0.01, seed=70_000 + trial))
+    return scan_arguments(c, 10_000, 0.10, 90_000 + trial)
+
+
+def register_large_arguments(seed: int) -> tuple:
+    """An outdoor N=2000 scene at 80% outliers and its 1000-iteration RANSAC."""
+    c, _ = generate(SceneConfig(n=2000, outlier_ratio=0.8, scene="outdoor", seed=seed))
+    return scan_arguments(c, 1000, RegistrationConfig(scene="outdoor").resolved_delta, seed)
+
+
+SCAN_CHUNK_CASES = {
+    **{f"criterion7-trial{trial}": (criterion_7_arguments, trial) for trial in range(3)},
+    **{f"register-large-seed{seed}": (register_large_arguments, seed) for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CHUNK_CASES))
+def test_one_sample_per_scan_chunk_gives_the_same_bytes(case, monkeypatch):
+    """Each chunk fits its samples in one rigid_fits call and counts them in one
+    strict_inliers call; one sample per chunk gives the default chunks' winner:
+    the same iteration and count, and the same rotation and translation bytes."""
+    build, arg = SCAN_CHUNK_CASES[case]
+    args = build(arg)
+    assert len(args[2]) > kernels._SCAN_CHUNK
+    want = kernels.ransac_scan(*args)
+    monkeypatch.setattr(kernels, "_SCAN_CHUNK", 1)
+    got = kernels.ransac_scan(*args)
+    assert got[:2] == want[:2] and got[0] >= 0
+    assert got[2].tobytes() == want[2].tobytes() and got[3].tobytes() == want[3].tobytes()
 
 
 @pytest.fixture(scope="module")
